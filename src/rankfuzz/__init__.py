@@ -24,6 +24,7 @@ from .errors import (
     DuplicateFeatures,
     InfeasibleShape,
     LengthMismatch,
+    MalformedRecord,
     MismatchedField,
     NonPrimeQ,
     NotNormal,

@@ -14,10 +14,11 @@ codeword (m digit bytes per coordinate, in coordinate order).
 from __future__ import annotations
 
 import hashlib
+import hmac
 import json
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, ParamMismatch
+from .errors import LengthMismatch, MalformedRecord, ParamMismatch, check_record
 from .fields import ExtField, ext_field
 from .gabidulin import GabidulinCode
 from .errors import DecodingFailure
@@ -110,7 +111,7 @@ def verify(code: GabidulinCode, witness, com: Commitment) -> VerifyResult:
     except DecodingFailure:
         return VerifyResult(False, "decoding_failure", None)
     recovered = code.encode(message)
-    if codeword_digest(field, recovered) != com.digest:
+    if not hmac.compare_digest(codeword_digest(field, recovered), com.digest):
         return VerifyResult(False, "digest_mismatch", None)
     return VerifyResult(True, None, recovered)
 
@@ -136,21 +137,41 @@ def commitment_to_dict(com: Commitment) -> dict:
     return out
 
 
+_SCHEMA = {
+    "q": int,
+    "m": int,
+    "n": int,
+    "k": int,
+    "s": int,
+    "points": list,
+    "offset": list,
+    "digest": str,
+    "seed_meta": int,
+}
+
+
 def commitment_from_dict(data: dict) -> Commitment:
-    field = ext_field(int(data["q"]), int(data["m"]))
-    digest = bytes.fromhex(data["digest"])
+    check_record(data, "commitment", _SCHEMA, optional=("seed_meta",))
+    field = ext_field(data["q"], data["m"])
+    n = data["n"]
+    if len(data["offset"]) != n:
+        raise LengthMismatch(f"offset has {len(data['offset'])} elements, expected n={n}")
+    try:
+        digest = bytes.fromhex(data["digest"])
+    except ValueError as exc:
+        raise MalformedRecord(f"bad digest hex {data['digest']!r}") from exc
     if len(digest) != DIGEST_BYTES:
         raise LengthMismatch("digest must be 32 bytes of hex")
     return Commitment(
         q=field.q,
         m=field.m,
-        n=int(data["n"]),
-        k=int(data["k"]),
-        s=int(data["s"]),
+        n=n,
+        k=data["k"],
+        s=data["s"],
         points=tuple(field.from_hex(x) for x in data["points"]),
         offset=tuple(field.from_hex(x) for x in data["offset"]),
         digest=digest,
-        seed_meta=int(data["seed_meta"]) if "seed_meta" in data else None,
+        seed_meta=data.get("seed_meta"),
     )
 
 

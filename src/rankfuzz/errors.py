@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the shape check for
+records read from files.
 
 Every domain error derives from RankfuzzError so callers can catch the
 whole family at once; most also derive from the matching builtin
@@ -88,6 +89,30 @@ class InfeasibleShape(RankfuzzError, RuntimeError):
 
 class NotNormal(RankfuzzError, ValueError):
     """Element is not normal: its Frobenius orbit does not span the field."""
+
+
+class MalformedRecord(RankfuzzError, ValueError):
+    """A record read from a file is not an object of the expected shape."""
+
+
+def check_record(data, what: str, schema: dict, optional=()) -> None:
+    """Check that data is a JSON object with exactly the keys of schema,
+    those in optional aside, and that each value has exactly the type
+    schema names for it, so that neither a float nor a bool passes as an
+    int."""
+    if not isinstance(data, dict):
+        raise MalformedRecord(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = sorted(set(schema) - set(optional) - data.keys())
+    unexpected = sorted(data.keys() - schema.keys())
+    if missing:
+        raise MalformedRecord(f"{what}: missing keys {missing}")
+    if unexpected:
+        raise MalformedRecord(f"{what}: unexpected keys {unexpected}")
+    for key, value in data.items():
+        if type(value) is not schema[key]:
+            raise MalformedRecord(
+                f"{what}: {key} must be {schema[key].__name__}, got {value!r}"
+            )
 
 
 class DecodingFailure(RankfuzzError):

@@ -14,15 +14,20 @@ smallest.  Two fields with equal (q, m) are therefore interchangeable,
 and the ext_field() factory returns a shared instance.
 
 Fields of at most 2**16 elements build discrete log tables on first
-multiplication; larger fields (up to the supported m <= 64) fall back to
-polynomial arithmetic.  Arithmetic methods assume canonical ints and do
-not re-validate their inputs on every call; use check() / check_vector()
-at API boundaries.
+use, and multiply, invert and apply Frobenius by lookup.  Larger fields
+(up to the supported m <= 64) compute in the polynomial basis: for q = 2
+by carry-less shift-and-xor multiplication and an extended Euclid
+inverse, for odd q digit by digit with a Fermat inverse.  There the
+Frobenius a -> a^(q^i) is applied as the F_q-linear map it is, built
+per exponent from the images of the basis on first use.  Arithmetic
+methods assume canonical ints and do not re-validate their inputs on
+every call; use check() / check_vector() at API boundaries.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -171,7 +176,8 @@ class ExtField:
     """
 
     def __init__(self, q: int, m: int):
-        if not isinstance(q, int) or not is_prime(q) or q > _MAX_PRIME:
+        # bound before primality, whose trial division is slow for huge q
+        if not isinstance(q, int) or q > _MAX_PRIME or not is_prime(q):
             raise NonPrimeQ(f"q must be a prime <= {_MAX_PRIME}, got {q!r}")
         if not isinstance(m, int) or m < 1 or m > _MAX_DEGREE:
             raise DegreeOutOfRange(f"m must be in 1..{_MAX_DEGREE}, got {m!r}")
@@ -197,14 +203,26 @@ class ExtField:
             self.add = lambda a, b: a ^ b
             self.sub = self.add
             self.neg = lambda a: a
+            # the modulus as a bit pattern, its x^m term included, and the
+            # exponents of its lower terms, which x^m folds back onto
+            self._poly = sum(1 << i for i, c in enumerate(self.modulus) if c)
+            self._fold = tuple(i for i in range(m) if self.modulus[i])
+            self._nibble_shifts = range(4 * ((m - 1) // 4), -1, -4)
+        self._mul_poly = self._mul_gf2 if q == 2 else self._mul_basic
         self._exp = None
         self._log = None
-        self._frob1 = None
+        self._frob_exp = None
         self._normal = None
         if self.order > _TABLE_LIMIT:
             # tables will never exist; skip the lazy check on every call
-            self.mul = self._mul_basic
-            self.inv = self._inv_basic
+            self._frob_maps = [None] * m  # built per exponent on first use
+            self.mul = self._mul_poly
+            if q == 2:
+                self.inv = self._inv_gf2
+                self.frobenius = self._frobenius_gf2
+            else:
+                self.inv = self._inv_fermat
+                self.frobenius = self._frobenius_fq
 
     def __repr__(self):
         return f"ExtField(q={self.q}, m={self.m})"
@@ -250,6 +268,8 @@ class ExtField:
         return self.to_bytes(a).hex()
 
     def from_hex(self, text: str) -> int:
+        if not isinstance(text, str):
+            raise MismatchedField(f"element must be a hex string, got {text!r}")
         try:
             data = bytes.fromhex(text.strip())
         except ValueError as exc:
@@ -297,6 +317,8 @@ class ExtField:
         return v
 
     def _mul_basic(self, a: int, b: int) -> int:
+        """Digit-by-digit product: the multiply for odd q above the table
+        limit, and the reference the faster paths are tested against."""
         if a == 0 or b == 0:
             return 0
         q, m = self.q, self.m
@@ -318,13 +340,49 @@ class ExtField:
             v += d * self._qpow[i]
         return v
 
+    def _mul_gf2(self, a: int, b: int) -> int:
+        """Product for q = 2: carry-less shift-and-xor over 4-bit windows of
+        b, then the bits at x^m and above folded through the modulus."""
+        a2, a4, a8 = a << 1, a << 2, a << 3
+        a3, a12 = a2 ^ a, a8 ^ a4
+        window = (
+            0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3,
+        )
+        r = 0
+        for shift in self._nibble_shifts:
+            r = (r << 4) ^ window[(b >> shift) & 15]
+        m = self.m
+        high = r >> m
+        while high:
+            r ^= high << m
+            for e in self._fold:
+                r ^= high << e
+            high = r >> m
+        return r
+
     def mul(self, a: int, b: int) -> int:
-        # only reached before the tables exist; _ensure_tables installs
-        # instance-level fast paths that shadow this method
+        # only reached in a table-backed field before its tables exist;
+        # _ensure_tables installs instance-level lookups that shadow this
+        # method, and larger fields shadow it in __init__
         self._ensure_tables()
         return self.mul(a, b)
 
-    def _inv_basic(self, a: int) -> int:
+    def _inv_gf2(self, a: int) -> int:
+        """Inverse for q = 2 by binary extended Euclid against the full
+        modulus; u = g1 * a and v = g2 * a hold modulo it throughout."""
+        if a == 0:
+            raise DivisionByZero("zero has no inverse")
+        u, v, g1, g2 = a, self._poly, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
+    def _inv_fermat(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("zero has no inverse")
         return self.pow_(a, self.order - 2)
@@ -340,7 +398,7 @@ class ExtField:
             return 0 if e else 1
         result = 1
         acc = a
-        mul = self.mul
+        mul = self._mul_poly  # the table build relies on this not needing tables
         while e:
             if e & 1:
                 result = mul(result, acc)
@@ -349,43 +407,76 @@ class ExtField:
         return result
 
     def frobenius(self, a: int, i: int = 1) -> int:
-        i %= self.m
-        if self._exp is None:
+        """a^(q^i), by lookup: a = g^j maps to g^(j * q^i).  Fields above
+        the table limit shadow this method in __init__."""
+        exp = self._exp
+        if exp is None:
             self._ensure_tables()
-        frob1 = self._frob1
-        if frob1 is not None:
-            for _ in range(i):
-                a = frob1[a]
-            return a
-        for _ in range(i):
-            a = self.pow_(a, self.q)
-        return a
+            exp = self._exp
+        if a == 0:
+            return 0
+        return exp[self._log[a] * self._frob_exp[i % self.m] % len(exp)]
+
+    def _frob_map(self, i: int):
+        """The F_q-linear map a -> a^(q^i), built from the images of the
+        power basis, which are the powers of x^(q^i).  For q = 2 it is
+        stored as one 256-entry table per byte of the input; for odd q as
+        the rows of its m x m matrix."""
+        mul, m = self._mul_poly, self.m
+        images = [1]
+        step = self.pow_(self.q, self.q**i)  # the element x is the int q
+        for _ in range(m - 1):
+            images.append(mul(images[-1], step))
+        if self.q == 2:
+            images += [0] * (-m % 8)
+            out = []
+            for k in range(0, m, 8):
+                table = [0] * 256
+                for v in range(1, 256):
+                    low = v & -v
+                    table[v] = table[v ^ low] ^ images[k + low.bit_length() - 1]
+                out.append(table)
+        else:
+            out = tuple(zip(*(self.digits(b) for b in images)))
+        self._frob_maps[i] = out
+        return out
+
+    def _frobenius_gf2(self, a: int, i: int = 1) -> int:
+        i %= self.m
+        tables = self._frob_maps[i] or self._frob_map(i)
+        r = 0
+        for table in tables:
+            r ^= table[a & 255]
+            a >>= 8
+        return r
+
+    def _frobenius_fq(self, a: int, i: int = 1) -> int:
+        i %= self.m
+        rows = self._frob_maps[i] or self._frob_map(i)
+        q, ds = self.q, self.digits(a)
+        return sum(
+            (sum(map(operator.mul, row, ds)) % q) * p for row, p in zip(rows, self._qpow_m)
+        )
 
     def _ensure_tables(self):
         if self._exp is not None or self.order > _TABLE_LIMIT:
             return
         n = self.order - 1
-        if n == 0:
-            return
         primes = _prime_divisors(n)
-        g = None
-        for cand in range(2, self.order):
-            if all(self._pow_basic(cand, n // p) != 1 for p in primes):
-                g = cand
-                break
-        if g is None:  # order == 2: the only unit is 1
-            g = 1
+        # a primitive element; when order == 2 the only unit is 1
+        g = next(
+            (c for c in range(2, self.order) if all(self.pow_(c, n // p) != 1 for p in primes)),
+            1,
+        )
+        mul_poly = self._mul_poly
         exp = [1] * n
         for i in range(1, n):
-            exp[i] = self._mul_basic(exp[i - 1], g)
+            exp[i] = mul_poly(exp[i - 1], g)
         log = [-1] * self.order
         for i, v in enumerate(exp):
             log[v] = i
-        frob1 = [0] * self.order
-        q = self.q
-        for i, v in enumerate(exp):
-            frob1[v] = exp[(i * q) % n]
-        self._exp, self._log, self._frob1 = exp, log, frob1
+        self._frob_exp = [pow(self.q, i, n) for i in range(self.m)]
+        self._exp, self._log = exp, log
 
         def mul(a, b, exp=exp, log=log, n=n):
             if a == 0 or b == 0:
@@ -407,16 +498,6 @@ class ExtField:
         self.mul = mul
         self.inv = inv
         self.pow_ = pow_
-
-    def _pow_basic(self, a: int, e: int) -> int:
-        result = 1
-        acc = a
-        while e:
-            if e & 1:
-                result = self._mul_basic(result, acc)
-            acc = self._mul_basic(acc, acc)
-            e >>= 1
-        return result
 
     # -- sampling -----------------------------------------------------------
 

@@ -18,6 +18,7 @@ confirms it.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -26,8 +27,10 @@ from .errors import (
     DependentFeatures,
     DuplicateFeatures,
     LengthMismatch,
+    MalformedRecord,
     ParamMismatch,
     TooLarge,
+    check_record,
 )
 from .fields import ExtField, ext_field, is_independent
 from .gabidulin import GabidulinCode
@@ -170,7 +173,7 @@ def unlock(vault: Vault, witness) -> UnlockResult:
         message, _ = code.decode(received)
     except DecodingFailure:
         return UnlockResult(None, "decoding_failure")
-    if key_digest_bytes(fld, message) != vault.key_digest:
+    if not hmac.compare_digest(key_digest_bytes(fld, message), vault.key_digest):
         return UnlockResult(None, "digest_mismatch")
     return UnlockResult(message, None)
 
@@ -197,25 +200,39 @@ def vault_to_dict(vault: Vault) -> dict:
     }
 
 
+_SCHEMA = {
+    "q": int,
+    "m": int,
+    "n": int,
+    "ell": int,
+    "s": int,
+    "points": list,
+    "key_digest": str,
+}
+
+
 def vault_from_dict(data: dict) -> Vault:
+    check_record(data, "vault", _SCHEMA)
     params = VaultParams(
-        q=int(data["q"]),
-        m=int(data["m"]),
-        n=int(data["n"]),
-        ell=int(data["ell"]),
-        s=int(data["s"]),
+        q=data["q"], m=data["m"], n=data["n"], ell=data["ell"], s=data["s"]
     )
     fld = params.field
     entries = data["points"]
     if len(entries) != fld.order:
         raise LengthMismatch(f"table must cover all {fld.order} elements")
     table = [None] * fld.order
-    for hx, hy in entries:
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise MalformedRecord(f"vault entry must be an [x, y] pair, got {entry!r}")
+        hx, hy = entry
         x = fld.from_hex(hx)
         if table[x] is not None:
             raise DuplicateFeatures(f"table lists {hx} twice")
         table[x] = fld.from_hex(hy)
-    digest = bytes.fromhex(data["key_digest"])
+    try:
+        digest = bytes.fromhex(data["key_digest"])
+    except ValueError as exc:
+        raise MalformedRecord(f"bad key digest hex {data['key_digest']!r}") from exc
     if len(digest) != 32:
         raise LengthMismatch("key digest must be 32 bytes of hex")
     return Vault(params, tuple(table), digest)

@@ -1,9 +1,14 @@
 """Command line behavior: exit codes, file outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankfuzz
 from rankfuzz.analysis import load_report
 from rankfuzz.cli import _verdict_exit, build_parser, main
 from rankfuzz.fields import ext_field
@@ -127,6 +132,30 @@ def test_verify_bad_witness_file(committed, tmp_path, capsys):
     assert main(["verify", "--commitment", str(com), "--witness", str(short)]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["verify", "--commitment", str(com), "--witness", str(tmp_path / "no.hex")]) == 2
+
+
+MALFORMED_COMMITMENTS = {
+    "missing_digest": lambda d: {k: v for k, v in d.items() if k != "digest"},
+    "top_level_list": lambda d: [d],
+    "float_q": lambda d: dict(d, q=2.5),
+    "int_points": lambda d: dict(d, points=[1] * len(d["points"])),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_COMMITMENTS.values(), ids=MALFORMED_COMMITMENTS)
+def test_verify_rejects_malformed_commitment(committed, tmp_path, mutate):
+    wit, com = committed
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.loads(com.read_text()))))
+    env = dict(os.environ, PYTHONPATH=str(Path(rankfuzz.__file__).parents[1]))
+    argv = ["verify", "--commitment", str(bad), "--witness", str(wit)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankfuzz", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

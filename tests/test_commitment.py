@@ -19,12 +19,15 @@ from rankfuzz.commitment import (
     save_commitment,
     verify,
 )
-from rankfuzz.errors import ParamMismatch
+from rankfuzz.errors import LengthMismatch, MalformedRecord, ParamMismatch
 from rankfuzz.fields import ext_field, rank_distance
 from rankfuzz.gabidulin import GabidulinCode, random_rank_error
 
 F256 = ext_field(2, 8)
 F243 = ext_field(3, 5)
+
+
+BASIS8 = tuple(1 << i for i in range(8))
 
 
 def make_code(field=F256, n=8, k=4, s=1):
@@ -131,6 +134,25 @@ def test_dict_roundtrip_and_hex_fields():
     assert len(d["digest"]) == 2 * DIGEST_BYTES
     back = commitment_from_dict(d)
     assert back == com
+
+
+@pytest.mark.parametrize(
+    "mutate,error",
+    [
+        (lambda d: {k: v for k, v in d.items() if k != "digest"}, MalformedRecord),
+        (lambda d: dict(d, extra=1), MalformedRecord),
+        (lambda d: [d], MalformedRecord),
+        (lambda d: dict(d, q=2.5), MalformedRecord),
+        (lambda d: dict(d, m=True), MalformedRecord),
+        (lambda d: dict(d, digest="zz"), MalformedRecord),
+        (lambda d: dict(d, offset=d["offset"][:2]), LengthMismatch),
+    ],
+    ids=["missing_key", "extra_key", "list", "float_q", "bool_m", "bad_digest", "short_offset"],
+)
+def test_from_dict_rejects_malformed_records(mutate, error):
+    com = commit(make_code(), BASIS8, random.Random(12))
+    with pytest.raises(error):
+        commitment_from_dict(mutate(commitment_to_dict(com)))
 
 
 def test_file_roundtrip_is_byte_stable(tmp_path):

@@ -166,6 +166,8 @@ def test_parameter_validation():
         ext_field(4, 2)
     with pytest.raises(NonPrimeQ):
         ext_field(257, 1)  # prime but above the supported bound
+    with pytest.raises(NonPrimeQ):
+        ext_field(2**61 - 1, 2)  # rejected by the bound, before slow trial division
     with pytest.raises(DegreeOutOfRange):
         ext_field(2, 0)
     with pytest.raises(DegreeOutOfRange):
@@ -204,19 +206,43 @@ def test_field_axioms_random(q, m):
 
 def test_inverse_of_zero_rejected():
     with pytest.raises(DivisionByZero):
-        ext_field(2, 4).inv(0)
+        ext_field(2, 4).inv(0)  # table lookup
     with pytest.raises(DivisionByZero):
-        ext_field(3, 9).inv(0)  # above the table limit: pow-based path
+        ext_field(2, 32).inv(0)  # above the table limit: extended Euclid
+    with pytest.raises(DivisionByZero):
+        ext_field(3, 12).inv(0)  # above the table limit: Fermat power
 
 
 def test_table_mul_agrees_with_convolution():
-    for q, m in [(2, 8), (3, 4), (5, 3)]:
+    for q, m in [(2, 8), (3, 4), (5, 3), (2, 16)]:
         F = ext_field(q, m)
         rng = random.Random(q * m)
         F.mul(1, 1)  # force table build
         for _ in range(400):
             a, b = F.random_element(rng), F.random_element(rng)
             assert F.mul(a, b) == F._mul_basic(a, b)
+
+
+@pytest.mark.parametrize("m", [17, 20, 32, 64])
+def test_binary_mul_and_inverse_agree_with_convolution(m):
+    # above the table limit: carry-less multiply and extended Euclid inverse
+    F = ext_field(2, m)
+    rng = random.Random(m)
+    for a, b in [(0, 5), (F.order - 1, F.order - 1)]:
+        assert F.mul(a, b) == F._mul_basic(a, b)
+    for _ in range(200):
+        a, b = F.random_element(rng), F.random_element(rng)
+        assert F.mul(a, b) == F._mul_basic(a, b)
+        if a:
+            assert F._mul_basic(a, F.inv(a)) == 1
+
+
+def test_euclid_inverse_exhaustive_small_fields():
+    for m in range(1, 11):
+        F = ExtField(2, m)
+        for a in range(1, F.order):
+            inv = F._inv_gf2(a)
+            assert 0 < inv < F.order and F._mul_basic(a, inv) == 1, (m, a)
 
 
 def test_pow_matches_repeated_multiplication():
@@ -251,6 +277,21 @@ def test_frobenius_is_qth_power():
             assert F.frobenius(a) == F.pow_(a, q)
             i = rng.randrange(0, 2 * m)
             assert F.frobenius(a, i) == F.pow_(a, q ** (i % m))
+
+
+@pytest.mark.parametrize("q,m", [(2, 32), (2, 64), (3, 12), (2, 16), (3, 4)])
+def test_frobenius_matches_repeated_convolution_powers(q, m):
+    # a^(q^i) for every i in 0..2m, by repeated q-th powers of _mul_basic
+    F = ext_field(q, m)
+    rng = random.Random(q * m)
+    for a in [q, F.order - 1] + [F.random_element(rng) for _ in range(3)]:
+        power = a
+        for i in range(2 * m + 1):
+            assert F.frobenius(a, i) == power, (a, i)
+            nxt = 1
+            for _ in range(q):
+                nxt = F._mul_basic(nxt, power)
+            power = nxt
 
 
 def test_frobenius_field_homomorphism():

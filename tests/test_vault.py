@@ -11,6 +11,7 @@ from rankfuzz.errors import (
     DependentFeatures,
     DuplicateFeatures,
     LengthMismatch,
+    MalformedRecord,
     ParamMismatch,
     TooLarge,
     BadTwist,
@@ -203,6 +204,24 @@ def test_vault_dict_totality_enforced():
     d2["points"][1] = d2["points"][0]
     with pytest.raises(DuplicateFeatures):
         vault_from_dict(d2)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: {k: v for k, v in d.items() if k != "key_digest"},
+        lambda d: [d],
+        lambda d: dict(d, ell=2.0),
+        lambda d: dict(d, points=[p[:1] for p in d["points"]]),
+        lambda d: dict(d, key_digest="zz"),
+    ],
+    ids=["missing_key", "list", "float_ell", "one_field_entries", "bad_digest"],
+)
+def test_vault_dict_rejects_malformed_records(mutate):
+    rng = random.Random(10)
+    v = lock(P256, sample_feature_set(F256, 8, rng), F256.random_vector(2, rng), rng)
+    with pytest.raises(MalformedRecord):
+        vault_from_dict(mutate(vault_to_dict(v)))
 
 
 def test_lock_is_deterministic_under_seeded_rng():

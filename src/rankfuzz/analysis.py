@@ -35,10 +35,12 @@ from .errors import (
     DependentRestriction,
     DimensionMismatch,
     InfeasibleShape,
+    MalformedRecord,
     MismatchedField,
     NotNormal,
     ParamMismatch,
     TwistMismatch,
+    check_record,
 )
 from .fields import (
     ExtField,
@@ -478,26 +480,56 @@ class SweepReport:
         }
 
 
-def report_from_dict(data: dict):
-    if data.get("mode") == "sweep":
-        return SweepReport(
-            claim=data["claim"],
-            params=dict(data["params"]),
-            points=tuple(report_from_dict(p) for p in data["points"]),
-            seed=data.get("seed"),
-        )
-    formula = data.get("formula")
+_NONE = type(None)
+_TRIAL_SCHEMA = {
+    "claim": str,
+    "params": dict,
+    "trials": int,
+    "successes": int,
+    "estimate": float,
+    "formula": (dict, _NONE),
+    "standard_error": float,
+    "verdict": (str, _NONE),
+    "seed": (int, _NONE),
+    "mode": str,
+}
+_SWEEP_SCHEMA = dict(_TRIAL_SCHEMA, formula=_NONE, verdict=str, points=list)
+_FORMULA_SCHEMA = {"numerator": int, "denominator": int}
+
+
+def _trial_from_dict(data) -> TrialReport:
+    check_record(data, "report", _TRIAL_SCHEMA)
+    if data["mode"] not in ("sampled", "exhaustive"):
+        raise MalformedRecord(f"report: unknown mode {data['mode']!r}")
+    formula = data["formula"]
+    if formula is not None:
+        check_record(formula, "report formula", _FORMULA_SCHEMA)
+        if formula["denominator"] < 1:
+            raise MalformedRecord(f"report formula: bad denominator {formula['denominator']}")
+        formula = Fraction(formula["numerator"], formula["denominator"])
     return TrialReport(
         claim=data["claim"],
         params=dict(data["params"]),
         trials=data["trials"],
         successes=data["successes"],
-        formula=None
-        if formula is None
-        else Fraction(formula["numerator"], formula["denominator"]),
-        seed=data.get("seed"),
-        mode=data.get("mode", "sampled"),
+        formula=formula,
+        seed=data["seed"],
+        mode=data["mode"],
     )
+
+
+def report_from_dict(data):
+    """Rebuild a TrialReport or SweepReport from its to_dict() form, with
+    exact key sets and value types; sweep points must be trial records."""
+    if isinstance(data, dict) and data.get("mode") == "sweep":
+        check_record(data, "sweep report", _SWEEP_SCHEMA)
+        return SweepReport(
+            claim=data["claim"],
+            params=dict(data["params"]),
+            points=tuple(_trial_from_dict(p) for p in data["points"]),
+            seed=data["seed"],
+        )
+    return _trial_from_dict(data)
 
 
 def save_report(report, path) -> None:

@@ -98,8 +98,8 @@ class MalformedRecord(RankfuzzError, ValueError):
 def check_record(data, what: str, schema: dict, optional=()) -> None:
     """Check that data is a JSON object with exactly the keys of schema,
     those in optional aside, and that each value has exactly the type
-    schema names for it, so that neither a float nor a bool passes as an
-    int."""
+    schema names for it, or one of the types of a tuple, so that neither
+    a float nor a bool passes as an int."""
     if not isinstance(data, dict):
         raise MalformedRecord(f"{what} must be a JSON object, got {type(data).__name__}")
     missing = sorted(set(schema) - set(optional) - data.keys())
@@ -109,10 +109,10 @@ def check_record(data, what: str, schema: dict, optional=()) -> None:
     if unexpected:
         raise MalformedRecord(f"{what}: unexpected keys {unexpected}")
     for key, value in data.items():
-        if type(value) is not schema[key]:
-            raise MalformedRecord(
-                f"{what}: {key} must be {schema[key].__name__}, got {value!r}"
-            )
+        types = schema[key] if isinstance(schema[key], tuple) else (schema[key],)
+        if type(value) not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise MalformedRecord(f"{what}: {key} must be {names}, got {value!r}")
 
 
 class DecodingFailure(RankfuzzError):

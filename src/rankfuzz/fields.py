@@ -42,6 +42,9 @@ from .errors import (
 
 _TABLE_LIMIT = 1 << 16
 
+# byte d -> the character int() reads as the digit d, for bases up to 36
+_BASE36 = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+
 # Degree cap keeps q**m comfortably inside exact int range for the
 # exhaustive guards used elsewhere.
 _MAX_DEGREE = 64
@@ -150,9 +153,43 @@ def _is_irreducible(poly: list[int], q: int) -> bool:
     return t == _pmod([0, 1], poly, q)
 
 
+# The same test for q = 2 on polynomials held as bit patterns, the
+# coefficient of x^i in bit i.  It serves the modulus search at q = 2;
+# the list form above stays its reference.
+
+
+def _gf2_pmod(a: int, mod: int) -> int:
+    dm = mod.bit_length()
+    while (da := a.bit_length()) >= dm:
+        a ^= mod << (da - dm)
+    return a
+
+
+def _is_irreducible_gf2(poly: int) -> bool:
+    """_is_irreducible for q = 2: x^(2^i) by carry-less squaring, which
+    spreads bit i to bit 2i, and the gcd by the bit-pattern Euclid."""
+    m = poly.bit_length() - 1
+    if m == 1:
+        return True
+    checkpoints = {m // r for r in _prime_divisors(m)}
+    t = 2  # x
+    for i in range(1, m + 1):
+        t = _gf2_pmod(int(format(t, "b"), 4), poly)
+        if i in checkpoints:
+            a, b = poly, t ^ 2
+            while b:
+                a, b = b, _gf2_pmod(a, b)
+            if a.bit_length() > 1:
+                return False
+    return t == 2
+
+
 def canonical_modulus(q: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m with the smallest low-coefficient
     vector, ordered by the integer value sum c_i * q**i."""
+    if q == 2:
+        low = next(low for low in range(1 << m) if _is_irreducible_gf2(1 << m | low))
+        return tuple(low >> i & 1 for i in range(m)) + (1,)
     for low in range(q**m):
         digits = []
         v = low
@@ -262,7 +299,11 @@ class ExtField:
     def from_bytes(self, data: bytes) -> int:
         if len(data) != self.m:
             raise LengthMismatch(f"need {self.m} bytes, got {len(data)}")
-        return self.from_digits(list(data))
+        if self.q > 36:
+            return self.from_digits(list(data))  # int() parses bases up to 36
+        if max(data) >= self.q:
+            raise MismatchedField(f"digit {max(data)!r} out of range for q={self.q}")
+        return int(data[::-1].translate(_BASE36), self.q)
 
     def to_hex(self, a: int) -> str:
         return self.to_bytes(a).hex()

@@ -121,28 +121,22 @@ class LinearizedPoly:
 
     def evaluate_all(self) -> list[int]:
         """Images of every field element, indexed by element, computed
-        through F_q-linearity from the images of the polynomial basis."""
+        through F_q-linearity from the images of the polynomial basis.
+
+        The list is built by doubling: once the images of all elements
+        below q^j are known, those of d * q^j + v for d = 1..q-1 are the
+        same images plus d times the image of x^j."""
         field = self.field
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
-        base = [self(p) for p in field._qpow_m]
-        out = [0] * field.order
+        out = [0]
         if field.q == 2:
-            for v in range(1, field.order):
-                lsb = v & -v
-                out[v] = out[v ^ lsb] ^ base[lsb.bit_length() - 1]
+            for b in map(self, field._qpow_m):
+                out += [o ^ b for o in out]
             return out
-        q = field.q
         add, mul = field.add, field.mul
-        scaled = [[0] + [mul(d, b) for d in range(1, q)] for b in base]
-        qpow = field._qpow
-        for v in range(1, field.order):
-            t, j = v, 0
-            while t % q == 0:
-                t //= q
-                j += 1
-            d = t % q
-            out[v] = add(out[v - d * qpow[j]], scaled[j][d])
+        for b in map(self, field._qpow_m):
+            out += [add(o, c) for c in [mul(d, b) for d in range(1, field.q)] for o in out]
         return out
 
     # -- linear structure ---------------------------------------------------

@@ -7,6 +7,14 @@ and for every other x a chaff value drawn uniformly from everything
 except kappa(x).  The table alone does not single out A: by construction
 every point deviates from at most one low-degree polynomial pattern.
 
+The chaff is drawn in bulk from 32-bit words of rng.getrandbits, exactly
+as rng.randrange(q^m - 1) would consume them one value at a time in
+ascending order of x, so a seeded random.Random gives the same table
+and is left in the same state.  The table is built in whole-list passes
+over kappa's image of every element, and the JSON form names every
+element once, by doubling over the base-q digits, instead of converting
+each entry on its own.
+
 Unlocking with a witness set W reads the table at W and decodes the
 values as a Gabidulin code on the points W.  Entries shared with A are
 exact evaluations of kappa; the others are chaff, so the error rank is
@@ -20,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import struct
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -38,6 +47,7 @@ from .linpoly import LinearizedPoly, _check_twist
 from .errors import DecodingFailure
 
 _TABLE_GUARD = 1 << 20
+_BLOCK_WORDS = 1 << 16  # 32-bit words per chaff draw
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,28 @@ def _as_feature_set(field: ExtField, features) -> FeatureSet:
     return FeatureSet(field, features)
 
 
+def _randbelow_many(rng, bound: int, count: int) -> list[int]:
+    """[rng.randrange(bound) for _ in range(count)] for 1 <= bound < 2**32,
+    drawn in blocks, leaving a random.Random in the same state.
+
+    randrange(bound) takes k = bound.bit_length() bits per try, and each
+    try is the top k bits of the next 32-bit Mersenne word; a try of
+    bound or more is dropped.  getrandbits(32 * c) returns the next c
+    words, the first in the lowest bits, so shifting it right by 32 - k
+    and masking gives every try at once.  Each block asks for no more
+    words than values are still missing, so none is drawn past the last
+    one randrange would have used.
+    """
+    k = bound.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        c = min(count - len(out), _BLOCK_WORDS)
+        mask = int.from_bytes(((1 << k) - 1).to_bytes(4, "little") * c, "little")
+        tries = rng.getrandbits(32 * c) >> (32 - k) & mask
+        out += [r for r in struct.unpack(f"<{c}I", tries.to_bytes(4 * c, "little")) if r < bound]
+    return out
+
+
 def lock(params: VaultParams, features, key, rng) -> Vault:
     """Build the vault table for the given features and key coefficients."""
     fld = params.field
@@ -145,18 +177,16 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
         raise LengthMismatch(f"key length {len(key)}, expected ell={params.ell}")
     kappa = LinearizedPoly(fld, params.s, key)
     values = kappa.evaluate_all()
-    authentic = fs.as_set()
-    order = fld.order
-    table = [0] * order
-    randrange = rng.randrange
-    for x in range(order):
-        kx = values[x]
-        if x in authentic:
-            table[x] = kx
-        else:
-            # uniform over everything except kappa(x)
-            r = randrange(order - 1)
-            table[x] = r if r < kx else r + 1
+    authentic = sorted(fs.elems)
+    # chaff r for x is uniform over everything except kappa(x); the draws
+    # go to the other elements in ascending order, authentic slots get a
+    # placeholder that is overwritten below
+    draws = _randbelow_many(rng, fld.order - 1, fld.order - len(authentic))
+    for x in authentic:
+        draws.insert(x, 0)
+    table = [r if r < kx else r + 1 for r, kx in zip(draws, values)]
+    for x in authentic:
+        table[x] = values[x]
     return Vault(params, tuple(table), key_digest_bytes(fld, key))
 
 
@@ -184,11 +214,13 @@ def unlock(vault: Vault, witness) -> UnlockResult:
 
 def vault_to_dict(vault: Vault) -> dict:
     fld = vault.params.field
-    pairs = [
-        [fld.to_hex(x), fld.to_hex(y)]
-        for x, y in enumerate(vault.table)
-    ]
-    pairs.sort(key=lambda p: p[0])  # canonical byte order of x
+    # names[x] == fld.to_hex(x): the hex of the base-q digits, lowest first
+    names = [""]
+    digits = [f"{d:02x}" for d in range(fld.q)]
+    for _ in range(fld.m):
+        names = [h + d for d in digits for h in names]
+    pairs = [[names[x], names[y]] for x, y in enumerate(vault.table)]
+    pairs.sort()  # canonical byte order of x, which is unique
     return {
         "q": vault.params.q,
         "m": vault.params.m,

@@ -45,6 +45,7 @@ from rankfuzz.errors import (
     DependentRestriction,
     DimensionMismatch,
     InfeasibleShape,
+    MalformedRecord,
     MismatchedField,
     NotNormal,
     ParamMismatch,
@@ -347,6 +348,47 @@ def test_trial_report_to_dict_roundtrip():
     assert report_from_dict(d) == r
     r2 = TrialReport("thm3", {}, 10, 5)
     assert report_from_dict(r2.to_dict()) == r2
+
+
+def _sweep_dict():
+    return SweepReport("thm3", {"n": 3}, _synthetic_points([0.7, 0.8]), seed=4).to_dict()
+
+
+def _with_point(d, **changes):
+    return dict(d, points=[dict(d["points"][0], **changes)] + d["points"][1:])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda t, s: {},
+        lambda t, s: [t],
+        lambda t, s: {k: v for k, v in t.items() if k != "claim"},
+        lambda t, s: dict(t, extra=1),
+        lambda t, s: dict(t, trials=2.5),
+        lambda t, s: dict(t, successes=True),
+        lambda t, s: dict(t, seed="9"),
+        lambda t, s: dict(t, mode="guessed"),
+        lambda t, s: dict(t, formula={"numerator": 2}),
+        lambda t, s: dict(t, formula={"numerator": 2, "denominator": 0}),
+        lambda t, s: dict(t, params=[]),
+        lambda t, s: {k: v for k, v in s.items() if k != "points"},
+        lambda t, s: dict(s, points="p"),
+        lambda t, s: _with_point(s, trials=2.5),
+        lambda t, s: dict(s, points=[[]] + s["points"][1:]),
+        lambda t, s: dict(s, points=[s, s]),
+    ],
+    ids=[
+        "empty", "list", "missing_claim", "extra_key", "float_trials", "bool_successes",
+        "str_seed", "unknown_mode", "formula_keys", "formula_zero_denominator",
+        "list_params", "sweep_missing_points", "sweep_points_str", "sweep_point_float_trials",
+        "sweep_point_list", "nested_sweep",
+    ],
+)
+def test_report_dict_rejects_malformed_records(make):
+    trial = TrialReport("prop4", {"q": 3}, 50, 20, Fraction(2, 5), seed=9).to_dict()
+    with pytest.raises(MalformedRecord):
+        report_from_dict(make(trial, _sweep_dict()))
 
 
 def test_merge_reports_equals_single_run():

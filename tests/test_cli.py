@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, file outputs, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -255,6 +256,34 @@ def test_vault_lock_is_seed_deterministic(tmp_path, capsys):
     assert main(base + ["--out", str(a)]) == 0
     assert main(base + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# The SHA-256 of seeded vault files as the per-element chaff loop wrote
+# them; any change to the chaff draw, the table or the file form shows here.
+@pytest.mark.parametrize(
+    "q, m, n, feats, key, seed, digest",
+    [
+        (2, 8, 8, [1 << i for i in range(8)], [17, 34], 8,
+         "b28f53c85bbfb7a28f03c35c6f47eeafbbf6b5d0fe4db626af40d1928d99da3d"),
+        (2, 16, 8, [1 << i for i in range(8)], [0x1234, 0xBEEF], 16,
+         "7e073bdaa9def11bc029eac15a60eabe6ec51de1af569deb076c6fd72d1322f9"),
+        (3, 5, 4, [1, 3, 9, 27], [5, 100], 35,
+         "14ae3f3180f3d9094ba3de58369599476441fcbec409480770b7ace56ea27b26"),
+    ],
+    ids=["2-8", "2-16", "3-5"],
+)
+def test_vault_lock_golden_file(tmp_path, capsys, q, m, n, feats, key, seed, digest):
+    fld = ext_field(q, m)
+    write_vec(fld, tmp_path / "f.hex", feats)
+    write_vec(fld, tmp_path / "k.hex", key)
+    out = tmp_path / "v.json"
+    rc = main([
+        "vault", "lock", "--q", str(q), "--m", str(m), "--n", str(n), "--ell", "2",
+        "--features", str(tmp_path / "f.hex"), "--key", str(tmp_path / "k.hex"),
+        "--out", str(out), "--seed", str(seed),
+    ])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

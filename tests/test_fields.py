@@ -11,12 +11,15 @@ from rankfuzz.errors import (
     BadRange,
     DegreeOutOfRange,
     DivisionByZero,
+    LengthMismatch,
     MismatchedField,
     NonPrimeQ,
     NotNormal,
 )
 from rankfuzz.fields import (
     ExtField,
+    _is_irreducible,
+    _is_irreducible_gf2,
     canonical_modulus,
     element_rank,
     ext_field,
@@ -142,6 +145,18 @@ def test_canonical_modulus_is_first_irreducible_in_scan_order():
                 expect = cand
                 break
         assert list(canonical_modulus(q, m)) == expect, (q, m)
+
+
+def test_binary_modulus_search_matches_list_rabin_test():
+    # q = 2 searches with Rabin's test on bit patterns; the list form of
+    # the same test must reject every earlier candidate and accept its pick
+    for m in range(1, 65):
+        poly = canonical_modulus(2, m)
+        pick = sum(c << i for i, c in enumerate(poly[:m]))
+        for low in range(pick + 1):
+            cand = [low >> i & 1 for i in range(m)] + [1]
+            assert _is_irreducible(cand, 2) == (low == pick), (m, low)
+            assert _is_irreducible_gf2(1 << m | low) == (low == pick), (m, low)
 
 
 def test_modulus_is_irreducible_at_larger_degrees():
@@ -343,6 +358,43 @@ def test_bytes_and_hex_roundtrip():
             h = F.to_hex(a)
             assert len(h) == 2 * m
             assert F.from_hex(h) == a
+
+
+@pytest.mark.parametrize(
+    "q, m, count",
+    [(2, 8, None), (3, 5, None), (5, 4, None), (31, 2, None), (37, 2, None),
+     (2, 64, 200), (251, 2, 200)],
+)
+def test_hex_codec_matches_digits(q, m, count):
+    # every element of the small fields, random ones of the large; q = 31
+    # and q = 37 sit on either side of the largest base int() parses
+    F = ext_field(q, m)
+    rng = random.Random(q * m)
+    elems = F.elements() if count is None else (F.random_element(rng) for _ in range(count))
+    for a in elems:
+        h = F.to_hex(a)
+        assert h == bytes(F.digits(a)).hex()
+        assert F.from_hex(h) == F.from_digits(F.digits(a)) == a
+
+
+@pytest.mark.parametrize(
+    "q, m, text, exc",
+    [
+        (2, 8, "02" + "00" * 7, MismatchedField),  # digit >= q
+        (2, 8, "00" * 7 + "02", MismatchedField),
+        (3, 5, "00000003" + "00", MismatchedField),
+        (251, 2, "00fb", MismatchedField),
+        (2, 8, "00" * 7, LengthMismatch),
+        (2, 8, "00" * 9, LengthMismatch),
+        (2, 8, "zz" * 8, MismatchedField),  # not hex
+        (2, 8, "0" * 15, MismatchedField),  # odd length
+        (2, 8, 0, MismatchedField),  # not a string
+        (2, 8, b"00" * 8, MismatchedField),
+    ],
+)
+def test_from_hex_rejects_bad_text(q, m, text, exc):
+    with pytest.raises(exc):
+        ext_field(q, m).from_hex(text)
 
 
 def test_vector_bytes_concatenation():

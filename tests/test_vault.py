@@ -21,6 +21,7 @@ from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import (
     FeatureSet,
     VaultParams,
+    _randbelow_many,
     key_digest_bytes,
     load_vault,
     lock,
@@ -231,3 +232,31 @@ def test_lock_is_deterministic_under_seeded_rng():
     v1 = lock(P256, feats, key, random.Random(55))
     v2 = lock(P256, feats, key, random.Random(55))
     assert v1.table == v2.table
+
+
+# rng.getrandbits(64) right after a seeded lock, as the per-element chaff
+# loop left the generator: lock must draw exactly the same randomness.
+@pytest.mark.parametrize(
+    "q, m, n, feats, key, seed, after",
+    [
+        (2, 8, 8, [1 << i for i in range(8)], [17, 34], 8, 10712697409437435790),
+        (2, 16, 8, [1 << i for i in range(8)], [0x1234, 0xBEEF], 16, 7547604477925566726),
+        (3, 5, 4, [1, 3, 9, 27], [5, 100], 35, 10032045550727007161),
+    ],
+    ids=["2-8", "2-16", "3-5"],
+)
+def test_lock_leaves_rng_state_unchanged(q, m, n, feats, key, seed, after):
+    rng = random.Random(seed)
+    lock(VaultParams(q=q, m=m, n=n, ell=2), feats, key, rng)
+    assert rng.getrandbits(64) == after
+
+
+@pytest.mark.parametrize("bits", range(2, 21))
+def test_block_draw_matches_randrange(bits):
+    # the lowest bound of each bit length and the one above it reject
+    # almost half of all tries; count spans more than one block at 20 bits
+    count = 70_000 if bits == 20 else 3_000
+    for bound in (1 << (bits - 1), (1 << (bits - 1)) + 1, (1 << bits) - 1):
+        a, b = random.Random(bound), random.Random(bound)
+        assert _randbelow_many(a, bound, count) == [b.randrange(bound) for _ in range(count)]
+        assert a.getrandbits(64) == b.getrandbits(64), bound

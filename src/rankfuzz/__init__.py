@@ -45,7 +45,6 @@ from .fields import (
     modulus_string,
     rank_distance,
     rank_fq,
-    solve_fq,
 )
 from .linpoly import LinearizedPoly, interpolate, moore_matrix
 from .gabidulin import (

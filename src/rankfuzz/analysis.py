@@ -20,12 +20,11 @@ run in any order, and merged by summing counts.
 import hashlib
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
 
 from .errors import (
     BadDimensions,
@@ -48,7 +47,7 @@ from .fields import (
     ext_field,
     find_normal_element,
     kernel_fq,
-    _rref_fq,
+    _rref_ext,
 )
 from .gabidulin import GabidulinCode, random_rank_error
 from .linpoly import LinearizedPoly, interpolate
@@ -109,10 +108,10 @@ def subspace_intersection(field: ExtField, a, b) -> tuple:
     eb = _elements_of(b)
     if not ea or not eb:
         return ()
-    mat = field.vec_to_mat(ea + eb).astype(np.int64)
+    mat = list(zip(*(field.digits(e) for e in ea + eb)))
     basis: list = []
     for vec in kernel_fq(mat, field.q):
-        w = fq_combination(field, list(vec)[: len(ea)], ea)
+        w = fq_combination(field, vec[: len(ea)], ea)
         if w and element_rank(field, basis + [w]) > len(basis):
             basis.append(w)
     return tuple(basis)
@@ -146,17 +145,18 @@ class SubspaceMap:
         images = field.check_vector(images)
         if len(basis) != len(images):
             raise DimensionMismatch("need one image per basis element")
-        d = len(basis)
-        mat = field.vec_to_mat(basis).astype(np.int64)
-        aug = np.concatenate([mat, np.eye(field.m, dtype=np.int64)], axis=1)
-        rref, pivots = _rref_fq(aug, field.q)
+        d, m = len(basis), field.m
+        digits = [field.digits(b) for b in basis]
+        # [digit columns of the basis | identity], one row per digit
+        aug = [[ds[i] for ds in digits] + [int(i == j) for j in range(m)] for i in range(m)]
+        rref, pivots = _rref_ext(ext_field(field.q, 1), aug)
         if [c for c in pivots if c < d] != list(range(d)):
             raise DependentRestriction("basis elements must be independent")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "images", images)
         # rows of rref[:, d:] replay the elimination on any new column
-        object.__setattr__(self, "_transform", rref[:, d:])
+        object.__setattr__(self, "_transform", tuple(tuple(row[d:]) for row in rref))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceMap is immutable")
@@ -168,11 +168,12 @@ class SubspaceMap:
     def coordinates(self, x: int):
         """Coefficients of x over the basis, or None if x is outside."""
         x = self.field.check(x)
-        y = (self._transform @ np.array(self.field.digits(x), dtype=np.int64)) % self.field.q
+        q, ds = self.field.q, self.field.digits(x)
+        y = [sum(map(operator.mul, row, ds)) % q for row in self._transform]
         d = self.dim
-        if y[d:].any():
+        if any(y[d:]):
             return None
-        return [int(c) for c in y[:d]]
+        return y[:d]
 
     def __contains__(self, x) -> bool:
         return self.coordinates(x) is not None

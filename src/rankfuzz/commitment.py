@@ -43,7 +43,6 @@ class Commitment:
     points: tuple[int, ...]
     offset: tuple[int, ...]
     digest: bytes
-    seed_meta: int | None = None
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class VerifyResult:
         return self.accepted
 
 
-def commit(code: GabidulinCode, witness, rng, seed_meta: int | None = None) -> Commitment:
+def commit(code: GabidulinCode, witness, rng) -> Commitment:
     """Commit to a witness vector of n field elements."""
     field = code.field
     b = field.check_vector(witness)
@@ -75,7 +74,6 @@ def commit(code: GabidulinCode, witness, rng, seed_meta: int | None = None) -> C
         points=code.points,
         offset=offset,
         digest=codeword_digest(field, c_b),
-        seed_meta=seed_meta,
     )
 
 
@@ -122,7 +120,7 @@ def verify(code: GabidulinCode, witness, com: Commitment) -> VerifyResult:
 
 def commitment_to_dict(com: Commitment) -> dict:
     field = ext_field(com.q, com.m)
-    out = {
+    return {
         "q": com.q,
         "m": com.m,
         "n": com.n,
@@ -132,9 +130,6 @@ def commitment_to_dict(com: Commitment) -> dict:
         "offset": [field.to_hex(x) for x in com.offset],
         "digest": com.digest.hex(),
     }
-    if com.seed_meta is not None:
-        out["seed_meta"] = com.seed_meta
-    return out
 
 
 _SCHEMA = {
@@ -146,12 +141,11 @@ _SCHEMA = {
     "points": list,
     "offset": list,
     "digest": str,
-    "seed_meta": int,
 }
 
 
 def commitment_from_dict(data: dict) -> Commitment:
-    check_record(data, "commitment", _SCHEMA, optional=("seed_meta",))
+    check_record(data, "commitment", _SCHEMA)
     field = ext_field(data["q"], data["m"])
     n = data["n"]
     if len(data["offset"]) != n:
@@ -171,7 +165,6 @@ def commitment_from_dict(data: dict) -> Commitment:
         points=tuple(field.from_hex(x) for x in data["points"]),
         offset=tuple(field.from_hex(x) for x in data["offset"]),
         digest=digest,
-        seed_meta=data.get("seed_meta"),
     )
 
 

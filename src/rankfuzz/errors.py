@@ -95,14 +95,14 @@ class MalformedRecord(RankfuzzError, ValueError):
     """A record read from a file is not an object of the expected shape."""
 
 
-def check_record(data, what: str, schema: dict, optional=()) -> None:
-    """Check that data is a JSON object with exactly the keys of schema,
-    those in optional aside, and that each value has exactly the type
-    schema names for it, or one of the types of a tuple, so that neither
-    a float nor a bool passes as an int."""
+def check_record(data, what: str, schema: dict) -> None:
+    """Check that data is a JSON object with exactly the keys of schema
+    and that each value has exactly the type schema names for it, or one
+    of the types of a tuple, so that neither a float nor a bool passes as
+    an int."""
     if not isinstance(data, dict):
         raise MalformedRecord(f"{what} must be a JSON object, got {type(data).__name__}")
-    missing = sorted(set(schema) - set(optional) - data.keys())
+    missing = sorted(schema.keys() - data.keys())
     unexpected = sorted(data.keys() - schema.keys())
     if missing:
         raise MalformedRecord(f"{what}: missing keys {missing}")

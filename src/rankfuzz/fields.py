@@ -29,8 +29,6 @@ from __future__ import annotations
 import functools
 import operator
 
-import numpy as np
-
 from .errors import (
     DegreeOutOfRange,
     DimensionMismatch,
@@ -552,23 +550,6 @@ class ExtField:
     def random_vector(self, n: int, rng) -> tuple[int, ...]:
         return tuple(self.random_element(rng) for _ in range(n))
 
-    # -- vectors and matrices ----------------------------------------------
-
-    def vec_to_mat(self, vec) -> np.ndarray:
-        """m x n matrix over F_q whose column j holds the digits of vec[j]."""
-        out = np.zeros((self.m, len(vec)), dtype=np.uint8)
-        for j, v in enumerate(vec):
-            out[:, j] = self.digits(v)
-        return out
-
-    def mat_to_vec(self, mat) -> tuple[int, ...]:
-        mat = np.asarray(mat)
-        if mat.ndim != 2 or mat.shape[0] != self.m:
-            raise DimensionMismatch(f"need an {self.m}-row matrix")
-        if mat.size and int(mat.max()) >= self.q:
-            raise MismatchedField("matrix entry out of range for F_q")
-        return tuple(self.from_digits([int(x) for x in mat[:, j]]) for j in range(mat.shape[1]))
-
 
 @functools.lru_cache(maxsize=None)
 def ext_field(q: int, m: int) -> ExtField:
@@ -577,100 +558,9 @@ def ext_field(q: int, m: int) -> ExtField:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over F_q (numpy int matrices, entries reduced mod q).
-
-
-def _as_matrix(mat) -> np.ndarray:
-    arr = np.array(mat, dtype=np.int64)
-    if arr.ndim != 2:
-        raise DimensionMismatch("expected a 2-d matrix")
-    return arr
-
-
-def _rref_fq(mat: np.ndarray, q: int):
-    mat = mat % q
-    rows, cols = mat.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hit = None
-        for i in range(r, rows):
-            if mat[i, c]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        if hit != r:
-            mat[[r, hit]] = mat[[hit, r]]
-        mat[r] = (mat[r] * pow(int(mat[r, c]), -1, q)) % q
-        col = mat[:, c].copy()
-        col[r] = 0
-        if col.any():
-            mat = (mat - np.outer(col, mat[r])) % q
-        pivots.append(c)
-        r += 1
-    return mat, pivots
-
-
-def rank_fq(mat, q: int) -> int:
-    arr = _as_matrix(mat)
-    if arr.size == 0:
-        return 0
-    return len(_rref_fq(arr, q)[1])
-
-
-class LinearSolution:
-    """Result of solve_fq: a particular solution (or None when the system
-    is inconsistent) and a basis of the homogeneous kernel."""
-
-    __slots__ = ("solution", "kernel")
-
-    def __init__(self, solution, kernel):
-        self.solution = solution
-        self.kernel = kernel
-
-    @property
-    def consistent(self) -> bool:
-        return self.solution is not None
-
-
-def solve_fq(A, b, q: int) -> LinearSolution:
-    """Solve A x = b over F_q.  Kernel vectors are produced by giving each
-    free column, in ascending order, the value 1."""
-    A = _as_matrix(A)
-    b = np.array(b, dtype=np.int64) % q
-    if b.ndim != 1 or b.shape[0] != A.shape[0]:
-        raise DimensionMismatch("right-hand side length does not match")
-    rows, cols = A.shape
-    aug = np.concatenate([A % q, b.reshape(-1, 1)], axis=1)
-    rref, pivots = _rref_fq(aug, q)
-    piv_cols = [c for c in pivots if c < cols]
-    inconsistent = any(c == cols for c in pivots)
-    solution = None
-    if not inconsistent:
-        solution = np.zeros(cols, dtype=np.int64)
-        for r_idx, c in enumerate(piv_cols):
-            solution[c] = rref[r_idx, cols]
-    free = [c for c in range(cols) if c not in piv_cols]
-    kernel = []
-    for f in free:
-        vec = np.zeros(cols, dtype=np.int64)
-        vec[f] = 1
-        for r_idx, c in enumerate(piv_cols):
-            vec[c] = (-rref[r_idx, f]) % q
-        kernel.append(vec)
-    return LinearSolution(solution, kernel)
-
-
-def kernel_fq(A, q: int) -> list:
-    A = _as_matrix(A)
-    return solve_fq(A, np.zeros(A.shape[0], dtype=np.int64), q).kernel
-
-
-# ---------------------------------------------------------------------------
-# Linear algebra over F_{q^m} itself (lists of element ints).
+# Linear algebra over F_{q^m}, on lists of element ints.  F_q is F_{q^1},
+# whose elements are the ints 0..q-1, so rank_fq and kernel_fq run the
+# same elimination over ext_field(q, 1).
 
 
 def _rref_ext(field: ExtField, mat: list[list[int]]):
@@ -741,6 +631,17 @@ def solve_ext(field: ExtField, mat, rhs):
     return tuple(solution)
 
 
+def rank_fq(mat, q: int) -> int:
+    """Rank over F_q of an integer matrix, entries reduced mod q."""
+    return len(_rref_ext(ext_field(q, 1), [[x % q for x in row] for row in mat])[1])
+
+
+def kernel_fq(mat, q: int) -> list[tuple[int, ...]]:
+    """Kernel basis over F_q of an integer matrix, entries reduced mod q,
+    free columns ascending."""
+    return kernel_ext(ext_field(q, 1), [[x % q for x in row] for row in mat])
+
+
 # ---------------------------------------------------------------------------
 # Rank-metric helpers.
 
@@ -761,7 +662,7 @@ def element_rank(field: ExtField, elems) -> int:
                 basis.append(v)
                 basis.sort(reverse=True)
         return len(basis)
-    return rank_fq(field.vec_to_mat(elems), field.q)
+    return rank_fq([field.digits(e) for e in elems], field.q)
 
 
 def is_independent(field: ExtField, elems) -> bool:
@@ -791,34 +692,6 @@ def find_normal_element(field: ExtField) -> int:
                 field._normal = a
                 break
     return field._normal
-
-
-# ---------------------------------------------------------------------------
-# Canonical matrix serialization: rows and cols as 4-byte little-endian
-# counts, then row-major digit bytes.
-
-
-def mat_to_bytes(mat) -> bytes:
-    arr = np.asarray(mat, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise DimensionMismatch("expected a 2-d matrix")
-    rows, cols = arr.shape
-    return (
-        rows.to_bytes(4, "little")
-        + cols.to_bytes(4, "little")
-        + arr.tobytes(order="C")
-    )
-
-
-def mat_from_bytes(data: bytes) -> np.ndarray:
-    if len(data) < 8:
-        raise LengthMismatch("matrix blob shorter than its header")
-    rows = int.from_bytes(data[:4], "little")
-    cols = int.from_bytes(data[4:8], "little")
-    body = data[8:]
-    if len(body) != rows * cols:
-        raise LengthMismatch("matrix blob length does not match header")
-    return np.frombuffer(body, dtype=np.uint8).reshape(rows, cols).copy()
 
 
 def modulus_string(field: ExtField) -> str:

@@ -27,7 +27,7 @@ from .errors import (
     TooLarge,
     TwistMismatch,
 )
-from .fields import ExtField, element_rank, is_independent, rank_fq, solve_ext
+from .fields import ExtField, element_rank, is_independent, solve_ext
 
 _EVAL_ALL_LIMIT = 1 << 20
 

@@ -25,12 +25,12 @@ confirms it.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import json
 import struct
 from dataclasses import dataclass, field as dc_field
 
+from .commitment import codeword_digest
 from .errors import (
     BadDimensions,
     DependentFeatures,
@@ -132,10 +132,6 @@ class UnlockResult:
         return self.ok
 
 
-def key_digest_bytes(field: ExtField, key) -> bytes:
-    return hashlib.sha256(field.vec_to_bytes(key)).digest()
-
-
 def _as_feature_set(field: ExtField, features) -> FeatureSet:
     if isinstance(features, FeatureSet):
         if features.field is not field:
@@ -187,7 +183,7 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
     table = [r if r < kx else r + 1 for r, kx in zip(draws, values)]
     for x in authentic:
         table[x] = values[x]
-    return Vault(params, tuple(table), key_digest_bytes(fld, key))
+    return Vault(params, tuple(table), codeword_digest(fld, key))
 
 
 def unlock(vault: Vault, witness) -> UnlockResult:
@@ -203,7 +199,7 @@ def unlock(vault: Vault, witness) -> UnlockResult:
         message, _ = code.decode(received)
     except DecodingFailure:
         return UnlockResult(None, "decoding_failure")
-    if not hmac.compare_digest(key_digest_bytes(fld, message), vault.key_digest):
+    if not hmac.compare_digest(codeword_digest(fld, message), vault.key_digest):
         return UnlockResult(None, "digest_mismatch")
     return UnlockResult(message, None)
 

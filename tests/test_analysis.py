@@ -165,6 +165,23 @@ def test_subspace_map_is_linear_on_domain():
             assert sm(fq_combination(fld, [c], [x])) == fq_combination(fld, [c], [sm(x)])
 
 
+def test_subspace_map_odd_q_against_span_oracle():
+    # every element, inside and outside the domain, at two odd-q fields
+    rng = random.Random(9)
+    for fld in (F27, ext_field(5, 3)):
+        for dim in (1, 2):
+            basis = sample_feature_set(fld, dim, rng).elems
+            images = fld.random_vector(dim, rng)
+            sm = SubspaceMap(fld, basis, images)
+            span = naive_span(fld, basis)
+            for x in fld.elements():
+                coords = sm.coordinates(x)
+                assert (coords is None) == (x not in span), (fld, basis, x)
+                if coords is not None:
+                    assert fq_combination(fld, coords, basis) == x
+                    assert sm(x) == fq_combination(fld, coords, images)
+
+
 def test_subspace_map_full_basis_covers_field():
     sm = SubspaceMap(F16, (1, 2, 4, 8), (1, 2, 4, 8))
     for x in range(16):

@@ -357,6 +357,22 @@ def test_simulate_roundtrip_runs(capsys):
     assert "verdict: within_3sigma" in capsys.readouterr().out
 
 
+def test_runs_without_numpy():
+    # a None entry in sys.modules makes every import of numpy fail
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from rankfuzz.cli import main\n"
+        "sys.exit(main(['simulate', 'roundtrip', '--q', '3', '--m', '5', '--n', '5',"
+        " '--k', '1', '--trials', '20']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rankfuzz.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_invalid_params_exit_2(capsys):
     rc = main(["simulate", "lemma2", "--q", "2", "--m", "4", "--n", "5"])
     assert rc == 2

@@ -89,7 +89,7 @@ def test_reject_reasons():
     # tampered digest: decoding still works, digest cannot
     bad = Commitment(
         q=com.q, m=com.m, n=com.n, k=com.k, s=com.s, points=com.points,
-        offset=com.offset, digest=bytes(DIGEST_BYTES), seed_meta=com.seed_meta,
+        offset=com.offset, digest=bytes(DIGEST_BYTES),
     )
     res = verify(code, w, bad)
     assert not res and res.reason == "digest_mismatch"

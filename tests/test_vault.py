@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rankfuzz.analysis import sample_feature_set, sample_witness_overlap, witness_map
+from rankfuzz.commitment import codeword_digest
 from rankfuzz.errors import (
     BadDimensions,
     DependentFeatures,
@@ -22,7 +23,6 @@ from rankfuzz.vault import (
     FeatureSet,
     VaultParams,
     _randbelow_many,
-    key_digest_bytes,
     load_vault,
     lock,
     save_vault,
@@ -72,7 +72,7 @@ def test_lock_table_structure():
             assert v.table[x] == values[x]
         else:
             assert v.table[x] != values[x]
-    assert v.key_digest == key_digest_bytes(F256, key)
+    assert v.key_digest == codeword_digest(F256, key)
 
 
 def test_lock_validates_counts():

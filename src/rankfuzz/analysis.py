@@ -18,7 +18,6 @@ run in any order, and merged by summing counts.
 """
 
 import hashlib
-import json
 import math
 import operator
 import random
@@ -40,6 +39,8 @@ from .errors import (
     ParamMismatch,
     TwistMismatch,
     check_record,
+    load_json,
+    save_json,
 )
 from .fields import (
     ExtField,
@@ -534,14 +535,11 @@ def report_from_dict(data):
 
 
 def save_report(report, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(report.to_dict(), path)
 
 
 def load_report(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return report_from_dict(json.load(fh))
+    return report_from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------

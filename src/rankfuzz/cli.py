@@ -43,6 +43,7 @@ from .errors import (
     DependentFeatures,
     DuplicateFeatures,
     RankfuzzError,
+    save_json,
 )
 from .fields import ExtField, ext_field, modulus_string
 from .gabidulin import GabidulinCode
@@ -59,7 +60,7 @@ def _read_hex_vector(field: ExtField, path: str, expect: int) -> tuple:
         words = fh.read().split()
     if len(words) != expect:
         raise RankfuzzError(f"{path}: expected {expect} elements, found {len(words)}")
-    return tuple(field.from_hex(w) for w in words)
+    return field.vec_from_hex(words)
 
 
 def _write_hex_vector(field: ExtField, vec, path: str) -> None:
@@ -124,9 +125,7 @@ def _cmd_verify(args) -> int:
     if res:
         outcome["codeword"] = [code.field.to_hex(c) for c in res.codeword]
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(outcome, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(outcome, args.out)
     if args.format == "json":
         _print_json(outcome)
     elif res:

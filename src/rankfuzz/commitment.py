@@ -15,10 +15,16 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, MalformedRecord, ParamMismatch, check_record
+from .errors import (
+    LengthMismatch,
+    MalformedRecord,
+    ParamMismatch,
+    check_record,
+    load_json,
+    save_json,
+)
 from .fields import ExtField, ext_field
 from .gabidulin import GabidulinCode
 from .errors import DecodingFailure
@@ -162,18 +168,15 @@ def commitment_from_dict(data: dict) -> Commitment:
         n=n,
         k=data["k"],
         s=data["s"],
-        points=tuple(field.from_hex(x) for x in data["points"]),
-        offset=tuple(field.from_hex(x) for x in data["offset"]),
+        points=field.vec_from_hex(data["points"]),
+        offset=field.vec_from_hex(data["offset"]),
         digest=digest,
     )
 
 
 def save_commitment(com: Commitment, path):
-    with open(path, "w") as fh:
-        json.dump(commitment_to_dict(com), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(commitment_to_dict(com), path)
 
 
 def load_commitment(path) -> Commitment:
-    with open(path) as fh:
-        return commitment_from_dict(json.load(fh))
+    return commitment_from_dict(load_json(path))

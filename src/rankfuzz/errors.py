@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the shape check for
-records read from files.
+"""Exception types shared across the package, the shape check for
+records read from files, and the canonical JSON file form of records.
 
 Every domain error derives from RankfuzzError so callers can catch the
 whole family at once; most also derive from the matching builtin
 (ValueError, ZeroDivisionError) so generic handling keeps working.
 """
+
+import json
 
 
 class RankfuzzError(Exception):
@@ -113,6 +115,20 @@ def check_record(data, what: str, schema: dict) -> None:
         if type(value) not in types:
             names = " or ".join(t.__name__ for t in types)
             raise MalformedRecord(f"{what}: {key} must be {names}, got {value!r}")
+
+
+def save_json(obj, path) -> None:
+    """Write a record as canonical JSON: ASCII, two-space indent, sorted
+    keys and a final newline, so equal records give equal bytes."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_json(path):
+    """Read a JSON file; records are pure ASCII, so other bytes are an error."""
+    with open(path, encoding="ascii") as fh:
+        return json.load(fh)
 
 
 class DecodingFailure(RankfuzzError):

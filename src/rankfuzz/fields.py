@@ -243,6 +243,11 @@ class ExtField:
             self._poly = sum(1 << i for i, c in enumerate(self.modulus) if c)
             self._fold = tuple(i for i in range(m) if self.modulus[i])
             self._nibble_shifts = range(4 * ((m - 1) // 4), -1, -4)
+        elif m == 1:
+            # F_q itself, the field rank_fq and kernel_fq eliminate over
+            self.add = lambda a, b: (a + b) % q
+            self.sub = lambda a, b: (a - b) % q
+            self.neg = lambda a: -a % q
         self._mul_poly = self._mul_gf2 if q == 2 else self._mul_basic
         self._exp = None
         self._log = None
@@ -297,39 +302,57 @@ class ExtField:
     def from_bytes(self, data: bytes) -> int:
         if len(data) != self.m:
             raise LengthMismatch(f"need {self.m} bytes, got {len(data)}")
-        if self.q > 36:
-            return self.from_digits(list(data))  # int() parses bases up to 36
-        if max(data) >= self.q:
-            raise MismatchedField(f"digit {max(data)!r} out of range for q={self.q}")
-        return int(data[::-1].translate(_BASE36), self.q)
+        return self.vec_from_bytes(data)[0]
 
     def to_hex(self, a: int) -> str:
         return self.to_bytes(a).hex()
 
     def from_hex(self, text: str) -> int:
-        if not isinstance(text, str):
-            raise MismatchedField(f"element must be a hex string, got {text!r}")
-        try:
-            data = bytes.fromhex(text.strip())
-        except ValueError as exc:
-            raise MismatchedField(f"bad hex element {text!r}") from exc
-        return self.from_bytes(data)
+        return self.vec_from_hex([text])[0]
 
     def vec_to_bytes(self, vec) -> bytes:
         return b"".join(self.to_bytes(a) for a in vec)
 
     def vec_from_bytes(self, data: bytes) -> tuple[int, ...]:
-        if len(data) % self.m:
+        """Elements from their digit bytes, m per element, low digit first."""
+        q, m = self.q, self.m
+        if len(data) % m:
             raise LengthMismatch("byte length is not a multiple of m")
+        if data.translate(None, bytes(range(q))):
+            raise MismatchedField(f"digit {max(data)!r} out of range for q={q}")
+        if q > 36:  # int() parses bases up to 36
+            pows = self._qpow_m
+            return tuple(
+                sum(map(operator.mul, data[i : i + m], pows)) for i in range(0, len(data), m)
+            )
+        # reversed, each element's digits run highest first, as int() reads them
+        rev = data.translate(_BASE36)[::-1]
+        vals = [int(rev[i : i + m], q) for i in range(0, len(rev), m)]
+        vals.reverse()
+        return tuple(vals)
+
+    def vec_from_hex(self, texts: list[str]) -> tuple[int, ...]:
+        """Elements from their names, each exactly 2m hex digits of either
+        case, parsed in one pass over the concatenation."""
         m = self.m
-        return tuple(self.from_bytes(data[i : i + m]) for i in range(0, len(data), m))
+        try:
+            data = bytes.fromhex("".join(texts))
+        except TypeError:
+            bad = next(t for t in texts if not isinstance(t, str))
+            raise MismatchedField(f"element must be a hex string, got {bad!r}") from None
+        except ValueError as exc:
+            raise MismatchedField("element names must be hex") from exc
+        # fromhex skips whitespace, so a padded name still parses
+        if len(data) != m * len(texts) or set(map(len, texts)) - {2 * m}:
+            raise LengthMismatch(f"element names must be exactly {2 * m} hex digits")
+        return self.vec_from_bytes(data)
 
     def elements(self):
         return range(self.order)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:  # overridden with xor when q == 2
+    def add(self, a: int, b: int) -> int:  # overridden when q == 2 or m == 1
         q = self.q
         v = 0
         for p in self._qpow_m:

@@ -11,9 +11,10 @@ The chaff is drawn in bulk from 32-bit words of rng.getrandbits, exactly
 as rng.randrange(q^m - 1) would consume them one value at a time in
 ascending order of x, so a seeded random.Random gives the same table
 and is left in the same state.  The table is built in whole-list passes
-over kappa's image of every element, and the JSON form names every
-element once, by doubling over the base-q digits, instead of converting
-each entry on its own.
+over kappa's image of every element.  The JSON file names every element
+once, by doubling over the base-q digits, and streams the points array
+out in canonical order; reading it back parses each column of names in
+one bulk pass (ExtField.vec_from_hex).
 
 Unlocking with a witness set W reads the table at W and decodes the
 values as a Gabidulin code on the points W.  Entries shared with A are
@@ -28,7 +29,9 @@ from __future__ import annotations
 import hmac
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 from .commitment import codeword_digest
 from .errors import (
@@ -40,6 +43,7 @@ from .errors import (
     ParamMismatch,
     TooLarge,
     check_record,
+    load_json,
 )
 from .fields import ExtField, ext_field, is_independent
 from .gabidulin import GabidulinCode
@@ -208,24 +212,41 @@ def unlock(vault: Vault, witness) -> UnlockResult:
 # JSON form
 
 
-def vault_to_dict(vault: Vault) -> dict:
-    fld = vault.params.field
-    # names[x] == fld.to_hex(x): the hex of the base-q digits, lowest first
-    names = [""]
+def _names_and_order(fld: ExtField) -> tuple[list[str], list[int]]:
+    """The name of every element, indexed by element, and the elements
+    in the byte order of their names.
+
+    names[x] == fld.to_hex(x), the hex of the base-q digits lowest first,
+    made by doubling over the digits.  The fixed-width tokens sort as the
+    digits do, so in name order digit 0 varies slowest and digit m-1
+    fastest, which is how the order is built."""
     digits = [f"{d:02x}" for d in range(fld.q)]
+    names = [""]
     for _ in range(fld.m):
         names = [h + d for d in digits for h in names]
-    pairs = [[names[x], names[y]] for x, y in enumerate(vault.table)]
-    pairs.sort()  # canonical byte order of x, which is unique
+    order = [0]
+    for i in reversed(range(fld.m)):
+        step = fld.q**i
+        order = [s + x for s in range(0, fld.q * step, step) for x in order]
+    return names, order
+
+
+def _record(vault: Vault, points: list) -> dict:
     return {
         "q": vault.params.q,
         "m": vault.params.m,
         "n": vault.params.n,
         "ell": vault.params.ell,
         "s": vault.params.s,
-        "points": pairs,
+        "points": points,
         "key_digest": vault.key_digest.hex(),
     }
+
+
+def vault_to_dict(vault: Vault) -> dict:
+    names, order = _names_and_order(vault.params.field)
+    table = vault.table
+    return _record(vault, [[names[x], names[table[x]]] for x in order])
 
 
 _SCHEMA = {
@@ -248,15 +269,16 @@ def vault_from_dict(data: dict) -> Vault:
     entries = data["points"]
     if len(entries) != fld.order:
         raise LengthMismatch(f"table must cover all {fld.order} elements")
-    table = [None] * fld.order
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise MalformedRecord(f"vault entry must be an [x, y] pair, got {entry!r}")
-        hx, hy = entry
-        x = fld.from_hex(hx)
-        if table[x] is not None:
-            raise DuplicateFeatures(f"table lists {hx} twice")
-        table[x] = fld.from_hex(hy)
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        bad = next(e for e in entries if type(e) is not list or len(e) != 2)
+        raise MalformedRecord(f"vault entry must be an [x, y] pair, got {bad!r}")
+    xs = fld.vec_from_hex(list(map(itemgetter(0), entries)))
+    if len(set(xs)) != fld.order:
+        x = next(x for x, c in Counter(xs).items() if c > 1)
+        raise DuplicateFeatures(f"table lists {fld.to_hex(x)} twice")
+    table = [0] * fld.order
+    for x, y in zip(xs, fld.vec_from_hex(list(map(itemgetter(1), entries)))):
+        table[x] = y
     try:
         digest = bytes.fromhex(data["key_digest"])
     except ValueError as exc:
@@ -267,11 +289,18 @@ def vault_from_dict(data: dict) -> Vault:
 
 
 def save_vault(vault: Vault, path):
-    with open(path, "w") as fh:
-        json.dump(vault_to_dict(vault), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write the bytes save_json(vault_to_dict(vault), path) would, with
+    the points array streamed out rather than built as objects."""
+    names, order = _names_and_order(vault.params.field)
+    table = vault.table
+    text = json.dumps(_record(vault, []), indent=2, sort_keys=True)
+    head, tail = text.split('"points": []')
+    rows = (f',\n    [\n      "{names[x]}",\n      "{names[table[x]]}"\n    ]' for x in order)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(head + '"points": [\n' + next(rows)[2:])
+        fh.writelines(rows)
+        fh.write("\n  ]" + tail + "\n")
 
 
 def load_vault(path) -> Vault:
-    with open(path) as fh:
-        return vault_from_dict(json.load(fh))
+    return vault_from_dict(load_json(path))

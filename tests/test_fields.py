@@ -219,6 +219,17 @@ def test_field_axioms_random(q, m):
             assert F.mul(a, F.inv(a)) == one
 
 
+@pytest.mark.parametrize("q", [3, 5, 251])
+def test_prime_field_add_sub_neg_match_digit_loop(q):
+    # at m = 1, odd q, add/sub/neg are one reduction mod q each
+    F = ext_field(q, 1)
+    for a in range(q):
+        assert F.neg(a) == ExtField.neg(F, a)
+        for b in range(q):
+            assert F.add(a, b) == ExtField.add(F, a, b)
+            assert F.sub(a, b) == ExtField.sub(F, a, b)
+
+
 def test_inverse_of_zero_rejected():
     with pytest.raises(DivisionByZero):
         ext_field(2, 4).inv(0)  # table lookup
@@ -371,10 +382,12 @@ def test_hex_codec_matches_digits(q, m, count):
     F = ext_field(q, m)
     rng = random.Random(q * m)
     elems = F.elements() if count is None else (F.random_element(rng) for _ in range(count))
+    elems = list(elems)
     for a in elems:
         h = F.to_hex(a)
         assert h == bytes(F.digits(a)).hex()
         assert F.from_hex(h) == F.from_digits(F.digits(a)) == a
+    assert F.vec_from_hex([F.to_hex(a) for a in elems]) == tuple(elems)
 
 
 @pytest.mark.parametrize(

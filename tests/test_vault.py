@@ -13,6 +13,7 @@ from rankfuzz.errors import (
     DuplicateFeatures,
     LengthMismatch,
     MalformedRecord,
+    MismatchedField,
     ParamMismatch,
     TooLarge,
     BadTwist,
@@ -207,22 +208,64 @@ def test_vault_dict_totality_enforced():
         vault_from_dict(d2)
 
 
+def _with_entry(d, i, entry):
+    points = list(d["points"])
+    points[i] = entry
+    return dict(d, points=points)
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, exc",
     [
-        lambda d: {k: v for k, v in d.items() if k != "key_digest"},
-        lambda d: [d],
-        lambda d: dict(d, ell=2.0),
-        lambda d: dict(d, points=[p[:1] for p in d["points"]]),
-        lambda d: dict(d, key_digest="zz"),
+        (lambda d: {k: v for k, v in d.items() if k != "key_digest"}, MalformedRecord),
+        (lambda d: [d], MalformedRecord),
+        (lambda d: dict(d, ell=2.0), MalformedRecord),
+        (lambda d: dict(d, points=[p[:1] for p in d["points"]]), MalformedRecord),
+        (lambda d: dict(d, key_digest="zz"), MalformedRecord),
+        (lambda d: _with_entry(d, 5, d["points"][5] + ["00" * 8]), MalformedRecord),
+        (lambda d: _with_entry(d, 5, ["00" * 7, "00" * 8]), LengthMismatch),
+        (lambda d: _with_entry(d, 5, [d["points"][5][0], "02" + "00" * 7]), MismatchedField),
+        (lambda d: _with_entry(d, 5, ["zz" * 8, "00" * 8]), MismatchedField),
+        (lambda d: _with_entry(d, 5, [5, "00" * 8]), MismatchedField),
+        (lambda d: _with_entry(d, 5, [d["points"][4][0], "00" * 8]), DuplicateFeatures),
+        (lambda d: _with_entry(d, 5, [" " + d["points"][5][0], "00" * 8]), LengthMismatch),
     ],
-    ids=["missing_key", "list", "float_ell", "one_field_entries", "bad_digest"],
+    ids=["missing_key", "list", "float_ell", "one_field_entries", "bad_digest",
+         "three_field_entry", "short_name", "digit_ge_q", "not_hex", "int_name",
+         "repeated_x", "padded_name"],
 )
-def test_vault_dict_rejects_malformed_records(mutate):
+def test_vault_dict_rejects_malformed_records(mutate, exc):
     rng = random.Random(10)
     v = lock(P256, sample_feature_set(F256, 8, rng), F256.random_vector(2, rng), rng)
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(exc):
         vault_from_dict(mutate(vault_to_dict(v)))
+
+
+def test_vault_dict_accepts_any_order_and_upper_case():
+    # digits 10..12 of F_13 are hex letters
+    fld = ext_field(13, 2)
+    rng = random.Random(12)
+    v = lock(VaultParams(q=13, m=2, n=2, ell=1), sample_feature_set(fld, 2, rng), [5], rng)
+    d = vault_to_dict(v)
+    random.Random(13).shuffle(d["points"])
+    d["points"] = [[x.upper(), y.upper()] for x, y in d["points"]]
+    assert any(x != x.lower() for x, _ in d["points"])
+    assert vault_from_dict(d).table == v.table
+
+
+# save_vault streams the points array; its bytes must be those of the
+# canonical JSON dump of the dict form
+@pytest.mark.parametrize(
+    "q, m, n", [(2, 8, 8), (3, 5, 4), (37, 2, 2), (2, 16, 8)], ids=["2-8", "3-5", "37-2", "2-16"]
+)
+def test_save_vault_bytes_match_json_dump(tmp_path, q, m, n):
+    fld = ext_field(q, m)
+    rng = random.Random(q * m)
+    v = lock(VaultParams(q=q, m=m, n=n, ell=1), sample_feature_set(fld, n, rng), [7], rng)
+    path = tmp_path / "v.json"
+    save_vault(v, path)
+    expected = json.dumps(vault_to_dict(v), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 def test_lock_is_deterministic_under_seeded_rng():

@@ -132,7 +132,22 @@ def load_json(path):
 
 
 class DecodingFailure(RankfuzzError):
-    """No codeword within the decoding radius could be recovered."""
+    """No codeword within the decoding radius could be recovered.
+
+    check names the test that refused: "remainder" (the Euclid stop
+    remainder is no left multiple of its cofactor), "quotient_degree"
+    (the quotient has degree >= k) or "rank" (the re-encoded candidate
+    lies at rank > t).  stop_degree and quotient_degree are the degrees
+    of the stop remainder and the quotient; rank and t are set by the
+    rank check only."""
+
+    def __init__(self, message, check, stop_degree, quotient_degree, rank=None, t=None):
+        super().__init__(message)
+        self.check = check
+        self.stop_degree = stop_degree
+        self.quotient_degree = quotient_degree
+        self.rank = rank
+        self.t = t
 
 
 class ClaimViolation(RankfuzzError, AssertionError):

@@ -638,7 +638,10 @@ def kernel_ext(field: ExtField, mat) -> list[tuple[int, ...]]:
 
 
 def solve_ext(field: ExtField, mat, rhs):
-    """One solution of a square-or-rectangular system over F_{q^m}, or None."""
+    """One solution of a square-or-rectangular system over F_{q^m}, or None.
+
+    No library code calls it: it is the Moore-matrix interpolation
+    oracle for the tests, and the benchmark's tracer wraps it by name."""
     mat = [list(row) for row in mat]
     rows = len(mat)
     if rows != len(rhs):

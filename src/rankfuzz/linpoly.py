@@ -27,7 +27,7 @@ from .errors import (
     TooLarge,
     TwistMismatch,
 )
-from .fields import ExtField, element_rank, is_independent, solve_ext
+from .fields import ExtField, element_rank, is_independent
 
 _EVAL_ALL_LIMIT = 1 << 20
 
@@ -224,7 +224,7 @@ class LinearizedPoly:
         field, s, m = self.field, self.s, self.field.m
         add, sub, mul, inv, frob = field.add, field.sub, field.mul, field.inv, field.frobenius
         dg = g.degree
-        ge = g.coeffs[-1]
+        ige = inv(g.coeffs[-1])
         r = list(self.coeffs)
         qq = [0] * max(len(r) - dg, 0)
         while len(r) - 1 >= dg:
@@ -233,15 +233,15 @@ class LinearizedPoly:
                 continue
             c = len(r) - 1 - dg
             if left:
-                # leading term of g o (qc x^[s c]) is ge * qc^(q^(s*dg))
-                qc = frob(mul(r[-1], inv(ge)), (-s * dg) % m)
+                # leading term of g o (qc x^[s c]) is g_dg * qc^(q^(s*dg))
+                qc = frob(mul(r[-1], ige), (-s * dg) % m)
                 for j, gj in enumerate(g.coeffs):
                     if gj:
                         r[c + j] = sub(r[c + j], mul(gj, frob(qc, (s * j) % m)))
             else:
-                # leading term of (qc x^[s c]) o g is qc * ge^(q^(s*c))
+                # leading term of (qc x^[s c]) o g is qc * g_dg^(q^(s*c))
                 e = (s * c) % m
-                qc = mul(r[-1], inv(frob(ge, e)))
+                qc = mul(r[-1], frob(ige, e))
                 for j, gj in enumerate(g.coeffs):
                     if gj:
                         r[c + j] = sub(r[c + j], mul(qc, frob(gj, e)))
@@ -283,9 +283,42 @@ def moore_matrix(field: ExtField, s: int, k: int, points) -> list[list[int]]:
     return rows
 
 
+def _newton(field: ExtField, s: int, xs, ys) -> tuple[list[int], list[int]]:
+    """Newton interpolation: coefficient lists of P, of degree < len(xs)
+    with P(x_i) = y_i, and of M, the monic subspace polynomial of degree
+    len(xs) vanishing on the span of the xs, as a raw ledger.
+
+    After point i, P matches the points so far and M vanishes on them;
+    the next point adds (y - P(x)) / M(x) times M to P and composes
+    x^[s] - M(x)^(q^s - 1) x onto M.  A point in the span of the earlier
+    ones is a root of M, so M(x) = 0 is exactly a dependent point."""
+    add, sub, mul, inv, frob = field.add, field.sub, field.mul, field.inv, field.frobenius
+    sm = s % field.m
+    p: list[int] = []
+    mm = [1]
+    for x, y in zip(xs, ys):
+        powers = [x]
+        for _ in p:
+            powers.append(frob(powers[-1], sm))
+        c = px = 0
+        for mj, pw in zip(mm, powers):
+            c = add(c, mul(mj, pw))
+        for pj, pw in zip(p, powers):
+            px = add(px, mul(pj, pw))
+        if c == 0:
+            raise DependentPoints("interpolation points are dependent over F_q")
+        ic = inv(c)
+        d = mul(sub(y, px), ic)
+        p = [add(pj, mul(d, mj)) for pj, mj in zip(p + [0], mm)]
+        a = mul(frob(c, sm), ic)  # c^(q^s - 1)
+        mm = [sub(frob(prev, sm), mul(a, mj)) for prev, mj in zip([0] + mm, mm + [0])]
+    return p, mm
+
+
 def interpolate(field: ExtField, s: int, xs, ys) -> LinearizedPoly:
     """Unique linearized polynomial of degree < len(xs) through the given
-    (x, y) pairs; requires the x's to be independent over F_q."""
+    (x, y) pairs, by Newton interpolation; requires the x's to be
+    independent over F_q."""
     _check_twist(field, s)
     xs = list(field.check_vector(xs))
     ys = list(field.check_vector(ys))
@@ -293,12 +326,4 @@ def interpolate(field: ExtField, s: int, xs, ys) -> LinearizedPoly:
         raise LengthMismatch(f"{len(xs)} points but {len(ys)} values")
     if not xs:
         raise LengthMismatch("need at least one point")
-    if not is_independent(field, xs):
-        raise DependentPoints("interpolation points are dependent over F_q")
-    n = len(xs)
-    # row i: sum_j f_j * xs_i^(q^(s*j)) = ys_i
-    mat = [moore_row for moore_row in zip(*moore_matrix(field, s, n, xs))]
-    coeffs = solve_ext(field, [list(r) for r in mat], ys)
-    if coeffs is None:  # cannot happen for independent points
-        raise DependentPoints("interpolation system is singular")
-    return LinearizedPoly(field, s, coeffs)
+    return LinearizedPoly(field, s, _newton(field, s, xs, ys)[0])

@@ -15,14 +15,14 @@ from rankfuzz.errors import (
     LengthMismatch,
     TooLarge,
 )
-from rankfuzz.fields import element_rank, ext_field, rank_distance
+from rankfuzz.fields import element_rank, ext_field, kernel_ext, rank_distance
 from rankfuzz.gabidulin import (
     GabidulinCode,
     min_distance_exhaustive,
     random_rank_error,
     singleton_bound,
 )
-from rankfuzz.linpoly import LinearizedPoly
+from rankfuzz.linpoly import LinearizedPoly, moore_matrix
 
 F16 = ext_field(2, 4)
 F256 = ext_field(2, 8)
@@ -265,3 +265,83 @@ def test_decode_all_twists_agree_on_clean_words():
         msg = F243.random_vector(3, rng)
         got, r = code.decode(code.encode(msg))
         assert got == msg and r == 0
+
+
+def kernel_decode(code, received):
+    """Dense reconstruction decoder, the oracle for decode: a kernel
+    vector (L, V) with deg L <= t, deg V <= t + k - 1 and
+    L(received_i) = V(points_i), then the exact left division V = L o f.
+    Returns (message, rank), or None where it refuses."""
+    field, t, k, s = code.field, code.t, code.k, code.s
+    lam = moore_matrix(field, s, t + 1, received)
+    val = moore_matrix(field, s, t + k, code.points)
+    rows = [[r[i] for r in lam] + [field.neg(r[i]) for r in val] for i in range(code.n)]
+    kernel = kernel_ext(field, rows)
+    if not kernel:
+        return None
+    locator = LinearizedPoly(field, s, kernel[0][: t + 1])
+    values = LinearizedPoly(field, s, kernel[0][t + 1 :])
+    if locator.is_zero:
+        return None
+    quotient, remainder = values.divmod_left(locator)
+    if not remainder.is_zero or quotient.degree >= k:
+        return None
+    message = quotient.coeffs + (0,) * (k - len(quotient.coeffs))
+    err = rank_distance(field, received, code.encode(message))
+    return None if err > t else (message, err)
+
+
+@pytest.mark.parametrize(
+    "q,m,n,k,s",
+    [
+        (2, 8, 8, 4, 1),
+        (2, 8, 8, 3, 5),
+        (2, 8, 6, 2, 3),
+        (2, 7, 7, 3, 2),
+        (3, 5, 5, 1, 2),
+        (3, 5, 5, 2, 4),
+        (3, 4, 3, 1, 3),
+        (5, 4, 4, 2, 3),
+    ],
+)
+def test_decode_matches_kernel_decoder(q, m, n, k, s):
+    """Same (message, rank) as the dense decoder, or a refusal from both,
+    on words at random ranks up to min(n, m) and on uniform words."""
+    field = ext_field(q, m)
+    rng = random.Random(2000 * q + 10 * n + k)
+    for trial in range(40):
+        while True:
+            pts = field.random_vector(n, rng)
+            if element_rank(field, list(pts)) == n:
+                break
+        code = GabidulinCode(field, n, k, s, pts)
+        if trial % 5 == 0:
+            word = field.random_vector(n, rng)
+        else:
+            err = random_rank_error(field, n, rng.randrange(min(n, m) + 1), rng)
+            word = add_vec(field, code.encode(field.random_vector(k, rng)), err)
+        try:
+            got = code.decode(word)
+        except DecodingFailure:
+            got = None
+        assert got == kernel_decode(code, word)
+
+
+def test_decoding_failure_names_its_check():
+    code = GabidulinCode(F256, 8, 4, 1, basis_points(F256, 8))
+    rng = random.Random(9)
+    failures = 0
+    for _ in range(200):
+        err = random_rank_error(F256, 8, rng.randrange(code.t + 1, 9), rng)
+        word = add_vec(F256, code.encode(F256.random_vector(4, rng)), err)
+        try:
+            code.decode(word)
+        except DecodingFailure as exc:
+            failures += 1
+            assert exc.check in {"remainder", "quotient_degree", "rank"}
+            assert exc.stop_degree < (code.n + code.k + 1) // 2
+            if exc.check == "quotient_degree":
+                assert exc.quotient_degree >= code.k
+            if exc.check == "rank":
+                assert exc.rank > exc.t == code.t
+    assert failures > 150

@@ -14,8 +14,8 @@ from rankfuzz.errors import (
     MismatchedField,
     TwistMismatch,
 )
-from rankfuzz.fields import element_rank, ext_field
-from rankfuzz.linpoly import LinearizedPoly, interpolate, moore_matrix
+from rankfuzz.fields import element_rank, ext_field, solve_ext
+from rankfuzz.linpoly import LinearizedPoly, _newton, interpolate, moore_matrix
 
 F4 = ext_field(2, 2)
 F16 = ext_field(2, 4)
@@ -327,6 +327,65 @@ def test_interpolation_rejects_dependent_points():
         interpolate(F16, 1, [0], [0])
     with pytest.raises(LengthMismatch):
         interpolate(F16, 1, [1, 2], [1])
+
+
+def moore_interpolate(field, s, xs, ys):
+    """Interpolation oracle: solve the n x n Moore system
+    sum_j f_j * x_i^(q^(s*j)) = y_i."""
+    rows = [list(r) for r in zip(*moore_matrix(field, s, len(xs), xs))]
+    return LinearizedPoly(field, s, solve_ext(field, rows, ys))
+
+
+# every twist coprime to m, at q = 2, 3 and 5
+NEWTON_CASES = [
+    (field, s)
+    for field, twists in [
+        (ext_field(2, 8), (1, 3, 5, 7)),
+        (F243, (1, 2, 3, 4)),
+        (ext_field(5, 4), (1, 3)),
+    ]
+    for s in twists
+]
+
+
+@pytest.mark.parametrize("field,s", NEWTON_CASES)
+def test_newton_interpolation_matches_moore_solve(field, s):
+    """For every n up to n = m, the Newton interpolant is the
+    Moore-matrix solution, and the subspace polynomial is monic of
+    degree n and vanishes on the points."""
+    rng = random.Random(14 + 10 * field.q + s)
+    for n in range(1, field.m + 1):
+        for _ in range(6):
+            while True:
+                xs = [field.random_element(rng) for _ in range(n)]
+                if element_rank(field, xs) == n:
+                    break
+            ys = [field.random_element(rng) for _ in range(n)]
+            got = interpolate(field, s, xs, ys)
+            assert got == moore_interpolate(field, s, xs, ys)
+            assert got.degree < n
+            _, subspace = _newton(field, s, xs, ys)
+            sub = LinearizedPoly(field, s, subspace)
+            assert sub.degree == n and sub.coeffs[-1] == 1
+            assert all(sub(x) == 0 for x in xs)
+
+
+@pytest.mark.parametrize("field,s", NEWTON_CASES)
+def test_newton_interpolation_rejects_dependent_points(field, s):
+    rng = random.Random(15 + 10 * field.q + s)
+    while True:
+        a, b, c = field.random_vector(3, rng)
+        if element_rank(field, [a, b, c]) == 3:
+            break
+    dependent = [
+        [a, 0, b],  # a zero point
+        [a, b, c, field.add(a, b)],  # the sum of two earlier points
+        [b, a, field.mul(field.q - 1, a)],  # an F_q multiple of an earlier point
+        list(field._qpow_m) + [c],  # m + 1 points
+    ]
+    for xs in dependent:
+        with pytest.raises(DependentPoints):
+            interpolate(field, s, xs, field.random_vector(len(xs), rng))
 
 
 # ---------------------------------------------------------------------------

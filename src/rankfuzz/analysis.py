@@ -47,7 +47,7 @@ from .fields import (
     element_rank,
     ext_field,
     find_normal_element,
-    kernel_fq,
+    kernel_ext,
     _rref_ext,
 )
 from .gabidulin import GabidulinCode, random_rank_error
@@ -111,7 +111,8 @@ def subspace_intersection(field: ExtField, a, b) -> tuple:
         return ()
     mat = list(zip(*(field.digits(e) for e in ea + eb)))
     basis: list = []
-    for vec in kernel_fq(mat, field.q):
+    # digit entries are already reduced mod q
+    for vec in kernel_ext(ext_field(field.q, 1), mat):
         w = fq_combination(field, vec[: len(ea)], ea)
         if w and element_rank(field, basis + [w]) > len(basis):
             basis.append(w)

@@ -6,6 +6,7 @@ whole family at once; most also derive from the matching builtin
 (ValueError, ZeroDivisionError) so generic handling keeps working.
 """
 
+import gc
 import json
 
 
@@ -126,9 +127,19 @@ def save_json(obj, path) -> None:
 
 
 def load_json(path):
-    """Read a JSON file; records are pure ASCII, so other bytes are an error."""
-    with open(path, encoding="ascii") as fh:
-        return json.load(fh)
+    """Read a JSON file; records are pure ASCII, so other bytes are an error.
+
+    The cyclic collector is paused while the parser allocates, since a
+    vault's tens of thousands of small lists would set it off repeatedly,
+    and left as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="ascii") as fh:
+            return json.load(fh)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class DecodingFailure(RankfuzzError):

@@ -14,10 +14,12 @@ smallest.  Two fields with equal (q, m) are therefore interchangeable,
 and the ext_field() factory returns a shared instance.
 
 Fields of at most 2**16 elements build discrete log tables on first
-use, and multiply, invert and apply Frobenius by lookup.  Larger fields
-(up to the supported m <= 64) compute in the polynomial basis: for q = 2
-by carry-less shift-and-xor multiplication and an extended Euclid
-inverse, for odd q digit by digit with a Fermat inverse.  There the
+use, and multiply, invert and apply Frobenius by lookup; for odd q and
+m >= 2 they also add, subtract and negate by lookup, through the Zech
+logarithm zech[d] = log(1 + g^d).  Larger fields (up to the supported
+m <= 64) compute in the polynomial basis: for q = 2 by carry-less
+shift-and-xor multiplication and an extended Euclid inverse, for odd q
+digit by digit with a Fermat inverse.  There the
 Frobenius a -> a^(q^i) is applied as the F_q-linear map it is, built
 per exponent from the images of the basis on first use.  Arithmetic
 methods assume canonical ints and do not re-validate their inputs on
@@ -352,7 +354,10 @@ class ExtField:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:  # overridden when q == 2 or m == 1
+    # The digit loops below are overridden by instance attributes: xor
+    # when q == 2, one reduction mod q when m == 1, and Zech-logarithm
+    # lookups once an odd-q table field has built its tables.
+    def add(self, a: int, b: int) -> int:
         q = self.q
         v = 0
         for p in self._qpow_m:
@@ -560,6 +565,39 @@ class ExtField:
         self.mul = mul
         self.inv = inv
         self.pow_ = pow_
+        if self.q == 2 or self.m == 1:
+            return
+        # Zech logarithms: 1 + g^d = g^zech[d], or zech[d] = -1 where the
+        # sum is 0.  Adding 1 changes only the lowest base-q digit.  As q
+        # is odd, n is even and -1 = g^(n/2).
+        q, half = self.q, n // 2
+        zech = [log[e - e % q + (e + 1) % q] for e in exp]
+
+        def add(a, b, exp=exp, log=log, zech=zech, n=n):
+            if a == 0:
+                return b
+            if b == 0:
+                return a
+            la = log[a]
+            z = zech[(log[b] - la) % n]
+            return 0 if z < 0 else exp[(la + z) % n]
+
+        def sub(a, b, exp=exp, log=log, zech=zech, n=n, half=half):
+            if b == 0:
+                return a
+            lb = log[b] + half
+            if a == 0:
+                return exp[lb % n]
+            la = log[a]
+            z = zech[(lb - la) % n]
+            return 0 if z < 0 else exp[(la + z) % n]
+
+        def neg(a, exp=exp, log=log, n=n, half=half):
+            return exp[(log[a] + half) % n] if a else 0
+
+        self.add = add
+        self.sub = sub
+        self.neg = neg
 
     # -- sampling -----------------------------------------------------------
 
@@ -583,14 +621,19 @@ def ext_field(q: int, m: int) -> ExtField:
 # ---------------------------------------------------------------------------
 # Linear algebra over F_{q^m}, on lists of element ints.  F_q is F_{q^1},
 # whose elements are the ints 0..q-1, so rank_fq and kernel_fq run the
-# same elimination over ext_field(q, 1).
+# same elimination over ext_field(q, 1), in plain mod-q arithmetic.
 
 
-def _rref_ext(field: ExtField, mat: list[list[int]]):
-    mat = [list(row) for row in mat]
+def _rref_ext(field: ExtField, mat):
+    """Reduced row echelon form and pivot columns.  Rows are replaced,
+    never mutated, so the caller's rows (lists or tuples) stay as they
+    were, and a row the elimination never touched is returned as given.
+    Over F_q (m = 1) a row update is plain mod-q arithmetic."""
+    mat = list(mat)
     if not mat:
         return mat, []
     rows, cols = len(mat), len(mat[0])
+    q = field.q if field.m == 1 else None
     mul, sub, inv = field.mul, field.sub, field.inv
     pivots = []
     r = 0
@@ -607,12 +650,18 @@ def _rref_ext(field: ExtField, mat: list[list[int]]):
         if hit != r:
             mat[r], mat[hit] = mat[hit], mat[r]
         scale = inv(mat[r][c])
-        mat[r] = [mul(scale, x) for x in mat[r]]
+        if q:
+            row_r = mat[r] = [scale * x % q for x in mat[r]]
+        else:
+            row_r = mat[r] = [mul(scale, x) for x in mat[r]]
         for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                row_i, row_r = mat[i], mat[r]
-                mat[i] = [sub(row_i[j], mul(f, row_r[j])) for j in range(cols)]
+            row_i = mat[i]
+            f = row_i[c]
+            if f and i != r:
+                if q:
+                    mat[i] = [(a - f * b) % q for a, b in zip(row_i, row_r)]
+                else:
+                    mat[i] = [sub(a, mul(f, b)) for a, b in zip(row_i, row_r)]
         pivots.append(c)
         r += 1
     return mat, pivots
@@ -620,7 +669,6 @@ def _rref_ext(field: ExtField, mat: list[list[int]]):
 
 def kernel_ext(field: ExtField, mat) -> list[tuple[int, ...]]:
     """Kernel basis of a matrix over F_{q^m}, free columns ascending."""
-    mat = [list(row) for row in mat]
     if not mat:
         return []
     cols = len(mat[0])
@@ -688,7 +736,8 @@ def element_rank(field: ExtField, elems) -> int:
                 basis.append(v)
                 basis.sort(reverse=True)
         return len(basis)
-    return rank_fq([field.digits(e) for e in elems], field.q)
+    # the digit rows are already reduced mod q
+    return len(_rref_ext(ext_field(field.q, 1), [field.digits(e) for e in elems])[1])
 
 
 def is_independent(field: ExtField, elems) -> bool:

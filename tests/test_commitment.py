@@ -1,5 +1,6 @@
 """Noise-tolerant commitments: bind, verify, serialize."""
 
+import gc
 import hashlib
 import json
 import random
@@ -19,7 +20,7 @@ from rankfuzz.commitment import (
     save_commitment,
     verify,
 )
-from rankfuzz.errors import LengthMismatch, MalformedRecord, ParamMismatch
+from rankfuzz.errors import LengthMismatch, MalformedRecord, ParamMismatch, load_json
 from rankfuzz.fields import ext_field, rank_distance
 from rankfuzz.gabidulin import GabidulinCode, random_rank_error
 
@@ -170,6 +171,28 @@ def test_file_roundtrip_is_byte_stable(tmp_path):
     # canonical layout: sorted keys, trailing newline
     assert p1.read_text().endswith("\n")
     assert list(data) == sorted(data)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_load_json_restores_collector_state(tmp_path, enabled):
+    # load_json pauses the cyclic collector while it parses
+    good, bad, wide = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "wide.json"
+    good.write_text('{"a": [1, 2]}\n')
+    bad.write_text('{"a": [1,\n')
+    wide.write_bytes('{"a": "\u00e9"}\n'.encode())
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert load_json(good) == {"a": [1, 2]}
+        assert gc.isenabled() is enabled
+        with pytest.raises(json.JSONDecodeError):
+            load_json(bad)
+        assert gc.isenabled() is enabled
+        with pytest.raises(UnicodeDecodeError):
+            load_json(wide)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_code_from_commitment_reconstructs():

@@ -30,6 +30,7 @@ from rankfuzz.fields import (
     rank_distance,
     rank_fq,
     solve_ext,
+    _rref_ext,
 )
 
 
@@ -104,14 +105,24 @@ def matvec(A, x, q):
 
 
 def _det(m):
+    """Exact determinant over the rationals, by elimination with row swaps
+    (the minors above reach 8 x 8, too large for cofactor expansion)."""
+    m = [list(row) for row in m]
     n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        out += (-1) ** j * m[0][j] * _det(minor)
-    return out
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +230,38 @@ def test_field_axioms_random(q, m):
             assert F.mul(a, F.inv(a)) == one
 
 
-@pytest.mark.parametrize("q", [3, 5, 251])
-def test_prime_field_add_sub_neg_match_digit_loop(q):
-    # at m = 1, odd q, add/sub/neg are one reduction mod q each
-    F = ext_field(q, 1)
-    for a in range(q):
-        assert F.neg(a) == ExtField.neg(F, a)
-        for b in range(q):
-            assert F.add(a, b) == ExtField.add(F, a, b)
-            assert F.sub(a, b) == ExtField.sub(F, a, b)
+# exhaustive up to 251^2 pairs; (3, 10) and (251, 2) are the largest odd-q
+# table fields and are sampled
+ADD_FIELDS = [(3, 1), (5, 1), (251, 1), (3, 2), (3, 4), (3, 5), (5, 3), (7, 2), (3, 10), (251, 2)]
+ADD_SAMPLED = {(3, 10), (251, 2)}
+
+
+@pytest.mark.parametrize(
+    "q,m", ADD_FIELDS, ids=[str(q) if m == 1 else f"{q}-{m}" for q, m in ADD_FIELDS]
+)
+def test_prime_field_add_sub_neg_match_digit_loop(q, m):
+    # odd q: add/sub/neg are one reduction mod q each at m = 1, and Zech
+    # logarithm lookups once the tables exist at m >= 2; the class methods
+    # are the digit loops
+    F = ext_field(q, m)
+    F.mul(1, 1)  # builds the tables
+    assert {"add", "sub", "neg"} <= vars(F).keys()
+    if (q, m) in ADD_SAMPLED:
+        rng = random.Random(7 * q + m)
+        elems = [F.random_element(rng) for _ in range(200)]
+        pairs = [(F.random_element(rng), F.random_element(rng)) for _ in range(20_000)]
+        pairs += [(a, b) for a in elems[:100] for b in (0, a, ExtField.neg(F, a))]
+        pairs += [(0, b) for b in elems]
+        pairs += [(0, 0), (1, F.order - 1), (F.order - 1, 1)]
+        singles = elems + [0, 1, F.order - 1]
+    else:
+        pairs = itertools.product(F.elements(), repeat=2)
+        singles = F.elements()
+    for a in singles:
+        assert F.neg(a) == ExtField.neg(F, a), a
+    for a, b in pairs:
+        assert F.add(a, b) == ExtField.add(F, a, b), (a, b)
+        assert F.sub(a, b) == ExtField.sub(F, a, b), (a, b)
 
 
 def test_inverse_of_zero_rejected():
@@ -453,6 +487,38 @@ def test_rank_rectangular_and_known_values():
     assert rank_fq([[1, 2], [2, 4]], 3) == 1  # 4 = 2*2 mod 3 as well
 
 
+@pytest.mark.parametrize("q", [5, 7, 251])
+def test_rank_matches_minor_oracle_larger_q(q):
+    rng = random.Random(q)
+    for trial in range(200):
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 6)
+        if trial % 2:
+            mat = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        else:
+            # rows x r times r x cols, rank at most r, entries not reduced
+            r = rng.randrange(min(rows, cols) + 1)
+            A = [[rng.randrange(q) for _ in range(r)] for _ in range(rows)]
+            B = [[rng.randrange(q) for _ in range(cols)] for _ in range(r)]
+            mat = [[sum(A[i][k] * B[k][j] for k in range(r)) for j in range(cols)]
+                   for i in range(rows)]
+        assert rank_fq(mat, q) == naive_rank(mat, q), (q, mat)
+
+
+@pytest.mark.parametrize("q,m", [(5, 1), (2, 1), (3, 2), (2, 4)])
+def test_rref_leaves_caller_rows_unchanged(q, m):
+    # m = 1 runs the mod-q row updates, m > 1 the field-method ones
+    F = ext_field(q, m)
+    rng = random.Random(q + m)
+    for _ in range(50):
+        rows = [[F.random_element(rng) for _ in range(4)] for _ in range(3)]
+        for mat in (rows, [tuple(row) for row in rows]):
+            before = [tuple(row) for row in mat]
+            row_ids = [id(row) for row in mat]
+            _rref_ext(F, mat)
+            assert [tuple(row) for row in mat] == before
+            assert [id(row) for row in mat] == row_ids
+
+
 def test_solve_consistent_systems():
     rng = random.Random(11)
     for q in (2, 3, 5):
@@ -497,8 +563,9 @@ def test_element_rank_both_paths_agree():
         rng = random.Random(q)
         for _ in range(300):
             elems = [F.random_element(rng) for _ in range(rng.randrange(0, m + 3))]
-            # the m x n digit matrix, one column per element
-            expect = rank_fq(list(zip(*(F.digits(e) for e in elems))), q) if elems else 0
+            # the m x n digit matrix, one column per element; the minor
+            # oracle, as rank_fq runs the elimination element_rank does
+            expect = naive_rank(list(zip(*(F.digits(e) for e in elems))), q) if elems else 0
             assert element_rank(F, elems) == expect
 
 

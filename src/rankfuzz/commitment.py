@@ -36,6 +36,18 @@ def codeword_digest(field: ExtField, codeword) -> bytes:
     return hashlib.sha256(field.vec_to_bytes(codeword)).digest()
 
 
+def digest_from_hex(text: str, what: str) -> bytes:
+    """A digest from exactly 64 hex digits of either case.  bytes.fromhex
+    skips whitespace, so the length of the text is checked as well."""
+    try:
+        digest = bytes.fromhex(text)
+    except ValueError as exc:
+        raise MalformedRecord(f"bad {what} hex {text!r}") from exc
+    if len(text) != 2 * DIGEST_BYTES or len(digest) != DIGEST_BYTES:
+        raise LengthMismatch(f"{what} must be exactly {2 * DIGEST_BYTES} hex digits")
+    return digest
+
+
 @dataclass(frozen=True)
 class Commitment:
     """Opening-independent public data: code identification, offset vector,
@@ -156,12 +168,7 @@ def commitment_from_dict(data: dict) -> Commitment:
     n = data["n"]
     if len(data["offset"]) != n:
         raise LengthMismatch(f"offset has {len(data['offset'])} elements, expected n={n}")
-    try:
-        digest = bytes.fromhex(data["digest"])
-    except ValueError as exc:
-        raise MalformedRecord(f"bad digest hex {data['digest']!r}") from exc
-    if len(digest) != DIGEST_BYTES:
-        raise LengthMismatch("digest must be 32 bytes of hex")
+    digest = digest_from_hex(data["digest"], "digest")
     return Commitment(
         q=field.q,
         m=field.m,

@@ -26,7 +26,7 @@ from .errors import (
     LengthMismatch,
     TooLarge,
 )
-from .fields import ExtField, element_rank, is_independent, rank_distance, rank_fq
+from .fields import ExtField, _rref_ext, element_rank, ext_field, is_independent, rank_distance
 from .linpoly import LinearizedPoly, _check_twist, _newton, moore_matrix
 
 _EXHAUSTIVE_LIMIT = 1 << 20
@@ -158,13 +158,16 @@ def random_rank_error(field: ExtField, n: int, rank: int, rng, max_tries: int = 
         c = field.random_element(rng)
         if element_rank(field, scalars + [c]) == len(scalars) + 1:
             scalars.append(c)
+    # randrange(q) digits are already reduced, so they go to the
+    # elimination over F_q as they are
+    fq = ext_field(field.q, 1)
     rows: list[list[int]] = []
     while len(rows) < rank:
         tries += 1
         if tries > max_tries:
             raise InfeasibleShape("could not sample independent support rows")
         r = [rng.randrange(field.q) for _ in range(n)]
-        if rank_fq(rows + [r], field.q) == len(rows) + 1:
+        if len(_rref_ext(fq, rows + [r])[1]) == len(rows) + 1:
             rows.append(r)
     add, mul = field.add, field.mul
     out = []

@@ -14,6 +14,7 @@ reduces exponents, so f(a) == f.reduced()(a) regardless.
 
 from __future__ import annotations
 
+import struct
 from math import gcd
 
 from .errors import (
@@ -125,19 +126,37 @@ class LinearizedPoly:
 
         The list is built by doubling: once the images of all elements
         below q^j are known, those of d * q^j + v for d = 1..q-1 are the
-        same images plus d times the image of x^j."""
+        same images plus d times the image of x^j.  At q = 2 this is the
+        unpacked form of image_lanes()."""
         field = self.field
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
-        out = [0]
         if field.q == 2:
-            for b in map(self, field._qpow_m):
-                out += [o ^ b for o in out]
-            return out
+            return list(struct.unpack(f"<{field.order}I", self.image_lanes()))
+        out = [0]
         add, mul = field.add, field.mul
         for b in map(self, field._qpow_m):
             out += [add(o, c) for c in [mul(d, b) for d in range(1, field.q)] for o in out]
         return out
+
+    def image_lanes(self) -> bytes:
+        """evaluate_all() as little-endian 32-bit lanes, lane x = image of x.
+
+        At q = 2 the doubling runs on one packed integer: the images of
+        the elements below 2^j fill the low 2^j lanes, and one xor with
+        the image b of x^j copied into every lane, shifted up by 2^j
+        lanes, adds the images of the next 2^j elements."""
+        field = self.field
+        if field.order > _EVAL_ALL_LIMIT:
+            raise TooLarge(f"field too large to enumerate ({field.order} elements)")
+        if field.q != 2:
+            return struct.pack(f"<{field.order}I", *self.evaluate_all())
+        out, ones, width = 0, 1, 32
+        for b in map(self, field._qpow_m):
+            out |= (out ^ b * ones) << width
+            ones |= ones << width
+            width *= 2
+        return out.to_bytes(4 * field.order, "little")
 
     # -- linear structure ---------------------------------------------------
 

@@ -10,8 +10,13 @@ every point deviates from at most one low-degree polynomial pattern.
 The chaff is drawn in bulk from 32-bit words of rng.getrandbits, exactly
 as rng.randrange(q^m - 1) would consume them one value at a time in
 ascending order of x, so a seeded random.Random gives the same table
-and is left in the same state.  The table is built in whole-list passes
-over kappa's image of every element.  The JSON file names every element
+and is left in the same state.  The table is built in packed 32-bit
+little-endian lanes, lane x for element x: a few big-integer and bytes
+passes over the draws and kappa's image of every element stand in for
+any loop over elements (SIMD within a register).  Rejected tries are
+marked with a 0xFFFFFFFF sentinel lane and dropped by one bytes.replace,
+which is exact because accepted tries stay below _TABLE_GUARD <= 2^24
+(see _randbelow_many).  The JSON file names every element
 once, by doubling over the base-q digits, and streams the points array
 out in canonical order; reading it back parses each column of names in
 one bulk pass (ExtField.vec_from_hex).
@@ -33,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
-from .commitment import codeword_digest
+from .commitment import codeword_digest, digest_from_hex
 from .errors import (
     BadDimensions,
     DependentFeatures,
@@ -144,9 +149,10 @@ def _as_feature_set(field: ExtField, features) -> FeatureSet:
     return FeatureSet(field, features)
 
 
-def _randbelow_many(rng, bound: int, count: int) -> list[int]:
-    """[rng.randrange(bound) for _ in range(count)] for 1 <= bound < 2**32,
-    drawn in blocks, leaving a random.Random in the same state.
+def _randbelow_many(rng, bound: int, count: int) -> bytes:
+    """[rng.randrange(bound) for _ in range(count)] for 1 <= bound <=
+    _TABLE_GUARD, as little-endian 32-bit lanes, drawn in blocks and
+    leaving a random.Random in the same state.
 
     randrange(bound) takes k = bound.bit_length() bits per try, and each
     try is the top k bits of the next 32-bit Mersenne word; a try of
@@ -155,19 +161,34 @@ def _randbelow_many(rng, bound: int, count: int) -> list[int]:
     and masking gives every try at once.  Each block asks for no more
     words than values are still missing, so none is drawn past the last
     one randrange would have used.
+
+    Bit k of a lane of tries + (2^k - bound) is set exactly when the try
+    is bound or more; such a lane is set to the sentinel 0xFFFFFFFF and
+    every sentinel is dropped by one bytes.replace.  That is exact
+    because an accepted try is below _TABLE_GUARD <= 2^24, so its top
+    byte is 0: no run of four 0xFF bytes starts inside or ends inside an
+    accepted lane, and the leftmost match is always a whole sentinel.
     """
     k = bound.bit_length()
-    out: list[int] = []
-    while len(out) < count:
-        c = min(count - len(out), _BLOCK_WORDS)
-        mask = int.from_bytes(((1 << k) - 1).to_bytes(4, "little") * c, "little")
-        tries = rng.getrandbits(32 * c) >> (32 - k) & mask
-        out += [r for r in struct.unpack(f"<{c}I", tries.to_bytes(4 * c, "little")) if r < bound]
-    return out
+    blocks: list[bytes] = []
+    have = 0
+    while have < count:
+        c = min(count - have, _BLOCK_WORDS)
+        ones = int.from_bytes(b"\1\0\0\0" * c, "little")
+        tries = rng.getrandbits(32 * c) >> (32 - k) & ones * ((1 << k) - 1)
+        rejected = (tries + ones * ((1 << k) - bound)) >> k & ones
+        lanes = (tries | rejected * 0xFFFFFFFF).to_bytes(4 * c, "little")
+        blocks.append(lanes.replace(b"\xff" * 4, b""))
+        have += len(blocks[-1]) // 4
+    return b"".join(blocks)
 
 
 def lock(params: VaultParams, features, key, rng) -> Vault:
-    """Build the vault table for the given features and key coefficients."""
+    """Build the vault table for the given features and key coefficients.
+
+    The table is computed as one packed integer of 32-bit lanes, lane x
+    for element x: the chaff draws with a zero lane spliced in at each
+    feature, and kappa's image of every element."""
     fld = params.field
     fs = _as_feature_set(fld, features)
     if len(fs) != params.n:
@@ -175,19 +196,25 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
     key = fld.check_vector(key)
     if len(key) != params.ell:
         raise LengthMismatch(f"key length {len(key)}, expected ell={params.ell}")
-    kappa = LinearizedPoly(fld, params.s, key)
-    values = kappa.evaluate_all()
+    order = fld.order
+    images = LinearizedPoly(fld, params.s, key).image_lanes()
     authentic = sorted(fs.elems)
-    # chaff r for x is uniform over everything except kappa(x); the draws
-    # go to the other elements in ascending order, authentic slots get a
-    # placeholder that is overwritten below
-    draws = _randbelow_many(rng, fld.order - 1, fld.order - len(authentic))
+    # chaff r for x is uniform over everything except kappa(x): the draws
+    # go to the other elements in ascending order, and r >= kappa(x) moves
+    # up by one, which is bit k of r + 2^k - kappa(x), as r, kappa(x) < 2^k
+    draws = _randbelow_many(rng, order - 1, order - len(authentic))
+    cuts = [4 * (x - i) for i, x in enumerate(authentic)]
+    d = int.from_bytes(
+        bytes(4).join([draws[a:b] for a, b in zip([0, *cuts], [*cuts, len(draws)])]), "little"
+    )
+    k = (order - 1).bit_length()
+    ones = int.from_bytes(b"\1\0\0\0" * order, "little")
+    chaff = d + ((d + (ones << k) - int.from_bytes(images, "little")) >> k & ones)
+    table = bytearray(chaff.to_bytes(4 * order, "little"))
+    # the placeholder lanes at the features take kappa(x) from the images
     for x in authentic:
-        draws.insert(x, 0)
-    table = [r if r < kx else r + 1 for r, kx in zip(draws, values)]
-    for x in authentic:
-        table[x] = values[x]
-    return Vault(params, tuple(table), codeword_digest(fld, key))
+        table[4 * x : 4 * x + 4] = images[4 * x : 4 * x + 4]
+    return Vault(params, struct.unpack(f"<{order}I", table), codeword_digest(fld, key))
 
 
 def unlock(vault: Vault, witness) -> UnlockResult:
@@ -279,13 +306,7 @@ def vault_from_dict(data: dict) -> Vault:
     table = [0] * fld.order
     for x, y in zip(xs, fld.vec_from_hex(list(map(itemgetter(1), entries)))):
         table[x] = y
-    try:
-        digest = bytes.fromhex(data["key_digest"])
-    except ValueError as exc:
-        raise MalformedRecord(f"bad key digest hex {data['key_digest']!r}") from exc
-    if len(digest) != 32:
-        raise LengthMismatch("key digest must be 32 bytes of hex")
-    return Vault(params, tuple(table), digest)
+    return Vault(params, tuple(table), digest_from_hex(data["key_digest"], "key digest"))
 
 
 def save_vault(vault: Vault, path):

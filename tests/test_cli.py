@@ -140,6 +140,9 @@ MALFORMED_COMMITMENTS = {
     "top_level_list": lambda d: [d],
     "float_q": lambda d: dict(d, q=2.5),
     "int_points": lambda d: dict(d, points=[1] * len(d["points"])),
+    "spaced_digest": lambda d: dict(
+        d, digest=" ".join(d["digest"][i : i + 2] for i in range(0, 64, 2))
+    ),
 }
 
 

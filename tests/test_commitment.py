@@ -146,9 +146,12 @@ def test_dict_roundtrip_and_hex_fields():
         (lambda d: dict(d, q=2.5), MalformedRecord),
         (lambda d: dict(d, m=True), MalformedRecord),
         (lambda d: dict(d, digest="zz"), MalformedRecord),
+        (lambda d: dict(d, digest=" ".join(d["digest"][i : i + 2] for i in range(0, 64, 2))),
+         LengthMismatch),
         (lambda d: dict(d, offset=d["offset"][:2]), LengthMismatch),
     ],
-    ids=["missing_key", "extra_key", "list", "float_q", "bool_m", "bad_digest", "short_offset"],
+    ids=["missing_key", "extra_key", "list", "float_q", "bool_m", "bad_digest", "spaced_digest",
+         "short_offset"],
 )
 def test_from_dict_rejects_malformed_records(mutate, error):
     com = commit(make_code(), BASIS8, random.Random(12))

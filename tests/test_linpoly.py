@@ -2,6 +2,7 @@
 interpolation, and induced-map ranks."""
 
 import random
+import struct
 
 import pytest
 
@@ -109,6 +110,7 @@ def test_evaluate_all_matches_pointwise():
             assert len(table) == field.order
             for a in range(field.order):
                 assert table[a] == p(a)
+            assert p.image_lanes() == struct.pack(f"<{field.order}I", *table)
 
 
 def test_zero_polynomial_evaluates_to_zero():

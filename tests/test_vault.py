@@ -2,6 +2,7 @@
 
 import json
 import random
+import struct
 
 import pytest
 
@@ -21,6 +22,7 @@ from rankfuzz.errors import (
 from rankfuzz.fields import ext_field
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import (
+    _TABLE_GUARD,
     FeatureSet,
     VaultParams,
     _randbelow_many,
@@ -208,6 +210,11 @@ def test_vault_dict_totality_enforced():
         vault_from_dict(d2)
 
 
+def _spaced(digest):
+    # 32 space-separated byte pairs, which bytes.fromhex alone accepts
+    return " ".join(digest[i : i + 2] for i in range(0, len(digest), 2))
+
+
 def _with_entry(d, i, entry):
     points = list(d["points"])
     points[i] = entry
@@ -222,6 +229,7 @@ def _with_entry(d, i, entry):
         (lambda d: dict(d, ell=2.0), MalformedRecord),
         (lambda d: dict(d, points=[p[:1] for p in d["points"]]), MalformedRecord),
         (lambda d: dict(d, key_digest="zz"), MalformedRecord),
+        (lambda d: dict(d, key_digest=_spaced(d["key_digest"])), LengthMismatch),
         (lambda d: _with_entry(d, 5, d["points"][5] + ["00" * 8]), MalformedRecord),
         (lambda d: _with_entry(d, 5, ["00" * 7, "00" * 8]), LengthMismatch),
         (lambda d: _with_entry(d, 5, [d["points"][5][0], "02" + "00" * 7]), MismatchedField),
@@ -231,7 +239,7 @@ def _with_entry(d, i, entry):
         (lambda d: _with_entry(d, 5, [" " + d["points"][5][0], "00" * 8]), LengthMismatch),
     ],
     ids=["missing_key", "list", "float_ell", "one_field_entries", "bad_digest",
-         "three_field_entry", "short_name", "digit_ge_q", "not_hex", "int_name",
+         "spaced_digest", "three_field_entry", "short_name", "digit_ge_q", "not_hex", "int_name",
          "repeated_x", "padded_name"],
 )
 def test_vault_dict_rejects_malformed_records(mutate, exc):
@@ -301,5 +309,48 @@ def test_block_draw_matches_randrange(bits):
     count = 70_000 if bits == 20 else 3_000
     for bound in (1 << (bits - 1), (1 << (bits - 1)) + 1, (1 << bits) - 1):
         a, b = random.Random(bound), random.Random(bound)
-        assert _randbelow_many(a, bound, count) == [b.randrange(bound) for _ in range(count)]
+        lanes = _randbelow_many(a, bound, count)
+        assert struct.unpack(f"<{count}I", lanes) == tuple(b.randrange(bound) for _ in range(count))
         assert a.getrandbits(64) == b.getrandbits(64), bound
+
+
+def test_table_guard_keeps_sentinel_exact():
+    # an accepted draw needs a zero top byte to tell it from a 0xFFFFFFFF sentinel
+    assert _TABLE_GUARD <= 1 << 24
+
+
+def _lock_by_definition(params, features, key, rng):
+    """The vault table one element at a time: kappa(x) at a feature and
+    elsewhere a chaff value uniform over everything except kappa(x)."""
+    fld = params.field
+    kappa = LinearizedPoly(fld, params.s, key)
+    table = []
+    for x in fld.elements():
+        kx = kappa(x)
+        if x in features:
+            table.append(kx)
+        else:
+            r = rng.randrange(fld.order - 1)
+            table.append(r + (r >= kx))
+    return tuple(table)
+
+
+# the shapes span rejection rates from none (q = 2) to 39% at (5, 4)
+# and 33% at (7, 3), single blocks and (2, 16)
+@pytest.mark.parametrize(
+    "q, m, n",
+    [(2, 2, 2), (2, 8, 8), (2, 10, 8), (2, 16, 16), (3, 4, 4), (3, 5, 4), (5, 4, 4),
+     (7, 3, 3), (13, 2, 2), (3, 10, 6), (251, 2, 2)],
+)
+def test_lock_matches_definition(q, m, n):
+    fld = ext_field(q, m)
+    for seed in range(3):
+        params = VaultParams(q=q, m=m, n=n, ell=1 + seed % (n - 1))
+        rng = random.Random(f"{q}-{m}-{seed}")
+        feats = sample_feature_set(fld, n, rng)
+        key = fld.random_vector(params.ell, rng)
+        a, b = random.Random(seed), random.Random(seed)
+        v = lock(params, feats, key, a)
+        assert type(v.table) is tuple
+        assert v.table == _lock_by_definition(params, feats.as_set(), key, b)
+        assert a.getrandbits(64) == b.getrandbits(64)

@@ -38,13 +38,7 @@ from .commitment import (
     save_commitment,
     verify as check_witness,
 )
-from .errors import (
-    ClaimViolation,
-    DependentFeatures,
-    DuplicateFeatures,
-    RankfuzzError,
-    save_json,
-)
+from .errors import ClaimViolation, RankfuzzError, save_json
 from .fields import ExtField, ext_field, modulus_string
 from .gabidulin import GabidulinCode
 from .vault import VaultParams, load_vault, lock, save_vault, unlock
@@ -145,14 +139,7 @@ def _cmd_vault_lock(args) -> int:
     fld = params.field
     feats = _read_hex_vector(fld, args.features, args.n)
     key = _read_hex_vector(fld, args.key, args.ell)
-    try:
-        vault = lock(params, feats, key, random.Random(args.seed))
-    except DuplicateFeatures:
-        print("reason: duplicate_features", file=sys.stderr)
-        return 2
-    except DependentFeatures:
-        print("reason: dependent_features", file=sys.stderr)
-        return 2
+    vault = lock(params, feats, key, random.Random(args.seed))
     save_vault(vault, args.out)
     if args.format == "json":
         _print_json({"written": args.out, "points": fld.order, "tolerated_rank": params.t})
@@ -164,15 +151,8 @@ def _cmd_vault_lock(args) -> int:
 def _cmd_vault_unlock(args) -> int:
     vault = load_vault(args.vault)
     fld = vault.params.field
-    try:
-        witness = _read_hex_vector(fld, args.witness, vault.params.n)
-        res = unlock(vault, witness)
-    except DuplicateFeatures:
-        print("reason: duplicate_features", file=sys.stderr)
-        return 2
-    except DependentFeatures:
-        print("reason: dependent_features", file=sys.stderr)
-        return 2
+    witness = _read_hex_vector(fld, args.witness, vault.params.n)
+    res = unlock(vault, witness)
     if not res:
         if args.format == "json":
             _print_json({"ok": False, "reason": "unlock_failure", "detail": res.reason})
@@ -387,7 +367,9 @@ def main(argv=None) -> int:
         print(f"reason: claim_violation ({exc})", file=sys.stderr)
         return 1
     except RankfuzzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a feature-set refusal prints its reason token, as a protocol
+        # outcome does, but exits 2 like every input error
+        print(f"reason: {exc.reason}" if exc.reason else f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,10 +123,9 @@ def verify(code: GabidulinCode, witness, com: Commitment) -> VerifyResult:
     sub = field.sub
     shifted = tuple(sub(x, y) for x, y in zip(b2, com.offset))
     try:
-        message, _ = code.decode(shifted)
+        _, _, recovered = code._decode(shifted)
     except DecodingFailure:
         return VerifyResult(False, "decoding_failure", None)
-    recovered = code.encode(message)
     if not hmac.compare_digest(codeword_digest(field, recovered), com.digest):
         return VerifyResult(False, "digest_mismatch", None)
     return VerifyResult(True, None, recovered)

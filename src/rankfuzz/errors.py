@@ -11,7 +11,14 @@ import json
 
 
 class RankfuzzError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    reason, where a raise site sets it, is the token the command line
+    prints as "reason: <token>" in place of the "error:" line."""
+
+    def __init__(self, *args, reason=None):
+        super().__init__(*args)
+        self.reason = reason
 
 
 class NonPrimeQ(RankfuzzError, ValueError):

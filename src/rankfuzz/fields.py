@@ -16,12 +16,16 @@ and the ext_field() factory returns a shared instance.
 Fields of at most 2**16 elements build discrete log tables on first
 use, and multiply, invert and apply Frobenius by lookup; for odd q and
 m >= 2 they also add, subtract and negate by lookup, through the Zech
-logarithm zech[d] = log(1 + g^d).  Larger fields (up to the supported
-m <= 64) compute in the polynomial basis: for q = 2 by carry-less
+logarithm zech[d] = log(1 + g^d).  The linearized-polynomial core reads
+these tables directly (ExtField._logs), so that a coefficient times a
+Frobenius power is one lookup with no call to mul or frobenius.  At
+q = 2, add and sub are operator.xor.  Larger fields (up to the
+supported m <= 64) have no tables, whose size and build time grow with
+q^m, and compute in the polynomial basis: for q = 2 by carry-less
 shift-and-xor multiplication and an extended Euclid inverse, for odd q
-digit by digit with a Fermat inverse.  There the
-Frobenius a -> a^(q^i) is applied as the F_q-linear map it is, built
-per exponent from the images of the basis on first use.  Arithmetic
+digit by digit with a Fermat inverse.  There the Frobenius
+a -> a^(q^i) is applied as the F_q-linear map it is, built per
+exponent from the images of the basis on first use.  Arithmetic
 methods assume canonical ints and do not re-validate their inputs on
 every call; use check() / check_vector() at API boundaries.
 """
@@ -237,8 +241,7 @@ class ExtField:
                 rem = [(rem[i] + carry * base[i]) % q for i in range(m)]
             self._red.append(list(rem))
         if q == 2:
-            self.add = lambda a, b: a ^ b
-            self.sub = self.add
+            self.add = self.sub = operator.xor
             self.neg = lambda a: a
             # the modulus as a bit pattern, its x^m term included, and the
             # exponents of its lower terms, which x^m folds back onto
@@ -251,9 +254,7 @@ class ExtField:
             self.sub = lambda a, b: (a - b) % q
             self.neg = lambda a: -a % q
         self._mul_poly = self._mul_gf2 if q == 2 else self._mul_basic
-        self._exp = None
-        self._log = None
-        self._frob_exp = None
+        self._logs = None  # (exp, log, n, frob_exp) once the tables exist
         self._normal = None
         if self.order > _TABLE_LIMIT:
             # tables will never exist; skip the lazy check on every call
@@ -476,13 +477,12 @@ class ExtField:
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^i), by lookup: a = g^j maps to g^(j * q^i).  Fields above
         the table limit shadow this method in __init__."""
-        exp = self._exp
-        if exp is None:
+        if self._logs is None:
             self._ensure_tables()
-            exp = self._exp
         if a == 0:
             return 0
-        return exp[self._log[a] * self._frob_exp[i % self.m] % len(exp)]
+        exp, log, n, frob_exp = self._logs
+        return exp[log[a] * frob_exp[i % self.m] % n]
 
     def _frob_map(self, i: int):
         """The F_q-linear map a -> a^(q^i), built from the images of the
@@ -526,7 +526,7 @@ class ExtField:
         )
 
     def _ensure_tables(self):
-        if self._exp is not None or self.order > _TABLE_LIMIT:
+        if self._logs is not None or self.order > _TABLE_LIMIT:
             return
         n = self.order - 1
         primes = _prime_divisors(n)
@@ -542,8 +542,7 @@ class ExtField:
         log = [-1] * self.order
         for i, v in enumerate(exp):
             log[v] = i
-        self._frob_exp = [pow(self.q, i, n) for i in range(self.m)]
-        self._exp, self._log = exp, log
+        self._logs = (exp, log, n, [pow(self.q, i, n) for i in range(self.m)])
 
         def mul(a, b, exp=exp, log=log, n=n):
             if a == 0 or b == 0:

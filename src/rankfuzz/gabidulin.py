@@ -27,7 +27,16 @@ from .errors import (
     TooLarge,
 )
 from .fields import ExtField, _rref_ext, element_rank, ext_field, is_independent, rank_distance
-from .linpoly import LinearizedPoly, _check_twist, _newton, moore_matrix
+from .linpoly import (
+    LinearizedPoly,
+    _check_twist,
+    _compose_raw,
+    _divmod,
+    _newton,
+    _trim,
+    _zip_raw,
+    moore_matrix,
+)
 
 _EXHAUSTIVE_LIMIT = 1 << 20
 
@@ -88,21 +97,26 @@ class GabidulinCode:
         re-encode keeps only a codeword within rank t, and at most one
         lies there.
         """
+        message, err, _ = self._decode(received)
+        return message, err
+
+    def _decode(self, received):
+        """(message, error_rank, codeword): decode() together with the
+        codeword its rank check re-encoded."""
         field = self.field
         received = field.check_vector(received)
         if len(received) != self.n:
             raise LengthMismatch(f"received length {len(received)}, expected {self.n}")
         t, k, s = self.t, self.k, self.s
-        interp, subspace = _newton(field, s, self.points, received)
-        r_prev, r = LinearizedPoly(field, s, subspace), LinearizedPoly(field, s, interp)
-        v_prev, v = LinearizedPoly(field, s), LinearizedPoly.identity(field, s)
+        interp, r_prev = _newton(field, s, self.points, received)
+        r, v_prev, v = _trim(interp), [], [1]
         stop = (self.n + k + 1) // 2
-        while r.degree >= stop:
-            quotient, remainder = r_prev.divmod_right(r)
+        while len(r) > stop:
+            quotient, remainder = _divmod(field, s, r_prev, r, False)
             r_prev, r = r, remainder
-            v_prev, v = v, v_prev - quotient.compose(v, reduce=False)
-        quotient, remainder = r.divmod_left(v)
-        numbers = {"stop_degree": r.degree, "quotient_degree": quotient.degree}
+            v_prev, v = v, _zip_raw(field.sub, v_prev, _compose_raw(field, s, quotient, v))
+        quotient, remainder = LinearizedPoly(field, s, r).divmod_left(LinearizedPoly(field, s, v))
+        numbers = {"stop_degree": len(r) - 1, "quotient_degree": quotient.degree}
         if not remainder.is_zero:
             raise DecodingFailure("remainder not left-divisible", "remainder", **numbers)
         if quotient.degree >= k:
@@ -112,7 +126,7 @@ class GabidulinCode:
         err = rank_distance(field, received, codeword)
         if err > t:
             raise DecodingFailure(f"candidate rank {err} > t={t}", "rank", **numbers, rank=err, t=t)
-        return message, err
+        return message, err, codeword
 
 
 def singleton_bound(q: int, m: int, n: int, d: int) -> int:

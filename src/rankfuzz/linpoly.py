@@ -10,11 +10,22 @@ on the raw ledgers of the skew ring, and reduced() folds a ledger back
 to the canonical representative of the induced map (exponent k becomes
 k mod m, since a^(q^m) = a for every field element).  Evaluation always
 reduces exponents, so f(a) == f.reduced()(a) regardless.
+
+Evaluation, composition, division and Newton interpolation branch once
+per call on whether the field is table-backed (q^m <= 2^16).  There
+they run on discrete logarithms: c * x^(q^(s*i)) is the single lookup
+exp[(log c + log x * q^(s*i)) % (q^m - 1)], written inline, and sums go
+through field.add (xor at q = 2, a Zech-logarithm lookup at odd q).
+Larger fields have no tables, so their branches call field.mul and
+field.frobenius.  The decoder's Euclid loop uses the raw-ledger
+functions below directly, with no LinearizedPoly per step.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import reduce
+from itertools import starmap, zip_longest
 from math import gcd
 
 from .errors import (
@@ -42,6 +53,111 @@ def _check_twist(field: ExtField, s: int) -> int:
     if not isinstance(s, int) or s < 1 or s >= m or gcd(s, m) != 1:
         raise BadTwist(f"s must satisfy 1 <= s < {m} and gcd(s, m) = 1, got {s!r}")
     return s
+
+
+def _logs(field: ExtField):
+    """(exp, log, n, frob_exp) of a table-backed field, its tables built
+    on first use, or None above the table limit.  With n = q^m - 1 a
+    nonzero a is exp[log[a]] and a^(q^i) = exp[log[a] * frob_exp[i] % n];
+    log[0] = -1."""
+    if field._logs is None:
+        field._ensure_tables()
+    return field._logs
+
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _zip_raw(op, a, b) -> list[int]:
+    """op coefficient by coefficient on two ledgers, the shorter padded
+    with zeros, trailing zeros trimmed."""
+    return _trim(list(starmap(op, zip_longest(a, b, fillvalue=0))))
+
+
+def _compose_raw(field: ExtField, s: int, f, g) -> list[int]:
+    """Raw ledger of f o g: coefficient k is the sum over i + j = k of
+    f_i * g_j^(q^(s*i))."""
+    if not f or not g:
+        return []
+    add, m = field.add, field.m
+    out = [0] * (len(f) + len(g) - 1)
+    logs = _logs(field)
+    if logs:
+        exp, log, n, fe = logs
+        lg = [log[x] for x in g]
+        for i, fi in enumerate(f):
+            if fi:
+                lf, t = log[fi], fe[s * i % m]
+                terms = [exp[(lf + lj * t) % n] if lj >= 0 else 0 for lj in lg]
+                out[i : i + len(g)] = map(add, out[i : i + len(g)], terms)
+        return out
+    mul, frob = field.mul, field.frobenius
+    twisted = list(g)
+    for i, fi in enumerate(f):
+        if i:
+            twisted = [frob(x, s) for x in twisted]
+        if fi:
+            for j, gj in enumerate(twisted):
+                if gj:
+                    out[i + j] = add(out[i + j], mul(fi, gj))
+    return out
+
+
+def _divmod(field: ExtField, s: int, f, g, left: bool) -> tuple[list[int], list[int]]:
+    """Trimmed raw ledgers (quotient, remainder) of f by the nonzero g,
+    with f = quotient o g + remainder (left=False) or f = g o quotient +
+    remainder (left=True), and remainder of lower degree than g.  Each
+    step cancels the leading coefficient of the remainder exactly and
+    pops it."""
+    m, sub = field.m, field.sub
+    dg = len(g) - 1
+    r = list(f)
+    qq = [0] * max(len(r) - dg, 0)
+    logs = _logs(field)
+    if logs:
+        exp, log, n, fe = logs
+        # the leading term cancels exactly, so only g_0..g_(dg-1) are applied
+        lg = [log[x] for x in g[:dg]]
+        lead = log[g[-1]]
+        tw = [fe[s * j % m] for j in range(dg)]
+        back = fe[-s * dg % m]
+        while len(r) > dg:
+            top = r.pop()
+            if not top:
+                continue
+            c = len(r) - dg
+            if left:
+                # leading term of g o (qc x^[s c]) is g_dg * qc^(q^(s*dg))
+                lqc = (log[top] - lead) * back % n
+                terms = [exp[(lj + lqc * t) % n] if lj >= 0 else 0 for lj, t in zip(lg, tw)]
+            else:
+                # leading term of (qc x^[s c]) o g is qc * g_dg^(q^(s*c))
+                t = fe[s * c % m]
+                lqc = (log[top] - lead * t) % n
+                terms = [exp[(lqc + lj * t) % n] if lj >= 0 else 0 for lj in lg]
+            r[c:] = map(sub, r[c:], terms)
+            qq[c] = exp[lqc]
+        return _trim(qq), _trim(r)
+    mul, inv, frob = field.mul, field.inv, field.frobenius
+    ige = inv(g[-1])
+    while len(r) > dg:
+        top = r.pop()
+        if not top:
+            continue
+        c = len(r) - dg
+        if left:
+            qc = frob(mul(top, ige), -s * dg % m)
+            terms = [mul(gj, frob(qc, s * j % m)) if gj else 0 for j, gj in enumerate(g[:dg])]
+        else:
+            e = s * c % m
+            qc = mul(top, frob(ige, e))
+            terms = [mul(qc, frob(gj, e)) if gj else 0 for gj in g[:dg]]
+        r[c:] = map(sub, r[c:], terms)
+        qq[c] = qc
+    return _trim(qq), _trim(r)
 
 
 class LinearizedPoly:
@@ -109,8 +225,16 @@ class LinearizedPoly:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, a: int) -> int:
-        field = self.field
-        add, mul, frob, s = field.add, field.mul, field.frobenius, self.s
+        field, s = self.field, self.s
+        logs = _logs(field)
+        if logs:
+            if not a:
+                return 0
+            exp, log, n, fe = logs
+            la, m, cs = log[a], field.m, self.coeffs
+            terms = [exp[(log[c] + la * fe[s * i % m]) % n] for i, c in enumerate(cs) if c]
+            return reduce(field.add, terms, 0)
+        add, mul, frob = field.add, field.mul, field.frobenius
         acc = 0
         power = a
         for i, c in enumerate(self.coeffs):
@@ -162,14 +286,8 @@ class LinearizedPoly:
 
     def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         self._check_pair(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.field.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return LinearizedPoly(self.field, self.s, out)
+        coeffs = _zip_raw(self.field.add, self.coeffs, other.coeffs)
+        return LinearizedPoly(self.field, self.s, coeffs)
 
     def __neg__(self) -> "LinearizedPoly":
         neg = self.field.neg
@@ -177,7 +295,8 @@ class LinearizedPoly:
 
     def __sub__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         self._check_pair(other)
-        return self + (-other)
+        coeffs = _zip_raw(self.field.sub, self.coeffs, other.coeffs)
+        return LinearizedPoly(self.field, self.s, coeffs)
 
     def scale(self, c: int) -> "LinearizedPoly":
         c = self.field.check(c)
@@ -198,25 +317,6 @@ class LinearizedPoly:
 
     # -- ring structure -----------------------------------------------------
 
-    def _compose_raw(self, other: "LinearizedPoly") -> list[int]:
-        # coefficient k of self o other is sum over i+j=k of
-        # self_i * other_j^(q^(s*i))
-        field, s = self.field, self.s
-        f, g = self.coeffs, other.coeffs
-        if not f or not g:
-            return []
-        add, mul, frob = field.add, field.mul, field.frobenius
-        out = [0] * (len(f) + len(g) - 1)
-        twisted = list(g)
-        for i, fi in enumerate(f):
-            if i:
-                twisted = [frob(x, s) for x in twisted]
-            if fi:
-                for j, gj in enumerate(twisted):
-                    if gj:
-                        out[i + j] = add(out[i + j], mul(fi, gj))
-        return out
-
     def compose(self, other: "LinearizedPoly", reduce: bool = True) -> "LinearizedPoly":
         """self o other, i.e. the map a |-> self(other(a)).
 
@@ -224,7 +324,8 @@ class LinearizedPoly:
         reduce=False keeps the raw skew-ring product.
         """
         self._check_pair(other)
-        out = LinearizedPoly(self.field, self.s, self._compose_raw(other))
+        raw = _compose_raw(self.field, self.s, self.coeffs, other.coeffs)
+        out = LinearizedPoly(self.field, self.s, raw)
         return out.reduced() if reduce else out
 
     def divmod_right(self, g: "LinearizedPoly"):
@@ -240,36 +341,9 @@ class LinearizedPoly:
         self._check_pair(g)
         if g.is_zero:
             raise DivisionByZeroPoly("division by the zero polynomial")
-        field, s, m = self.field, self.s, self.field.m
-        add, sub, mul, inv, frob = field.add, field.sub, field.mul, field.inv, field.frobenius
-        dg = g.degree
-        ige = inv(g.coeffs[-1])
-        r = list(self.coeffs)
-        qq = [0] * max(len(r) - dg, 0)
-        while len(r) - 1 >= dg:
-            if r[-1] == 0:
-                r.pop()
-                continue
-            c = len(r) - 1 - dg
-            if left:
-                # leading term of g o (qc x^[s c]) is g_dg * qc^(q^(s*dg))
-                qc = frob(mul(r[-1], ige), (-s * dg) % m)
-                for j, gj in enumerate(g.coeffs):
-                    if gj:
-                        r[c + j] = sub(r[c + j], mul(gj, frob(qc, (s * j) % m)))
-            else:
-                # leading term of (qc x^[s c]) o g is qc * g_dg^(q^(s*c))
-                e = (s * c) % m
-                qc = mul(r[-1], frob(ige, e))
-                for j, gj in enumerate(g.coeffs):
-                    if gj:
-                        r[c + j] = sub(r[c + j], mul(qc, frob(gj, e)))
-            qq[c] = add(qq[c], qc)
-            r.pop()  # leading coefficient cancelled exactly
-        return (
-            LinearizedPoly(field, s, qq),
-            LinearizedPoly(field, s, r),
-        )
+        field, s = self.field, self.s
+        quotient, remainder = _divmod(field, s, self.coeffs, g.coeffs, left)
+        return LinearizedPoly(field, s, quotient), LinearizedPoly(field, s, remainder)
 
     # -- rank ---------------------------------------------------------------
 
@@ -311,10 +385,36 @@ def _newton(field: ExtField, s: int, xs, ys) -> tuple[list[int], list[int]]:
     the next point adds (y - P(x)) / M(x) times M to P and composes
     x^[s] - M(x)^(q^s - 1) x onto M.  A point in the span of the earlier
     ones is a root of M, so M(x) = 0 is exactly a dependent point."""
-    add, sub, mul, inv, frob = field.add, field.sub, field.mul, field.inv, field.frobenius
+    add, sub = field.add, field.sub
     sm = s % field.m
     p: list[int] = []
     mm = [1]
+    logs = _logs(field)
+    if logs:
+        exp, log, n, fe = logs
+        fs = fe[sm]
+        # tw[j] = q^(s*j) mod n: x^(q^(s*j)) = exp[log[x] * tw[j] % n]
+        tw = [fe[sm * j % field.m] for j in range(len(xs) + 1)]
+        for x, y in zip(xs, ys):
+            lx = log[x]
+            c = reduce(add, [exp[(log[mj] + lx * t) % n] for mj, t in zip(mm, tw) if mj], 0)
+            if c == 0 or x == 0:  # zero has no log, so c means nothing there
+                raise DependentPoints("interpolation points are dependent over F_q")
+            px = reduce(add, [exp[(log[pj] + lx * t) % n] for pj, t in zip(p, tw) if pj], 0)
+            lc = log[c]
+            d = sub(y, px)
+            if d:
+                ld = log[d] - lc
+                p = [add(pj, exp[(ld + log[mj]) % n]) if mj else pj for pj, mj in zip(p + [0], mm)]
+            else:
+                p.append(0)
+            la = lc * (fs - 1)  # c^(q^s - 1)
+            mm = [
+                sub(exp[log[u] * fs % n] if u else 0, exp[(la + log[v]) % n] if v else 0)
+                for u, v in zip([0] + mm, mm + [0])
+            ]
+        return p, mm
+    mul, inv, frob = field.mul, field.inv, field.frobenius
     for x, y in zip(xs, ys):
         powers = [x]
         for _ in p:

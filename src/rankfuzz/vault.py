@@ -95,9 +95,13 @@ class FeatureSet:
     def __init__(self, field: ExtField, elems):
         elems = field.check_vector(elems)
         if len(set(elems)) != len(elems):
-            raise DuplicateFeatures("feature elements must be distinct")
+            raise DuplicateFeatures(
+                "feature elements must be distinct", reason="duplicate_features"
+            )
         if not is_independent(field, elems):
-            raise DependentFeatures("feature elements must be independent over F_q")
+            raise DependentFeatures(
+                "feature elements must be independent over F_q", reason="dependent_features"
+            )
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "elems", elems)
 

@@ -246,6 +246,45 @@ def test_vault_lock_rejects_bad_features(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_vault_feature_refusals_print_one_reason_line(locked, tmp_path, capsys):
+    """A duplicate or dependent feature set prints only its reason line
+    and exits 2, at lock and at unlock; a vault file that lists an
+    element twice is malformed input and prints an error: line."""
+    _, key, vault = locked
+    refusals = {
+        "duplicate_features": [1, 1, 2, 4, 8, 16, 32, 64],
+        "dependent_features": [1, 2, 3, 8, 16, 32, 64, 128],
+    }
+    for reason, feats in refusals.items():
+        path = tmp_path / f"{reason}.hex"
+        write_vec(F256, path, feats)
+        out = tmp_path / "v2.json"
+        rc = main([
+            "vault", "lock", "--q", "2", "--m", "8", "--n", "8", "--ell", "2",
+            "--features", str(path), "--key", str(key), "--out", str(out),
+        ])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr() == ("", f"reason: {reason}\n")
+        rc = main([
+            "vault", "unlock", "--vault", str(vault), "--witness", str(path),
+            "--key-out", str(tmp_path / "r.hex"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"reason: {reason}\n")
+    record = json.loads(vault.read_text(encoding="ascii"))
+    record["points"][5] = [record["points"][4][0], "00" * 8]
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps(record), encoding="ascii")
+    rc = main([
+        "vault", "unlock", "--vault", str(repeated), "--witness", str(tmp_path / "r.hex"),
+        "--key-out", str(tmp_path / "r2.hex"),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: table lists {record['points'][4][0]} twice\n"
+
+
 def test_vault_lock_is_seed_deterministic(tmp_path, capsys):
     feats = tmp_path / "f.hex"
     key = tmp_path / "k.hex"

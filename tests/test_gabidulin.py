@@ -1,6 +1,8 @@
 """Evaluation codes in the rank metric: bounds, encoding, decoding."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -345,3 +347,53 @@ def test_decoding_failure_names_its_check():
             if exc.check == "rank":
                 assert exc.rank > exc.t == code.t
     assert failures > 150
+
+
+# (q, m, n, k, s) -> SHA-256 of the decode outcomes on seeded words at
+# ranks 0..t+2, pinned from the dense-call decoder so that a change to
+# the arithmetic kernels cannot move any outcome unnoticed
+GOLDEN_DECODES = {
+    (2, 8, 7, 2, 1): (
+        "43c5ecc3992b54ca0736f02871484add"
+        "87fe65f267633aba810bc419896e99c6"
+    ),
+    (2, 16, 16, 6, 3): (
+        "3f475eb0ecfd6c13d965d0a5b1996172"
+        "3fde48e67f507215f195f5690dc47f41"
+    ),
+    (3, 5, 5, 1, 2): (
+        "cd95970e8fa79899521fbad156e60fa8"
+        "fc396b015de2065c96d4df0efdba7632"
+    ),
+    (5, 4, 4, 2, 1): (
+        "9d5f047e6f9f8883809b33bd7a8da897"
+        "5faa89bc541f1c22ce862e79202182ef"
+    ),
+}
+
+
+def decode_outcomes_digest(q, m, n, k, s, words_per_rank=25):
+    field = ext_field(q, m)
+    rng = random.Random(f"golden-decode:{q}:{m}:{n}:{k}:{s}")
+    while True:
+        pts = field.random_vector(n, rng)
+        if element_rank(field, list(pts)) == n:
+            break
+    code = GabidulinCode(field, n, k, s, pts)
+    outcomes = []
+    for rank in range(code.t + 3):
+        for _ in range(words_per_rank):
+            err = random_rank_error(field, n, rank, rng)
+            word = add_vec(field, code.encode(field.random_vector(k, rng)), err)
+            try:
+                message, got = code.decode(word)
+            except DecodingFailure as exc:
+                outcomes.append([exc.check, exc.stop_degree, exc.quotient_degree, exc.rank, exc.t])
+            else:
+                outcomes.append(["ok", list(message), got])
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_DECODES))
+def test_decode_outcomes_match_golden_digest(shape):
+    assert decode_outcomes_digest(*shape) == GOLDEN_DECODES[shape]

@@ -391,6 +391,95 @@ def test_newton_interpolation_rejects_dependent_points(field, s):
 
 
 # ---------------------------------------------------------------------------
+# Evaluation, composition, division and Newton interpolation against
+# references written from the definitions, with pointwise field.mul and
+# field.frobenius.  Table-backed fields run the log form; (2,17) and
+# (3,11) lie above the table limit and run the call-based branches.
+
+LOG_FORM_CASES = [
+    pytest.param(ext_field(q, m), s, id=f"q{q}-m{m}-s{s}")
+    for q, m, twists in [
+        (2, 1, (1,)),
+        (2, 4, (1, 3)),
+        (2, 8, (1, 3, 5, 7)),
+        (2, 16, (1, 3)),
+        (3, 4, (1, 3)),
+        (3, 5, (2,)),
+        (5, 4, (1,)),
+        (7, 3, (1,)),
+        (2, 17, (1, 3)),
+        (3, 11, (2,)),
+    ]
+    for s in twists
+]
+
+
+def ref_eval(field, s, coeffs, a):
+    acc = 0
+    for i, c in enumerate(coeffs):
+        acc = field.add(acc, field.mul(c, field.frobenius(a, s * i)))
+    return acc
+
+
+def ref_compose(field, s, f, g):
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] = field.add(out[i + j], field.mul(fi, field.frobenius(gj, s * i)))
+    return LinearizedPoly(field, s, out)
+
+
+def sparse_ledger(field, length, rng):
+    """A ledger of the given length, about a third of it zeros."""
+    return [field.random_element(rng) if rng.randrange(3) else 0 for _ in range(length)]
+
+
+@pytest.mark.parametrize("field,s", LOG_FORM_CASES)
+def test_log_form_matches_pointwise_reference(field, s):
+    rng = random.Random(f"log-form:{field.q}:{field.m}:{s}")
+    m = field.m
+    for _ in range(12):
+        f = LinearizedPoly(field, s, sparse_ledger(field, rng.randrange(2 * m + 3), rng))
+        g = LinearizedPoly(field, s, sparse_ledger(field, rng.randrange(1, m + 3), rng))
+        for a in [0, 1, *field.random_vector(3, rng)]:
+            assert f(a) == ref_eval(field, s, f.coeffs, a)
+        assert f.compose(g, reduce=False) == ref_compose(field, s, f.coeffs, g.coeffs)
+        if g.is_zero:
+            continue
+        quotient, remainder = f.divmod_right(g)
+        assert remainder.degree < g.degree
+        assert ref_compose(field, s, quotient.coeffs, g.coeffs) + remainder == f
+        quotient, remainder = f.divmod_left(g)
+        assert remainder.degree < g.degree
+        assert ref_compose(field, s, g.coeffs, quotient.coeffs) + remainder == f
+
+
+@pytest.mark.parametrize("field,s", LOG_FORM_CASES)
+def test_newton_log_form_matches_pointwise_reference(field, s):
+    """P of degree < n through n independent points, and the monic M of
+    degree n vanishing on them, are unique, so the defining equations
+    pin both outputs of _newton.  Values from a ledger shorter than n
+    make the Newton step add zero at the later points."""
+    rng = random.Random(f"newton-log-form:{field.q}:{field.m}:{s}")
+    for n in range(1, field.m + 1):
+        while True:
+            xs = field.random_vector(n, rng)
+            if element_rank(field, xs) == n:
+                break
+        short = sparse_ledger(field, rng.randrange(n + 1), rng)
+        for ys in (sparse_ledger(field, n, rng), [ref_eval(field, s, short, x) for x in xs]):
+            p, mm = _newton(field, s, xs, ys)
+            assert len(p) == n and len(mm) == n + 1 and mm[-1] == 1
+            assert [ref_eval(field, s, p, x) for x in xs] == list(ys)
+            assert [ref_eval(field, s, mm, x) for x in xs] == [0] * n
+    # a zero point, and a point in the span of the earlier ones
+    a, b = xs[0], xs[-1]
+    for dependent in ([0], [a, 0], [a, b, field.add(a, b)][: field.m + 1]):
+        with pytest.raises(DependentPoints):
+            _newton(field, s, dependent, [1] * len(dependent))
+
+
+# ---------------------------------------------------------------------------
 # Induced-map rank.
 
 

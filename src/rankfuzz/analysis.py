@@ -50,11 +50,10 @@ from .fields import (
     kernel_ext,
     _rref_ext,
 )
-from .gabidulin import GabidulinCode, random_rank_error
+from .gabidulin import _MAX_TRIES, GabidulinCode, random_rank_error
 from .linpoly import LinearizedPoly, interpolate
 from .vault import FeatureSet, Vault, VaultParams, _as_feature_set, lock
 
-_MAX_TRIES = 10**4
 _EXHAUSTIVE_ORDER = 1 << 12
 _EXHAUSTIVE_SUBSETS = 10**6
 
@@ -347,9 +346,8 @@ class TrialReport:
             return None
         if self.mode == "exhaustive":
             return "exact_match" if self.exact_estimate == self.formula else "failed"
-        p = float(self.formula)
-        se = math.sqrt(p * (1.0 - p) / self.trials)
-        diff = abs(self.estimate - p)
+        se = self.standard_error
+        diff = abs(self.estimate - float(self.formula))
         if se == 0.0:
             return "within_3sigma" if diff == 0.0 else "failed"
         if diff <= 3.0 * se:
@@ -408,10 +406,10 @@ def merge_reports(*reports: TrialReport) -> TrialReport:
     )
 
 
-def trend_holds(points, slack: float = 2.0) -> bool:
+def trend_holds(points) -> bool:
     """True when failure rates are non-increasing along the points.
 
-    One inversion is tolerated if its gap stays within slack times the
+    One inversion is tolerated if its gap stays within twice the
     combined sampling error of the two estimates involved.
     """
     fails = [1.0 - r.estimate for r in points]
@@ -425,7 +423,7 @@ def trend_holds(points, slack: float = 2.0) -> bool:
             continue
         gap = fails[i + 1] - fails[i]
         sigma = math.hypot(ses[i], ses[i + 1])
-        if gap > slack * sigma:
+        if gap > 2.0 * sigma:
             return False
         forgiven += 1
         if forgiven > 1:
@@ -547,20 +545,18 @@ def load_report(path):
 # Samplers.
 
 
-def sample_feature_set(field: ExtField, n: int, rng, max_tries: int = _MAX_TRIES) -> FeatureSet:
+def sample_feature_set(field: ExtField, n: int, rng) -> FeatureSet:
     """Uniform independent n-subset of the field, by rejection."""
     if not 1 <= n <= field.m:
         raise BadDimensions(f"need 1 <= n <= m, got n={n}")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         subset = rng.sample(range(field.order), n)
         if element_rank(field, subset) == n:
             return FeatureSet(field, tuple(subset))
     raise InfeasibleShape("no independent subset found within the retry budget")
 
 
-def sample_witness_overlap(
-    field: ExtField, features: FeatureSet, u: int, rng, max_tries: int = _MAX_TRIES
-) -> FeatureSet:
+def sample_witness_overlap(field: ExtField, features: FeatureSet, u: int, rng) -> FeatureSet:
     """Independent witness sharing exactly u elements with the features."""
     n = len(features)
     if not 0 <= u <= n:
@@ -570,7 +566,7 @@ def sample_witness_overlap(
     tries = 0
     while len(chosen) < n:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise InfeasibleShape("witness retry budget exhausted")
         x = field.random_element(rng)
         if x in taken or x in chosen:
@@ -580,14 +576,7 @@ def sample_witness_overlap(
     return FeatureSet(field, tuple(chosen))
 
 
-def sample_witness_shaped(
-    field: ExtField,
-    features: FeatureSet,
-    u: int,
-    v: int,
-    rng,
-    max_tries: int = _MAX_TRIES,
-) -> FeatureSet:
+def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int, rng) -> FeatureSet:
     """Witness with set overlap exactly u and span overlap exactly v.
 
     Built in three blocks: n - v elements independent over the whole
@@ -609,7 +598,7 @@ def sample_witness_shaped(
     in_span: list = []
     while len(in_span) < v - u:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise InfeasibleShape("witness retry budget exhausted")
         x = fq_combination(field, [rng.randrange(field.q) for _ in range(n)], feats)
         if x in taken or x in in_span:
@@ -619,7 +608,7 @@ def sample_witness_shaped(
     outside: list = []
     while len(outside) < n - v:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise InfeasibleShape("witness retry budget exhausted")
         x = field.random_element(rng)
         if element_rank(field, feats + outside + [x]) == n + len(outside) + 1:
@@ -643,12 +632,12 @@ def mc_independence(
     trials: int = 10**4,
     seed: int = 0,
     start: int = 0,
-    exhaustive=None,
 ) -> TrialReport:
     """Rate at which uniform n-subsets of F_{q^m} are F_q-independent.
 
-    Small instances are enumerated completely instead of sampled, which
-    turns the statistical comparison into an exact rational identity.
+    Small instances (q^m <= 4096 and at most 10^6 subsets) are enumerated
+    completely instead of sampled, which turns the statistical comparison
+    into an exact rational identity.
     """
     fld = ext_field(q, m)
     if not 1 <= n <= m:
@@ -656,12 +645,7 @@ def mc_independence(
     _check_trials(trials)
     formula = independence_probability(q, m, n)
     params = {"q": q, "m": m, "n": n}
-    if exhaustive is None:
-        exhaustive = (
-            fld.order <= _EXHAUSTIVE_ORDER
-            and math.comb(fld.order, n) <= _EXHAUSTIVE_SUBSETS
-        )
-    if exhaustive:
+    if fld.order <= _EXHAUSTIVE_ORDER and math.comb(fld.order, n) <= _EXHAUSTIVE_SUBSETS:
         total = 0
         succ = 0
         for subset in combinations(range(fld.order), n):
@@ -763,7 +747,11 @@ def mc_subspace_tightness(
         d_delta = set_difference(feats, wit)
         d_s = subspace_distance(fld, feats.elems, wit.elems)
         inter = subspace_intersection(fld, feats.elems, wit.elems)
-        assert len(inter) == v, "sampled witness has the wrong span overlap"
+        if len(inter) != v:
+            raise ClaimViolation(
+                f"sampled witness has span overlap {len(inter)}, not v "
+                f"(q={q} m={m} n={n} u={u} v={v} seed={seed} trial={start + i})"
+            )
         r_int = restricted_rank(fld, diff, inter)
         chain_ok = d_s <= 2 * d_r <= d_s + 2 * r_int <= d_delta
         if not chain_ok:
@@ -901,6 +889,17 @@ def mc_decode_roundtrip(
     )
 
 
+def _sweep_values(values, point_params) -> list:
+    """The sweep's values as a list, refused before any campaign runs if
+    there are fewer than two or point_params rejects one of them."""
+    values = list(values)
+    if len(values) < 2:
+        raise BadRange("a sweep needs at least two points")
+    for v in values:
+        point_params(v)
+    return values
+
+
 def sweep_basic_tightness(
     q_values,
     n: int,
@@ -911,7 +910,7 @@ def sweep_basic_tightness(
     distribution: str = "uniform_u",
 ) -> SweepReport:
     """Failure-rate trend of the basic scheme as the field grows."""
-    q_values = list(q_values)
+    q_values = _sweep_values(q_values, lambda q: VaultParams(q=q, m=n, n=n, ell=ell, s=s))
     points = tuple(
         mc_scheme_tightness("basic", q, n, n, ell, s, trials, seed, distribution)
         for q in q_values
@@ -935,7 +934,7 @@ def sweep_generalized_tightness(
     distribution: str = "uniform_u",
 ) -> SweepReport:
     """Failure-rate trend of the generalized scheme as the extension grows."""
-    m_values = list(m_values)
+    m_values = _sweep_values(m_values, lambda m: VaultParams(q=q, m=m, n=n, ell=ell, s=s))
     points = tuple(
         mc_scheme_tightness("generalized", q, m, n, ell, s, trials, seed, distribution)
         for m in m_values

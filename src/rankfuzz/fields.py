@@ -226,8 +226,7 @@ class ExtField:
         self.m = m
         self.order = q**m
         self.modulus = canonical_modulus(q, m)
-        self._qpow = [q**i for i in range(m + 1)]
-        self._qpow_m = self._qpow[:m]
+        self._qpow_m = [q**i for i in range(m)]
         # reductions of x^(m+j) for j = 0..m-2, as digit lists
         self._red = []
         rem = [(-c) % q for c in self.modulus[:m]]  # x^m = -(low part)
@@ -288,30 +287,11 @@ class ExtField:
             out.append(r)
         return tuple(out)
 
-    def from_digits(self, ds) -> int:
-        ds = list(ds)
-        if len(ds) != self.m:
-            raise LengthMismatch(f"need {self.m} digits, got {len(ds)}")
-        v = 0
-        for i, d in enumerate(ds):
-            if not 0 <= d < self.q:
-                raise MismatchedField(f"digit {d!r} out of range for q={self.q}")
-            v += d * self._qpow[i]
-        return v
-
     def to_bytes(self, a: int) -> bytes:
         return bytes(self.digits(a))
 
-    def from_bytes(self, data: bytes) -> int:
-        if len(data) != self.m:
-            raise LengthMismatch(f"need {self.m} bytes, got {len(data)}")
-        return self.vec_from_bytes(data)[0]
-
     def to_hex(self, a: int) -> str:
         return self.to_bytes(a).hex()
-
-    def from_hex(self, text: str) -> int:
-        return self.vec_from_hex([text])[0]
 
     def vec_to_bytes(self, vec) -> bytes:
         return b"".join(self.to_bytes(a) for a in vec)
@@ -403,10 +383,7 @@ class ExtField:
                 red = self._red[j]
                 for i in range(m):
                     low[i] = (low[i] + c * red[i]) % q
-        v = 0
-        for i, d in enumerate(low):
-            v += d * self._qpow[i]
-        return v
+        return sum(map(operator.mul, low, self._qpow_m))
 
     def _mul_gf2(self, a: int, b: int) -> int:
         """Product for q = 2: carry-less shift-and-xor over 4-bit windows of
@@ -554,16 +531,8 @@ class ExtField:
                 raise DivisionByZero("zero has no inverse")
             return exp[(n - log[a]) % n]
 
-        def pow_(a, e, exp=exp, log=log, n=n):
-            if a == 0:
-                if e < 0:
-                    raise DivisionByZero("zero has no inverse")
-                return 0 if e else 1
-            return exp[(log[a] * e) % n]
-
         self.mul = mul
         self.inv = inv
-        self.pow_ = pow_
         if self.q == 2 or self.m == 1:
             return
         # Zech logarithms: 1 + g^d = g^zech[d], or zech[d] = -1 where the

@@ -39,6 +39,7 @@ from .linpoly import (
 )
 
 _EXHAUSTIVE_LIMIT = 1 << 20
+_MAX_TRIES = 10**4  # rejection-sampling budget, shared with analysis
 
 
 class GabidulinCode:
@@ -155,7 +156,7 @@ def min_distance_exhaustive(code: GabidulinCode) -> int:
     return best
 
 
-def random_rank_error(field: ExtField, n: int, rank: int, rng, max_tries: int = 10**4):
+def random_rank_error(field: ExtField, n: int, rank: int, rng):
     """Length-n vector whose coordinate matrix has the exact given rank:
     sum of rank many products a_j * row_j with independent a_j in F_{q^m}
     and independent row_j in F_q^n."""
@@ -167,7 +168,7 @@ def random_rank_error(field: ExtField, n: int, rank: int, rng, max_tries: int = 
     scalars: list[int] = []
     while len(scalars) < rank:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise InfeasibleShape("could not sample independent multipliers")
         c = field.random_element(rng)
         if element_rank(field, scalars + [c]) == len(scalars) + 1:
@@ -178,7 +179,7 @@ def random_rank_error(field: ExtField, n: int, rank: int, rng, max_tries: int = 
     rows: list[list[int]] = []
     while len(rows) < rank:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise InfeasibleShape("could not sample independent support rows")
         r = [rng.randrange(field.q) for _ in range(n)]
         if len(_rref_ext(fq, rows + [r])[1]) == len(rows) + 1:

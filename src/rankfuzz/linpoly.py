@@ -32,14 +32,13 @@ from .errors import (
     BadDimensions,
     BadTwist,
     DependentPoints,
-    DependentRestriction,
     DivisionByZeroPoly,
     LengthMismatch,
     MismatchedField,
     TooLarge,
     TwistMismatch,
 )
-from .fields import ExtField, element_rank, is_independent
+from .fields import ExtField, element_rank
 
 _EVAL_ALL_LIMIT = 1 << 20
 
@@ -168,17 +167,14 @@ class LinearizedPoly:
     def __init__(self, field: ExtField, s: int, coeffs=()):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "s", _check_twist(field, s))
-        cs = [field.check(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim([field.check(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearizedPoly is immutable")
 
     @classmethod
-    def monomial(cls, field: ExtField, s: int, i: int, c: int = 1) -> "LinearizedPoly":
-        return cls(field, s, (0,) * i + (c,))
+    def monomial(cls, field: ExtField, s: int, i: int) -> "LinearizedPoly":
+        return cls(field, s, (0,) * i + (1,))
 
     @classmethod
     def identity(cls, field: ExtField, s: int) -> "LinearizedPoly":
@@ -211,10 +207,6 @@ class LinearizedPoly:
             return f"LinearizedPoly(s={self.s}, 0)"
         terms = ", ".join(f"({i}, {self.field.to_hex(c)})" for i, c in enumerate(self.coeffs) if c)
         return f"LinearizedPoly(s={self.s}, [{terms}])"
-
-    def pairs_hex(self) -> list[tuple[int, str]]:
-        """Nonzero coefficients as (index, hex) pairs, ascending index."""
-        return [(i, self.field.to_hex(c)) for i, c in enumerate(self.coeffs) if c]
 
     def _check_pair(self, other: "LinearizedPoly"):
         if not isinstance(other, LinearizedPoly) or other.field is not self.field:
@@ -298,11 +290,6 @@ class LinearizedPoly:
         coeffs = _zip_raw(self.field.sub, self.coeffs, other.coeffs)
         return LinearizedPoly(self.field, self.s, coeffs)
 
-    def scale(self, c: int) -> "LinearizedPoly":
-        c = self.field.check(c)
-        mul = self.field.mul
-        return LinearizedPoly(self.field, self.s, [mul(c, x) for x in self.coeffs])
-
     def reduced(self) -> "LinearizedPoly":
         """Canonical representative of the induced map: exponent ledger
         folded mod m."""
@@ -347,18 +334,9 @@ class LinearizedPoly:
 
     # -- rank ---------------------------------------------------------------
 
-    def map_rank(self, restriction=None) -> int:
-        """Rank over F_q of the induced linear map, optionally restricted
-        to the span of the given independent elements."""
-        field = self.field
-        if restriction is None:
-            basis = list(field._qpow_m)
-        else:
-            basis = [field.check(b) for b in restriction]
-            if not is_independent(field, basis):
-                raise DependentRestriction("restriction basis is dependent")
-        images = [self(b) for b in basis]
-        return element_rank(field, images)
+    def map_rank(self) -> int:
+        """Rank over F_q of the induced linear map."""
+        return element_rank(self.field, map(self, self.field._qpow_m))
 
 
 def moore_matrix(field: ExtField, s: int, k: int, points) -> list[list[int]]:

@@ -137,12 +137,8 @@ class UnlockResult:
     key: tuple[int, ...] | None
     reason: str | None
 
-    @property
-    def ok(self) -> bool:
-        return self.key is not None
-
     def __bool__(self):
-        return self.ok
+        return self.key is not None
 
 
 def _as_feature_set(field: ExtField, features) -> FeatureSet:

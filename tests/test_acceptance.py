@@ -7,6 +7,7 @@ and 3-sigma bands around the exact product formulas; structural checks
 zero failures outright.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -224,24 +225,46 @@ def test_criterion_09_algebra_suite_zero_failures():
         assert fld.frobenius(fld.mul(x, y), k) == fld.mul(fx, fy)
 
 
+_SIMULATE_RUNS = [
+    ["simulate", "lemma2", "--q", "2", "--m", "8", "--n", "4", "--trials", "300"],
+    ["simulate", "prop2", "--q", "2", "--n", "4", "--u", "2", "--ell", "1",
+     "--trials", "200"],
+    ["simulate", "prop4", "--q", "2", "--m", "6", "--n", "3", "--u", "1",
+     "--v", "2", "--ell", "1", "--trials", "150"],
+    ["simulate", "thm3", "--n", "3", "--ell", "1", "--q-sweep", "2,3",
+     "--trials", "150"],
+    ["simulate", "thm5", "--q", "2", "--m-sweep", "4,5", "--n", "3",
+     "--ell", "1", "--trials", "150"],
+    ["simulate", "roundtrip", "--q", "2", "--m", "6", "--n", "6", "--k", "2",
+     "--trials", "100"],
+]
+
+
 def test_criterion_10_simulate_reports_are_byte_identical(tmp_path):
-    runs = [
-        ["simulate", "lemma2", "--q", "2", "--m", "8", "--n", "4", "--trials", "300"],
-        ["simulate", "prop2", "--q", "2", "--n", "4", "--u", "2", "--ell", "1",
-         "--trials", "200"],
-        ["simulate", "prop4", "--q", "2", "--m", "6", "--n", "3", "--u", "1",
-         "--v", "2", "--ell", "1", "--trials", "150"],
-        ["simulate", "thm3", "--n", "3", "--ell", "1", "--q-sweep", "2,3",
-         "--trials", "150"],
-        ["simulate", "thm5", "--q", "2", "--m-sweep", "4,5", "--n", "3",
-         "--ell", "1", "--trials", "150"],
-        ["simulate", "roundtrip", "--q", "2", "--m", "6", "--n", "6", "--k", "2",
-         "--trials", "100"],
-    ]
-    for idx, args in enumerate(runs):
+    for idx, args in enumerate(_SIMULATE_RUNS):
         a = tmp_path / f"{idx}a.json"
         b = tmp_path / f"{idx}b.json"
         rc1 = main(args + ["--seed", "17", "--out", str(a)])
         rc2 = main(args + ["--seed", "17", "--out", str(b)])
         assert rc1 == rc2
         assert a.read_bytes() == b.read_bytes(), f"run {args} not reproducible"
+
+
+# SHA-256 of each criterion 10 report at seed 17, as first written; a
+# change to any sampler, campaign or report encoding shows up here.
+_SIMULATE_DIGESTS = {
+    "lemma2": "9cb352cc0873b91834b5c796057d8d07f921878f32e804763eca55622396dba1",
+    "prop2": "3380313476c940f0a1478edd2a4dbf8aa54ce09f50dad12e6c0e641e5d8729c3",
+    "prop4": "59ece9b8bb0248fe24fc805209670ea968c931873ef75fd3a6dd6fc328ade5da",
+    "thm3": "8a56c5c0b2e29651e581db0a99b9c656c5065fa08b296a72130f57d9769ce0bd",
+    "thm5": "f8165c0858ccd573cbf298d4bb80c78076678f995f5a9eeec83854e2a11e819b",
+    "roundtrip": "26828b8e8fb5d3de08d56bd6ca9bc8a414dff1dc3f7b3a2d8b5d0fdfb0ab0f0f",
+}
+
+
+def test_simulate_reports_match_their_pinned_digests(tmp_path):
+    for args in _SIMULATE_RUNS:
+        out = tmp_path / f"{args[1]}.json"
+        main(args + ["--seed", "17", "--out", str(out)])
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == _SIMULATE_DIGESTS[args[1]], f"run {args} changed its report"

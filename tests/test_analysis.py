@@ -9,6 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
+from rankfuzz import analysis
 from rankfuzz.analysis import (
     SubspaceMap,
     SweepReport,
@@ -34,6 +35,7 @@ from rankfuzz.analysis import (
     subspace_intersection,
     subspace_tightness_probability,
     sweep_basic_tightness,
+    sweep_generalized_tightness,
     trend_holds,
     trial_rng,
     witness_map,
@@ -42,11 +44,13 @@ from rankfuzz.analysis import (
 from rankfuzz.errors import (
     BadDimensions,
     BadRange,
+    ClaimViolation,
     DependentRestriction,
     DimensionMismatch,
     InfeasibleShape,
     MalformedRecord,
     MismatchedField,
+    NonPrimeQ,
     NotNormal,
     ParamMismatch,
     TwistMismatch,
@@ -409,9 +413,10 @@ def test_report_dict_rejects_malformed_records(make):
 
 
 def test_merge_reports_equals_single_run():
-    whole = mc_independence(2, 8, 4, trials=300, seed=13, exhaustive=False)
-    first = mc_independence(2, 8, 4, trials=180, seed=13, exhaustive=False)
-    rest = mc_independence(2, 8, 4, trials=120, seed=13, start=180, exhaustive=False)
+    # C(256, 4) subsets exceed the enumeration guard, so these are sampled
+    whole = mc_independence(2, 8, 4, trials=300, seed=13)
+    first = mc_independence(2, 8, 4, trials=180, seed=13)
+    rest = mc_independence(2, 8, 4, trials=120, seed=13, start=180)
     merged = merge_reports(first, rest)
     assert merged == whole
 
@@ -536,10 +541,20 @@ def test_mc_independence_exhaustive_identities():
 
 
 def test_mc_independence_sampled():
-    r = mc_independence(2, 8, 3, trials=400, seed=42, exhaustive=False)
+    r = mc_independence(2, 8, 3, trials=400, seed=42)  # C(256, 3) > 10^6: sampled
     assert r.mode == "sampled" and r.trials == 400
     assert r.claim == "lemma2"
     assert r.verdict == "within_3sigma"
+
+
+def test_mc_independence_mode_rule_at_its_thresholds():
+    # enumerated only when q^m <= 4096 and C(q^m, n) <= 10^6
+    r = mc_independence(2, 12, 1, trials=20)  # 4,096 one-element subsets
+    assert r.mode == "exhaustive" and (r.trials, r.successes) == (4096, 4095)
+    assert r.verdict == "exact_match"
+    for q, m, n in [(2, 12, 2), (2, 13, 1)]:  # 8,386,560 subsets; order 8192
+        r = mc_independence(q, m, n, trials=20, seed=3)
+        assert r.mode == "sampled" and r.trials == 20, (q, m, n)
 
 
 def test_mc_overlap_tightness_full_overlap_is_always_tight():
@@ -587,6 +602,28 @@ def test_mc_decode_roundtrip_smoke():
     assert r.claim == "roundtrip"
     assert r.successes == 60
     assert r.formula == 1 and r.verdict == "within_3sigma"
+
+
+def test_mc_subspace_tightness_wrong_span_overlap_is_a_claim_violation(monkeypatch):
+    monkeypatch.setattr(analysis, "subspace_intersection", lambda field, a, b: ())
+    with pytest.raises(ClaimViolation) as exc:
+        mc_subspace_tightness(2, 6, 3, 1, 2, ell=1, trials=5, seed=8)
+    assert "q=2 m=6 n=3 u=1 v=2 seed=8 trial=0" in str(exc.value)
+
+
+def test_sweeps_check_every_point_before_any_campaign(monkeypatch):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("a campaign ran before the sweep was checked")
+
+    monkeypatch.setattr(analysis, "mc_scheme_tightness", no_campaign)
+    with pytest.raises(BadRange, match="at least two points"):
+        sweep_basic_tightness([2], 3, 1, trials=10)
+    with pytest.raises(NonPrimeQ):
+        sweep_basic_tightness([2, 3, 4], 3, 1, trials=10)
+    with pytest.raises(BadRange, match="at least two points"):
+        sweep_generalized_tightness(2, iter([4]), 3, 1, trials=10)
+    with pytest.raises(BadDimensions):
+        sweep_generalized_tightness(2, [4, 5, 2], 3, 1, trials=10)
 
 
 def test_sweep_basic_tightness_structure():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rankfuzz
+from rankfuzz import analysis
 from rankfuzz.analysis import load_report
 from rankfuzz.cli import _verdict_exit, build_parser, main
 from rankfuzz.fields import ext_field
@@ -419,6 +420,36 @@ def test_simulate_invalid_params_exit_2(capsys):
     rc = main(["simulate", "lemma2", "--q", "2", "--m", "4", "--n", "5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", ["2", "2,3,4"])
+def test_simulate_sweep_refuses_a_bad_point_before_any_campaign(sweep, monkeypatch, capsys):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("a campaign ran before the sweep was checked")
+
+    monkeypatch.setattr(analysis, "mc_scheme_tightness", no_campaign)
+    rc = main([
+        "simulate", "thm3", "--n", "3", "--ell", "1", "--q-sweep", sweep, "--trials", "3000",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    if sweep == "2":
+        assert err == "error: a sweep needs at least two points\n"
+    else:
+        assert err.startswith("error: q must be a prime") and err.count("\n") == 1
+
+
+def test_simulate_claim_violation_exits_1_with_one_reason_line(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "subspace_intersection", lambda field, a, b: ())
+    rc = main([
+        "simulate", "prop4", "--q", "2", "--m", "6", "--n", "3", "--u", "1", "--v", "2",
+        "--ell", "1", "--trials", "5",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("reason: claim_violation (")
 
 
 def test_verdict_exit_mapping():

@@ -1,0 +1,58 @@
+"""The library names the benchmark's tracer wraps must exist.
+
+perfbench/tracer.py replaces library functions and methods by name when
+a benchmark runs with --trace 1.  It is loaded here read-only, so that
+removing or renaming a wrapped name fails this suite rather than the
+next traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import rankfuzz.cli  # noqa: F401  (the tracer wraps rankfuzz.cli.main)
+from rankfuzz.fields import ext_field
+from rankfuzz.linpoly import LinearizedPoly
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_resolves(tracer):
+    for name, targets in tracer.FUNCTION_SPANS.items():
+        for module, attr in targets:
+            assert callable(getattr(importlib.import_module(module), attr, None)), (name, attr)
+    for name, targets in tracer.METHOD_SPANS.items():
+        for module, cls_name, attr in targets:
+            cls = getattr(importlib.import_module(module), cls_name)
+            # the tracer reads the method from the class's own namespace
+            assert attr in vars(cls), (name, cls_name, attr)
+
+
+def test_install_then_remove_restores_every_attribute(tracer):
+    field = ext_field(2, 8)
+    field.mul(1, 1)  # the tables, as a benchmark builds them before tracing
+    classes = {
+        getattr(importlib.import_module(module), cls_name)
+        for targets in tracer.METHOD_SPANS.values()
+        for module, cls_name, _ in targets
+    } | {LinearizedPoly}
+    owners = [importlib.import_module(name) for name in tracer.MODULES] + list(classes) + [field]
+    before = [dict(vars(obj)) for obj in owners]
+    t = tracer.Tracer()
+    t.install([field])
+    assert any(dict(vars(obj)) != snap for obj, snap in zip(owners, before))
+    t.remove()
+    for obj, snap in zip(owners, before):
+        now = vars(obj)
+        assert now.keys() == snap.keys(), obj
+        assert all(now[k] is snap[k] for k in snap), obj

@@ -14,12 +14,13 @@ hold on every sample, not just on average.
 
 Every campaign derives one independent randomness stream per trial by
 hashing (seed, trial index), so a campaign can be split into chunks,
-run in any order, and merged by summing counts.
+run in any order, and merged by summing counts; each report records
+its first trial index, and a merge refuses chunks that overlap or leave
+a gap.
 """
 
 import hashlib
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,14 +43,7 @@ from .errors import (
     load_json,
     save_json,
 )
-from .fields import (
-    ExtField,
-    element_rank,
-    ext_field,
-    find_normal_element,
-    kernel_ext,
-    _rref_ext,
-)
+from .fields import ExtField, FqSpan, element_rank, ext_field, find_normal_element, fq_combination
 from .gabidulin import _MAX_TRIES, GabidulinCode, random_rank_error
 from .linpoly import LinearizedPoly, interpolate
 from .vault import FeatureSet, Vault, VaultParams, _as_feature_set, lock
@@ -73,56 +67,39 @@ def set_difference(a, b) -> int:
     return len(set(_elements_of(a)) ^ set(_elements_of(b)))
 
 
+def _zassenhaus(field: ExtField, a, b):
+    """(dim<a> + dim<b>, basis of <a> inter <b>), both from one span of
+    the rows (x, x) for x in a and (y, 0) for y in b, two elements wide,
+    high half first.  That span has dimension dim<a> + dim<b>, and its
+    echelon rows whose high half vanishes span the intersection."""
+    ea = field.check_vector(_elements_of(a))
+    eb = field.check_vector(_elements_of(b))
+    high = field.order
+    span = FqSpan(field.q, 2 * field.m, [x * high + x for x in ea] + [y * high for y in eb])
+    return span.rank, tuple(r for r in span.basis() if r < high)
+
+
 def subspace_distance(field: ExtField, a, b) -> int:
-    """dim<a> + dim<b> - 2 dim(<a> inter <b>), spans taken over F_q.
-
-    The intersection dimension is obtained from the span of the union:
-    dim(U inter V) = dim U + dim V - dim(U + V).
-    """
-    ea = _elements_of(a)
-    eb = _elements_of(b)
-    ra = element_rank(field, ea)
-    rb = element_rank(field, eb)
-    runion = element_rank(field, ea + eb)
-    return 2 * runion - ra - rb
-
-
-def fq_combination(field: ExtField, coeffs, elems) -> int:
-    """Sum of coeff_i * elems_i with coefficients taken mod q."""
-    acc = 0
-    for c, e in zip(coeffs, elems):
-        c = int(c) % field.q
-        if c:
-            acc = field.add(acc, e if c == 1 else field.mul(c, e))
-    return acc
+    """dim<a> + dim<b> - 2 dim(<a> inter <b>), spans taken over F_q, in
+    the one pass of subspace_intersection."""
+    total, inter = _zassenhaus(field, a, b)
+    return total - 2 * len(inter)
 
 
 def subspace_intersection(field: ExtField, a, b) -> tuple:
     """Basis of span(a) inter span(b) over F_q (empty tuple if trivial).
 
-    Any dependency sum(x_i a_i) + sum(y_j b_j) = 0 exhibits the common
-    vector sum(x_i a_i); the kernel of the stacked digit matrix yields
-    them all, and an independent subset of those vectors is a basis.
+    Zassenhaus's sum-and-intersection method: the vectors (x + y, x) with
+    x in span(a) and y in span(b) have high half 0 exactly when x = -y
+    lies in both spans, so the echelon rows of the stacked (a, a) and
+    (b, 0) rows whose high half vanishes give a basis in their low half.
     """
-    ea = _elements_of(a)
-    eb = _elements_of(b)
-    if not ea or not eb:
-        return ()
-    mat = list(zip(*(field.digits(e) for e in ea + eb)))
-    basis: list = []
-    # digit entries are already reduced mod q
-    for vec in kernel_ext(ext_field(field.q, 1), mat):
-        w = fq_combination(field, vec[: len(ea)], ea)
-        if w and element_rank(field, basis + [w]) > len(basis):
-            basis.append(w)
-    return tuple(basis)
+    return _zassenhaus(field, a, b)[1]
 
 
 def restricted_rank(field: ExtField, func, basis) -> int:
     """Rank of an F_q-linear callable on the span of independent elements."""
-    basis = _elements_of(basis)
-    if not basis:
-        return 0
+    basis = field.check_vector(_elements_of(basis))
     if element_rank(field, basis) != len(basis):
         raise DependentRestriction("restriction elements must be independent")
     return element_rank(field, [func(x) for x in basis])
@@ -135,29 +112,25 @@ def restricted_rank(field: ExtField, func, basis) -> int:
 class SubspaceMap:
     """F_q-linear map defined by images of a basis of a subspace.
 
-    Stores a change-of-coordinates transform so evaluation is a single
-    mod-q matrix-vector product followed by a short combination.
+    Keeps an FqSpan of the basis, whose rows are tagged with their
+    coordinates over it: evaluation reduces x against the span and
+    combines the images with the resulting tag.
     """
 
-    __slots__ = ("field", "basis", "images", "_transform")
+    __slots__ = ("field", "basis", "images", "_span")
 
     def __init__(self, field: ExtField, basis, images):
         basis = field.check_vector(basis)
         images = field.check_vector(images)
         if len(basis) != len(images):
             raise DimensionMismatch("need one image per basis element")
-        d, m = len(basis), field.m
-        digits = [field.digits(b) for b in basis]
-        # [digit columns of the basis | identity], one row per digit
-        aug = [[ds[i] for ds in digits] + [int(i == j) for j in range(m)] for i in range(m)]
-        rref, pivots = _rref_ext(ext_field(field.q, 1), aug)
-        if [c for c in pivots if c < d] != list(range(d)):
+        span = FqSpan(field.q, field.m, basis)
+        if span.rank != len(basis):
             raise DependentRestriction("basis elements must be independent")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "images", images)
-        # rows of rref[:, d:] replay the elimination on any new column
-        object.__setattr__(self, "_transform", tuple(tuple(row[d:]) for row in rref))
+        object.__setattr__(self, "_span", span)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceMap is immutable")
@@ -168,13 +141,8 @@ class SubspaceMap:
 
     def coordinates(self, x: int):
         """Coefficients of x over the basis, or None if x is outside."""
-        x = self.field.check(x)
-        q, ds = self.field.q, self.field.digits(x)
-        y = [sum(map(operator.mul, row, ds)) % q for row in self._transform]
-        d = self.dim
-        if any(y[d:]):
-            return None
-        return y[:d]
+        residue, tag = self._span.reduce(self.field.check(x))
+        return None if residue else tag
 
     def __contains__(self, x) -> bool:
         return self.coordinates(x) is not None
@@ -237,8 +205,9 @@ def witness_map_completed(
         raise NotNormal("conjugates of the given element do not span the field")
     basis = list(ws.elems)
     images = [vault.table[x] for x in ws.elems]
+    span = FqSpan(fld.q, fld.m, basis)
     for i, g in enumerate(fs.elems, start=1):
-        if element_rank(fld, basis + [g]) > len(basis):
+        if span.add(g):
             basis.append(g)
             images.append(fld.add(key_poly(g), fld.frobenius(normal_elem, i)))
     return SubspaceMap(fld, basis, images)
@@ -304,7 +273,8 @@ def trial_rng(seed: int, index: int) -> random.Random:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Outcome counts of one experiment campaign plus the claimed rate."""
+    """Outcome counts of one experiment campaign plus the claimed rate.
+    A sampled campaign ran the trials start .. start + trials - 1."""
 
     claim: str
     params: dict
@@ -313,6 +283,7 @@ class TrialReport:
     formula: Fraction | None = None
     seed: int | None = None
     mode: str = "sampled"  # or "exhaustive"
+    start: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
@@ -357,7 +328,9 @@ class TrialReport:
         return "failed"
 
     def to_dict(self) -> dict:
-        return {
+        """The report as a record; "start" appears only when nonzero, so a
+        campaign run from trial 0 keeps the record it always had."""
+        out = {
             "claim": self.claim,
             "params": dict(self.params),
             "trials": self.trials,
@@ -374,10 +347,15 @@ class TrialReport:
             "seed": self.seed,
             "mode": self.mode,
         }
+        if self.start:
+            out["start"] = self.start
+        return out
 
 
 def merge_reports(*reports: TrialReport) -> TrialReport:
-    """Combine sampled chunks of one campaign by summing their counts."""
+    """Combine sampled chunks of one campaign by summing their counts.
+    Taken in order of start, the chunks must run on from one another,
+    so that no trial is counted twice and none is missing."""
     if not reports:
         raise BadRange("nothing to merge")
     first = reports[0]
@@ -395,6 +373,12 @@ def merge_reports(*reports: TrialReport) -> TrialReport:
             raise ParamMismatch("reports describe different campaigns")
     if first.mode != "sampled":
         raise ParamMismatch("only sampled campaigns merge")
+    chunks = sorted(reports, key=lambda r: r.start)
+    for a, b in zip(chunks, chunks[1:]):
+        end = a.start + a.trials
+        if b.start != end:
+            kind = "overlap" if b.start < end else "leave a gap"
+            raise ParamMismatch(f"chunks ending at trial {end} and starting at {b.start} {kind}")
     return TrialReport(
         claim=first.claim,
         params=first.params,
@@ -403,6 +387,7 @@ def merge_reports(*reports: TrialReport) -> TrialReport:
         formula=first.formula,
         seed=first.seed,
         mode="sampled",
+        start=chunks[0].start,
     )
 
 
@@ -495,11 +480,13 @@ _TRIAL_SCHEMA = {
     "mode": str,
 }
 _SWEEP_SCHEMA = dict(_TRIAL_SCHEMA, formula=_NONE, verdict=str, points=list)
+_STARTED_SCHEMA = dict(_TRIAL_SCHEMA, start=int)
 _FORMULA_SCHEMA = {"numerator": int, "denominator": int}
 
 
 def _trial_from_dict(data) -> TrialReport:
-    check_record(data, "report", _TRIAL_SCHEMA)
+    started = isinstance(data, dict) and "start" in data
+    check_record(data, "report", _STARTED_SCHEMA if started else _TRIAL_SCHEMA)
     if data["mode"] not in ("sampled", "exhaustive"):
         raise MalformedRecord(f"report: unknown mode {data['mode']!r}")
     formula = data["formula"]
@@ -516,6 +503,7 @@ def _trial_from_dict(data) -> TrialReport:
         formula=formula,
         seed=data["seed"],
         mode=data["mode"],
+        start=data.get("start", 0),
     )
 
 
@@ -563,15 +551,15 @@ def sample_witness_overlap(field: ExtField, features: FeatureSet, u: int, rng) -
         raise BadRange(f"need 0 <= u <= n, got u={u}")
     taken = features.as_set()
     chosen = list(rng.sample(list(features.elems), u))
+    span = FqSpan(field.q, field.m, chosen)
     tries = 0
     while len(chosen) < n:
         tries += 1
         if tries > _MAX_TRIES:
             raise InfeasibleShape("witness retry budget exhausted")
         x = field.random_element(rng)
-        if x in taken or x in chosen:
-            continue
-        if element_rank(field, chosen + [x]) == len(chosen) + 1:
+        # chosen lies in the span, so add() refuses a repeat
+        if x not in taken and span.add(x):
             chosen.append(x)
     return FeatureSet(field, tuple(chosen))
 
@@ -594,6 +582,8 @@ def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int,
     feats = list(features.elems)
     taken = features.as_set()
     common = list(rng.sample(feats, u))
+    # one span: common and in_span, then all of feats and outside
+    span = FqSpan(field.q, m, common)
     tries = 0
     in_span: list = []
     while len(in_span) < v - u:
@@ -601,17 +591,16 @@ def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int,
         if tries > _MAX_TRIES:
             raise InfeasibleShape("witness retry budget exhausted")
         x = fq_combination(field, [rng.randrange(field.q) for _ in range(n)], feats)
-        if x in taken or x in in_span:
-            continue
-        if element_rank(field, common + in_span + [x]) == u + len(in_span) + 1:
+        if x not in taken and span.add(x):
             in_span.append(x)
+    span.extend(feats)
     outside: list = []
     while len(outside) < n - v:
         tries += 1
         if tries > _MAX_TRIES:
             raise InfeasibleShape("witness retry budget exhausted")
         x = field.random_element(rng)
-        if element_rank(field, feats + outside + [x]) == n + len(outside) + 1:
+        if span.add(x):
             outside.append(x)
     return FeatureSet(field, tuple(outside + in_span + common))
 
@@ -657,7 +646,7 @@ def mc_independence(
         rng = trial_rng(seed, start + i)
         subset = rng.sample(range(fld.order), n)
         succ += element_rank(fld, subset) == n
-    return TrialReport("lemma2", params, trials, succ, formula, seed)
+    return TrialReport("lemma2", params, trials, succ, formula, seed, start=start)
 
 
 def mc_overlap_tightness(
@@ -700,7 +689,13 @@ def mc_overlap_tightness(
             )
         succ += 2 * d_r == d_delta
     return TrialReport(
-        "prop2", {"q": q, "n": n, "u": u, "ell": ell, "s": s}, trials, succ, formula, seed
+        "prop2",
+        {"q": q, "n": n, "u": u, "ell": ell, "s": s},
+        trials,
+        succ,
+        formula,
+        seed,
+        start=start,
     )
 
 
@@ -768,6 +763,7 @@ def mc_subspace_tightness(
         succ,
         formula,
         seed,
+        start=start,
     )
 
 
@@ -844,6 +840,7 @@ def mc_scheme_tightness(
         succ,
         None,
         seed,
+        start=start,
     )
 
 
@@ -886,6 +883,7 @@ def mc_decode_roundtrip(
         succ,
         Fraction(1),
         seed,
+        start=start,
     )
 
 

@@ -14,8 +14,8 @@ smallest.  Two fields with equal (q, m) are therefore interchangeable,
 and the ext_field() factory returns a shared instance.
 
 Fields of at most 2**16 elements build discrete log tables on first
-use, and multiply, invert and apply Frobenius by lookup; for odd q and
-m >= 2 they also add, subtract and negate by lookup, through the Zech
+use, and multiply, invert and apply Frobenius by lookup; for odd q
+they also add, subtract and negate by lookup, through the Zech
 logarithm zech[d] = log(1 + g^d).  The linearized-polynomial core reads
 these tables directly (ExtField._logs), so that a coefficient times a
 Frobenius power is one lookup with no call to mul or frobenius.  At
@@ -247,11 +247,6 @@ class ExtField:
             self._poly = sum(1 << i for i, c in enumerate(self.modulus) if c)
             self._fold = tuple(i for i in range(m) if self.modulus[i])
             self._nibble_shifts = range(4 * ((m - 1) // 4), -1, -4)
-        elif m == 1:
-            # F_q itself, the field rank_fq and kernel_fq eliminate over
-            self.add = lambda a, b: (a + b) % q
-            self.sub = lambda a, b: (a - b) % q
-            self.neg = lambda a: -a % q
         self._mul_poly = self._mul_gf2 if q == 2 else self._mul_basic
         self._logs = None  # (exp, log, n, frob_exp) once the tables exist
         self._normal = None
@@ -336,8 +331,8 @@ class ExtField:
     # -- arithmetic ---------------------------------------------------------
 
     # The digit loops below are overridden by instance attributes: xor
-    # when q == 2, one reduction mod q when m == 1, and Zech-logarithm
-    # lookups once an odd-q table field has built its tables.
+    # when q == 2, and Zech-logarithm lookups once an odd-q table field
+    # has built its tables.
     def add(self, a: int, b: int) -> int:
         q = self.q
         v = 0
@@ -533,7 +528,7 @@ class ExtField:
 
         self.mul = mul
         self.inv = inv
-        if self.q == 2 or self.m == 1:
+        if self.q == 2:
             return
         # Zech logarithms: 1 + g^d = g^zech[d], or zech[d] = -1 where the
         # sum is 0.  Adding 1 changes only the lowest base-q digit.  As q
@@ -587,21 +582,113 @@ def ext_field(q: int, m: int) -> ExtField:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over F_{q^m}, on lists of element ints.  F_q is F_{q^1},
-# whose elements are the ints 0..q-1, so rank_fq and kernel_fq run the
-# same elimination over ext_field(q, 1), in plain mod-q arithmetic.
+# The F_q-span of ints read as digit vectors: every rank, coordinate and
+# intersection on field elements, and on F_q rows encoded as base-q ints.
+
+
+class FqSpan:
+    """Echelon rows of the F_q-span of ints in [0, q**width), each read as
+    its width base-q digits.  A row is stored under its pivot, its highest
+    nonzero digit, and tagged with its coefficients over the inputs that
+    grew the rank, in order.  At q = 2 a row is one int, the element above
+    a width-bit tag, and a step is one xor; at odd q it is a list of the
+    width digits, low first, then the tag digits up to its own, updated
+    mod q.  Inputs are not checked."""
+
+    __slots__ = ("q", "width", "rank", "_rows")
+
+    def __init__(self, q: int, width: int, elems=()):
+        self.q, self.width, self.rank = q, width, 0
+        # at q = 2 the pivot is the row's bit length, above the tag
+        self._rows = [0] * (2 * width + 1) if q == 2 else [None] * width
+        self.extend(elems)
+
+    def extend(self, elems) -> int:
+        """Add the elements in turn; return how many grew the rank.  A new
+        row's own tag digit is set last, as no earlier row has that digit."""
+        rows, w, q, start = self._rows, self.width, self.q, self.rank
+        rank = start
+        if q == 2:
+            low = (1 << w) - 1
+            for x in elems:
+                v = x << w
+                while v > low and (row := rows[v.bit_length()]):
+                    v ^= row
+                if v > low:
+                    rows[v.bit_length()] = v | 1 << rank
+                    rank += 1
+        else:
+            for x in elems:
+                d, p = self._eliminate(x, rank + 1)
+                if p is not None:
+                    d[w + rank] = 1
+                    inv = pow(d[p], -1, q)
+                    rows[p] = [a * inv % q for a in d]
+                    rank += 1
+        self.rank = rank
+        return rank - start
+
+    def add(self, x: int) -> bool:
+        """Add x; True when it grew the rank."""
+        return self.extend((x,)) == 1
+
+    def reduce(self, x: int):
+        """(residue, tag): x = residue + sum(tag[i] * input_i) over the
+        inputs that grew the rank, and residue = 0 exactly when x lies in
+        the span."""
+        rows, w, q = self._rows, self.width, self.q
+        if q == 2:
+            low, v = (1 << w) - 1, x << w
+            while v > low and (row := rows[v.bit_length()]):
+                v ^= row
+            return v >> w, [v >> i & 1 for i in range(self.rank)]
+        d, _ = self._eliminate(x, self.rank)
+        return self._value(d), [-t % q for t in d[w:]]
+
+    def basis(self) -> list[int]:
+        """The element part of each row."""
+        if self.q == 2:
+            return [v >> self.width for v in self._rows if v]
+        return [self._value(d) for d in self._rows if d]
+
+    def _eliminate(self, x: int, tags: int):
+        """(d, p) at odd q: the digits of x and tags zero tag digits,
+        reduced against the rows down to the first nonzero digit p without
+        a row, or to a zero element part, where p is None.  A row's tag
+        ends at its own digit, so a step updates only that long a prefix.
+        Entries are reduced mod q only where read, and before d is stored."""
+        q, w, rows = self.q, self.width, self._rows
+        d = [0] * (w + tags)
+        for i in range(w):
+            x, d[i] = divmod(x, q)
+        for p in range(w - 1, -1, -1):
+            c = d[p] % q
+            if c:
+                row = rows[p]
+                if row is None:
+                    return d, p
+                d[: len(row)] = [a - c * b for a, b in zip(d, row)]
+        return d, None
+
+    def _value(self, d) -> int:
+        return sum(c % self.q * self.q**i for i, c in enumerate(d[: self.width]))
+
+
+# ---------------------------------------------------------------------------
+# Dense linear algebra over F_{q^m}, on lists of element ints.  No library
+# code eliminates with it: FqSpan answers every F_q question.  kernel_ext,
+# solve_ext and the F_q wrappers rank_fq and kernel_fq (F_q is F_{q^1},
+# whose elements are the ints 0..q-1) remain as the tests' oracles.
 
 
 def _rref_ext(field: ExtField, mat):
     """Reduced row echelon form and pivot columns.  Rows are replaced,
     never mutated, so the caller's rows (lists or tuples) stay as they
-    were, and a row the elimination never touched is returned as given.
-    Over F_q (m = 1) a row update is plain mod-q arithmetic."""
+    were, and a row the elimination never touched is returned as given."""
     mat = list(mat)
     if not mat:
         return mat, []
     rows, cols = len(mat), len(mat[0])
-    q = field.q if field.m == 1 else None
     mul, sub, inv = field.mul, field.sub, field.inv
     pivots = []
     r = 0
@@ -618,18 +705,12 @@ def _rref_ext(field: ExtField, mat):
         if hit != r:
             mat[r], mat[hit] = mat[hit], mat[r]
         scale = inv(mat[r][c])
-        if q:
-            row_r = mat[r] = [scale * x % q for x in mat[r]]
-        else:
-            row_r = mat[r] = [mul(scale, x) for x in mat[r]]
+        row_r = mat[r] = [mul(scale, x) for x in mat[r]]
         for i in range(rows):
             row_i = mat[i]
             f = row_i[c]
             if f and i != r:
-                if q:
-                    mat[i] = [(a - f * b) % q for a, b in zip(row_i, row_r)]
-                else:
-                    mat[i] = [sub(a, mul(f, b)) for a, b in zip(row_i, row_r)]
+                mat[i] = [sub(a, mul(f, b)) for a, b in zip(row_i, row_r)]
         pivots.append(c)
         r += 1
     return mat, pivots
@@ -689,23 +770,23 @@ def kernel_fq(mat, q: int) -> list[tuple[int, ...]]:
 
 
 def element_rank(field: ExtField, elems) -> int:
-    """Dimension of the F_q-span of the given field elements."""
-    elems = list(elems)
-    if not elems:
-        return 0
-    if field.q == 2:
-        # over F_2 the int value is the digit column; reduce by xor
-        basis: list[int] = []
-        for v in elems:
-            for b in basis:
-                if (v ^ b) < v:
-                    v ^= b
-            if v:
-                basis.append(v)
-                basis.sort(reverse=True)
-        return len(basis)
-    # the digit rows are already reduced mod q
-    return len(_rref_ext(ext_field(field.q, 1), [field.digits(e) for e in elems])[1])
+    """Dimension of the F_q-span of the given field elements.
+
+    The elements must be canonical ints of the field.  They are not
+    checked here, since every rank decision passes through this function;
+    check_vector them where they enter from outside.
+    """
+    return FqSpan(field.q, field.m, elems).rank
+
+
+def fq_combination(field: ExtField, coeffs, elems) -> int:
+    """Sum of coeff_i * elems_i with coefficients taken mod q."""
+    acc = 0
+    for c, e in zip(coeffs, elems):
+        c = int(c) % field.q
+        if c:
+            acc = field.add(acc, e if c == 1 else field.mul(c, e))
+    return acc
 
 
 def is_independent(field: ExtField, elems) -> bool:
@@ -726,12 +807,12 @@ def find_normal_element(field: ExtField) -> int:
     """Smallest element whose Frobenius orbit is a basis of F_{q^m}."""
     if field._normal is None:
         for a in field.elements():
-            orbit = []
-            b = a
-            for _ in range(field.m):
-                orbit.append(b)
+            # once a conjugate falls in the span of the earlier ones, so
+            # do all later ones, as Frobenius is F_q-linear
+            span, b = FqSpan(field.q, field.m), a
+            while span.add(b):
                 b = field.frobenius(b)
-            if element_rank(field, orbit) == field.m:
+            if span.rank == field.m:
                 field._normal = a
                 break
     return field._normal

@@ -26,7 +26,7 @@ from .errors import (
     LengthMismatch,
     TooLarge,
 )
-from .fields import ExtField, _rref_ext, element_rank, ext_field, is_independent, rank_distance
+from .fields import ExtField, FqSpan, element_rank, fq_combination, is_independent, rank_distance
 from .linpoly import (
     LinearizedPoly,
     _check_twist,
@@ -159,37 +159,29 @@ def min_distance_exhaustive(code: GabidulinCode) -> int:
 def random_rank_error(field: ExtField, n: int, rank: int, rng):
     """Length-n vector whose coordinate matrix has the exact given rank:
     sum of rank many products a_j * row_j with independent a_j in F_{q^m}
-    and independent row_j in F_q^n."""
+    and independent row_j in F_q^n, each row spanned as the base-q int
+    of its n digits."""
     if not 0 <= rank <= min(n, field.m):
         raise BadRange(f"rank must lie in 0..min(n, m), got {rank}")
     if rank == 0:
         return (0,) * n
     tries = 0
     scalars: list[int] = []
+    span = FqSpan(field.q, field.m)
     while len(scalars) < rank:
         tries += 1
         if tries > _MAX_TRIES:
             raise InfeasibleShape("could not sample independent multipliers")
         c = field.random_element(rng)
-        if element_rank(field, scalars + [c]) == len(scalars) + 1:
+        if span.add(c):
             scalars.append(c)
-    # randrange(q) digits are already reduced, so they go to the
-    # elimination over F_q as they are
-    fq = ext_field(field.q, 1)
     rows: list[list[int]] = []
+    span = FqSpan(field.q, n)
     while len(rows) < rank:
         tries += 1
         if tries > _MAX_TRIES:
             raise InfeasibleShape("could not sample independent support rows")
         r = [rng.randrange(field.q) for _ in range(n)]
-        if len(_rref_ext(fq, rows + [r])[1]) == len(rows) + 1:
+        if span.add(sum(d * field.q**i for i, d in enumerate(r))):
             rows.append(r)
-    add, mul = field.add, field.mul
-    out = []
-    for i in range(n):
-        acc = 0
-        for a, row in zip(scalars, rows):
-            if row[i]:
-                acc = add(acc, mul(a, row[i]))
-        out.append(acc)
-    return tuple(out)
+    return tuple(fq_combination(field, column, scalars) for column in zip(*rows))

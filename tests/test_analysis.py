@@ -63,6 +63,7 @@ F4 = ext_field(2, 2)
 F16 = ext_field(2, 4)
 F256 = ext_field(2, 8)
 F27 = ext_field(3, 3)
+F125 = ext_field(5, 3)
 
 
 def naive_span(field, elems):
@@ -97,7 +98,7 @@ def test_subspace_distance_known_cases():
 
 def test_subspace_distance_matches_span_oracle():
     rng = random.Random(0)
-    for fld in (F16, F27):
+    for fld in (F16, F27, F125):
         for _ in range(40):
             a = [fld.random_element(rng) for _ in range(rng.randrange(1, 4))]
             b = [fld.random_element(rng) for _ in range(rng.randrange(1, 4))]
@@ -110,7 +111,7 @@ def test_subspace_distance_matches_span_oracle():
 
 def test_subspace_intersection_against_span_oracle():
     rng = random.Random(1)
-    for fld in (F16, F27):
+    for fld in (F16, F27, F125):
         for _ in range(40):
             a = [fld.random_element(rng) for _ in range(rng.randrange(1, 4))]
             b = [fld.random_element(rng) for _ in range(rng.randrange(1, 4))]
@@ -118,6 +119,20 @@ def test_subspace_intersection_against_span_oracle():
             assert element_rank(fld, list(basis)) == len(basis)
             assert naive_span(fld, list(basis)) == naive_span(fld, a) & naive_span(fld, b)
     assert subspace_intersection(F16, [], [1]) == ()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: subspace_intersection(F16, [16], [16]),
+        lambda: subspace_distance(F16, [-1], [1]),
+        lambda: restricted_rank(F16, lambda x: x, [16]),
+    ],
+    ids=["intersection", "distance", "restricted_rank"],
+)
+def test_distance_helpers_refuse_elements_outside_the_field(call):
+    with pytest.raises(MismatchedField):
+        call()
 
 
 def test_fq_combination():
@@ -369,6 +384,11 @@ def test_trial_report_to_dict_roundtrip():
     assert report_from_dict(d) == r
     r2 = TrialReport("thm3", {}, 10, 5)
     assert report_from_dict(r2.to_dict()) == r2
+    # the start index is written only when nonzero
+    assert "start" not in d
+    r3 = TrialReport("prop4", {"q": 3}, 50, 20, Fraction(2, 5), seed=9, start=-16)
+    assert r3.to_dict()["start"] == -16
+    assert report_from_dict(r3.to_dict()) == r3
 
 
 def _sweep_dict():
@@ -393,6 +413,8 @@ def _with_point(d, **changes):
         lambda t, s: dict(t, formula={"numerator": 2}),
         lambda t, s: dict(t, formula={"numerator": 2, "denominator": 0}),
         lambda t, s: dict(t, params=[]),
+        lambda t, s: dict(t, start=1.5),
+        lambda t, s: dict(t, start=None),
         lambda t, s: {k: v for k, v in s.items() if k != "points"},
         lambda t, s: dict(s, points="p"),
         lambda t, s: _with_point(s, trials=2.5),
@@ -402,8 +424,8 @@ def _with_point(d, **changes):
     ids=[
         "empty", "list", "missing_claim", "extra_key", "float_trials", "bool_successes",
         "str_seed", "unknown_mode", "formula_keys", "formula_zero_denominator",
-        "list_params", "sweep_missing_points", "sweep_points_str", "sweep_point_float_trials",
-        "sweep_point_list", "nested_sweep",
+        "list_params", "float_start", "null_start", "sweep_missing_points", "sweep_points_str",
+        "sweep_point_float_trials", "sweep_point_list", "nested_sweep",
     ],
 )
 def test_report_dict_rejects_malformed_records(make):
@@ -419,6 +441,30 @@ def test_merge_reports_equals_single_run():
     rest = mc_independence(2, 8, 4, trials=120, seed=13, start=180)
     merged = merge_reports(first, rest)
     assert merged == whole
+
+
+def test_merge_reports_contiguous_chunks_in_any_order_equal_single_run():
+    whole = mc_independence(2, 8, 4, trials=300, seed=13)
+    chunks = [
+        mc_independence(2, 8, 4, trials=t, seed=13, start=s)
+        for s, t in [(250, 50), (0, 100), (100, 150)]
+    ]
+    assert merge_reports(*chunks).to_dict() == whole.to_dict()
+    # chunks may start below 0, as long as they run on from one another
+    early = mc_independence(2, 8, 4, trials=20, seed=13, start=-20)
+    assert merge_reports(early, whole).start == -20
+
+
+def test_merge_reports_refuses_overlaps_and_gaps():
+    a = mc_independence(2, 8, 4, trials=100, seed=1)
+    with pytest.raises(ParamMismatch, match="overlap"):
+        merge_reports(a, a)
+    later = mc_independence(2, 8, 4, trials=10, seed=1, start=101)
+    with pytest.raises(ParamMismatch, match="gap"):
+        merge_reports(a, later)
+    inside = mc_independence(2, 8, 4, trials=10, seed=1, start=50)
+    with pytest.raises(ParamMismatch, match="overlap"):
+        merge_reports(inside, a)
 
 
 def test_merge_reports_rejects_mismatches():

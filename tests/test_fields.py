@@ -17,12 +17,14 @@ from rankfuzz.errors import (
 )
 from rankfuzz.fields import (
     ExtField,
+    FqSpan,
     _is_irreducible,
     _is_irreducible_gf2,
     canonical_modulus,
     element_rank,
     ext_field,
     find_normal_element,
+    fq_combination,
     is_independent,
     is_prime,
     kernel_fq,
@@ -506,7 +508,6 @@ def test_rank_matches_minor_oracle_larger_q(q):
 
 @pytest.mark.parametrize("q,m", [(5, 1), (2, 1), (3, 2), (2, 4)])
 def test_rref_leaves_caller_rows_unchanged(q, m):
-    # m = 1 runs the mod-q row updates, m > 1 the field-method ones
     F = ext_field(q, m)
     rng = random.Random(q + m)
     for _ in range(50):
@@ -563,10 +564,44 @@ def test_element_rank_both_paths_agree():
         rng = random.Random(q)
         for _ in range(300):
             elems = [F.random_element(rng) for _ in range(rng.randrange(0, m + 3))]
-            # the m x n digit matrix, one column per element; the minor
-            # oracle, as rank_fq runs the elimination element_rank does
+            # the m x n digit matrix, one column per element, against the
+            # minor oracle
             expect = naive_rank(list(zip(*(F.digits(e) for e in elems))), q) if elems else 0
             assert element_rank(F, elems) == expect
+
+
+@pytest.mark.parametrize("q,width", [(2, 5), (3, 3), (5, 3), (251, 2)])
+def test_span_against_minor_oracle(q, width):
+    # the ints 0..q**width-1 are the elements of F_{q^width}; an
+    # F_q-combination of them does not depend on the modulus
+    F = ext_field(q, width)
+    digits = lambda x: [x // q**i % q for i in range(width)]
+    rng = random.Random(q)
+    for trial in range(40):
+        elems = [F.random_element(rng) for _ in range(rng.randrange(width + 2))]
+        if trial % 2 and elems:
+            # zero, a repeat, and a combination of earlier inputs
+            elems += [0, elems[0], fq_combination(F, [1, q - 1], elems[-2:])]
+            rng.shuffle(elems)
+        rows = [digits(x) for x in elems]
+        ranks = [naive_rank(rows[:i], q) if i else 0 for i in range(len(elems) + 1)]
+        span, grown = FqSpan(q, width), []
+        for i, x in enumerate(elems):
+            added = span.add(x)
+            assert added == (ranks[i + 1] > ranks[i]), (elems, i)
+            assert span.rank == ranks[i + 1]
+            if added:
+                grown.append(x)
+        assert FqSpan(q, width, elems).rank == span.rank
+        inside = [fq_combination(F, [rng.randrange(q) for _ in elems], elems) for _ in range(5)]
+        for x in inside + [F.random_element(rng) for _ in range(5)] + [0] + elems:
+            residue, tag = span.reduce(x)
+            # membership by the dense elimination, which the rank tests
+            # above check against the minor oracle
+            assert (residue == 0) == (rank_fq(rows + [digits(x)], q) == span.rank), (elems, x)
+            assert len(tag) == span.rank and all(0 <= t < q for t in tag)
+            # x = residue + the tag's combination of the inputs that grew the rank
+            assert F.add(residue, fq_combination(F, tag, grown)) == x
 
 
 def test_independence_predicate():

@@ -41,10 +41,8 @@ from .fields import (
     find_normal_element,
     is_independent,
     is_prime,
-    kernel_fq,
     modulus_string,
     rank_distance,
-    rank_fq,
 )
 from .linpoly import LinearizedPoly, interpolate, moore_matrix
 from .gabidulin import (

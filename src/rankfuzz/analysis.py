@@ -12,11 +12,15 @@ observed rate of distance-tightness events against exact product
 formulas, with per-trial hard assertions for the inequalities that must
 hold on every sample, not just on average.
 
-Every campaign derives one independent randomness stream per trial by
-hashing (seed, trial index), so a campaign can be split into chunks,
-run in any order, and merged by summing counts; each report records
-its first trial index, and a merge refuses chunks that overlap or leave
-a gap.
+Every sampled campaign runs on one loop, which derives an independent
+randomness stream per trial by hashing (seed, trial index), so a
+campaign can be split into chunks, run in any order, and merged by
+summing counts; each report records its first trial index, and a merge
+refuses chunks that overlap or leave a gap.  The four tightness
+campaigns share one vault trial: lock a vault, draw a witness, and
+measure the rank distance d_r of the key polynomial from the map the
+witness decodes against.  prop2, thm3 and thm5 assert 2 d_r <= |A ^ W|
+on it; prop4 asserts its whole chain of distances.
 """
 
 import hashlib
@@ -358,10 +362,10 @@ def merge_reports(*reports: TrialReport) -> TrialReport:
     so that no trial is counted twice and none is missing."""
     if not reports:
         raise BadRange("nothing to merge")
+    if not all(isinstance(r, TrialReport) for r in reports):
+        raise ParamMismatch("can only merge TrialReports")
     first = reports[0]
     for r in reports[1:]:
-        if not isinstance(r, TrialReport):
-            raise ParamMismatch("can only merge TrialReports")
         same = (
             r.claim == first.claim
             and r.params == first.params
@@ -609,9 +613,53 @@ def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int,
 # Campaigns.
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise BadRange("need at least one trial")
+def _sampled(head: TrialReport, trial) -> TrialReport:
+    """head with the successes of trial(trial_rng(seed, i), i) -> bool over
+    the trials it names, start .. start + trials - 1.  Building head has
+    already refused a trial count below 1."""
+    succ = 0
+    for i in range(head.start, head.start + head.trials):
+        succ += trial(trial_rng(head.seed, i), i)
+    return TrialReport(
+        head.claim, head.params, head.trials, succ, head.formula, head.seed, start=head.start
+    )
+
+
+def _vault_trial(params: VaultParams, alpha, draw, rng):
+    """Lock a fresh vault and measure one witness against it.
+
+    Draws the key, the features, the chaff (lock) and then the witness
+    draw(rng, features), in that order.  Returns (features, witness, d_r,
+    diff): d_r is the rank of diff, the key polynomial minus the map the
+    witness decodes against.  With alpha None (m = n) that map is the
+    interpolated one, diff is None and d_r its full map rank; otherwise it
+    is the map completed with the normal element alpha, and d_r is diff's
+    rank on the feature span.
+    """
+    fld = params.field
+    key = fld.random_vector(params.ell, rng)
+    feats = sample_feature_set(fld, params.n, rng)
+    vault = lock(params, feats, key, rng)
+    wit = draw(rng, feats)
+    kappa = LinearizedPoly(fld, params.s, key)
+    if alpha is None:
+        return feats, wit, (kappa - witness_map(vault, wit)).map_rank(), None
+    lz = witness_map_completed(vault, wit, feats, kappa, alpha)
+    diff = lambda x: fld.sub(kappa(x), lz(x))
+    return feats, wit, restricted_rank(fld, diff, feats.elems), diff
+
+
+def _rank_bound_trial(params: VaultParams, alpha, draw, where: str):
+    """Vault trial that asserts 2 d_r <= |A ^ W| and counts equality."""
+
+    def trial(rng, i):
+        feats, wit, d_r, _ = _vault_trial(params, alpha, draw, rng)
+        d_delta = set_difference(feats, wit)
+        if 2 * d_r > d_delta:
+            raise ClaimViolation(f"rank bound broken: 2*{d_r} > {d_delta} ({where} trial={i})")
+        return 2 * d_r == d_delta
+
+    return trial
 
 
 def mc_independence(
@@ -631,9 +679,10 @@ def mc_independence(
     fld = ext_field(q, m)
     if not 1 <= n <= m:
         raise BadDimensions(f"need 1 <= n <= m, got n={n}")
-    _check_trials(trials)
     formula = independence_probability(q, m, n)
     params = {"q": q, "m": m, "n": n}
+    # refuses a trial count below 1 in either mode
+    head = TrialReport("lemma2", params, trials, 0, formula, seed, start=start)
     if fld.order <= _EXHAUSTIVE_ORDER and math.comb(fld.order, n) <= _EXHAUSTIVE_SUBSETS:
         total = 0
         succ = 0
@@ -641,12 +690,7 @@ def mc_independence(
             total += 1
             succ += element_rank(fld, subset) == n
         return TrialReport("lemma2", params, total, succ, formula, seed, "exhaustive")
-    succ = 0
-    for i in range(trials):
-        rng = trial_rng(seed, start + i)
-        subset = rng.sample(range(fld.order), n)
-        succ += element_rank(fld, subset) == n
-    return TrialReport("lemma2", params, trials, succ, formula, seed, start=start)
+    return _sampled(head, lambda rng, i: element_rank(fld, rng.sample(range(fld.order), n)) == n)
 
 
 def mc_overlap_tightness(
@@ -670,33 +714,17 @@ def mc_overlap_tightness(
     fld = params.field
     if not 0 <= u <= n:
         raise BadRange(f"need 0 <= u <= n, got u={u}")
-    _check_trials(trials)
-    formula = overlap_tightness_probability(q, n, u)
-    succ = 0
-    for i in range(trials):
-        rng = trial_rng(seed, start + i)
-        key = fld.random_vector(ell, rng)
-        feats = sample_feature_set(fld, n, rng)
-        vault = lock(params, feats, key, rng)
-        wit = sample_witness_overlap(fld, feats, u, rng)
-        kappa = LinearizedPoly(fld, s, key)
-        d_r = (kappa - witness_map(vault, wit)).map_rank()
-        d_delta = set_difference(feats, wit)
-        if 2 * d_r > d_delta:
-            raise ClaimViolation(
-                f"rank bound broken: 2*{d_r} > {d_delta} "
-                f"(q={q} n={n} u={u} seed={seed} trial={start + i})"
-            )
-        succ += 2 * d_r == d_delta
-    return TrialReport(
+    head = TrialReport(
         "prop2",
         {"q": q, "n": n, "u": u, "ell": ell, "s": s},
         trials,
-        succ,
-        formula,
+        0,
+        overlap_tightness_probability(q, n, u),
         seed,
         start=start,
     )
+    draw = lambda rng, feats: sample_witness_overlap(fld, feats, u, rng)
+    return _sampled(head, _rank_bound_trial(params, None, draw, f"q={q} n={n} u={u} seed={seed}"))
 
 
 def mc_subspace_tightness(
@@ -725,46 +753,37 @@ def mc_subspace_tightness(
         raise InfeasibleShape(
             f"span of features plus witness needs dimension {2 * n - v} > m = {m}"
         )
-    _check_trials(trials)
-    formula = subspace_tightness_probability(q, m, n, u, v)
+    head = TrialReport(
+        "prop4",
+        {"q": q, "m": m, "n": n, "u": u, "v": v, "ell": ell, "s": s},
+        trials,
+        0,
+        subspace_tightness_probability(q, m, n, u, v),
+        seed,
+        start=start,
+    )
     alpha = find_normal_element(fld)
-    succ = 0
-    for i in range(trials):
-        rng = trial_rng(seed, start + i)
-        key = fld.random_vector(ell, rng)
-        feats = sample_feature_set(fld, n, rng)
-        vault = lock(params, feats, key, rng)
-        wit = sample_witness_shaped(fld, feats, u, v, rng)
-        kappa = LinearizedPoly(fld, s, key)
-        lz = witness_map_completed(vault, wit, feats, kappa, alpha)
-        diff = lambda x: fld.sub(kappa(x), lz(x))
-        d_r = restricted_rank(fld, diff, feats.elems)
+    draw = lambda rng, feats: sample_witness_shaped(fld, feats, u, v, rng)
+    where = f"q={q} m={m} n={n} u={u} v={v} seed={seed}"
+
+    def trial(rng, i):
+        feats, wit, d_r, diff = _vault_trial(params, alpha, draw, rng)
         d_delta = set_difference(feats, wit)
         d_s = subspace_distance(fld, feats.elems, wit.elems)
         inter = subspace_intersection(fld, feats.elems, wit.elems)
         if len(inter) != v:
             raise ClaimViolation(
-                f"sampled witness has span overlap {len(inter)}, not v "
-                f"(q={q} m={m} n={n} u={u} v={v} seed={seed} trial={start + i})"
+                f"sampled witness has span overlap {len(inter)}, not v ({where} trial={i})"
             )
         r_int = restricted_rank(fld, diff, inter)
-        chain_ok = d_s <= 2 * d_r <= d_s + 2 * r_int <= d_delta
-        if not chain_ok:
+        if not d_s <= 2 * d_r <= d_s + 2 * r_int <= d_delta:
             raise ClaimViolation(
                 f"distance chain broken: d_s={d_s} 2d_r={2 * d_r} "
-                f"d_s+2r={d_s + 2 * r_int} d_delta={d_delta} "
-                f"(q={q} m={m} n={n} u={u} v={v} seed={seed} trial={start + i})"
+                f"d_s+2r={d_s + 2 * r_int} d_delta={d_delta} ({where} trial={i})"
             )
-        succ += 2 * d_r == d_delta
-    return TrialReport(
-        "prop4",
-        {"q": q, "m": m, "n": n, "u": u, "v": v, "ell": ell, "s": s},
-        trials,
-        succ,
-        formula,
-        seed,
-        start=start,
-    )
+        return 2 * d_r == d_delta
+
+    return _sampled(head, trial)
 
 
 def mc_scheme_tightness(
@@ -799,34 +818,8 @@ def mc_scheme_tightness(
         raise DimensionMismatch("the basic scheme needs m = n")
     params = VaultParams(q=q, m=m, n=n, ell=ell, s=s)
     fld = params.field
-    _check_trials(trials)
-    alpha = find_normal_element(fld) if scheme == "generalized" else None
-    claim = "thm3" if scheme == "basic" else "thm5"
-    succ = 0
-    for i in range(trials):
-        rng = trial_rng(seed, start + i)
-        key = fld.random_vector(ell, rng)
-        feats = sample_feature_set(fld, n, rng)
-        vault = lock(params, feats, key, rng)
-        if distribution == "uniform_u":
-            wit = sample_witness_overlap(fld, feats, rng.randrange(n + 1), rng)
-        else:
-            wit = sample_feature_set(fld, n, rng)
-        kappa = LinearizedPoly(fld, s, key)
-        if scheme == "basic":
-            d_r = (kappa - witness_map(vault, wit)).map_rank()
-        else:
-            lz = witness_map_completed(vault, wit, feats, kappa, alpha)
-            d_r = restricted_rank(fld, lambda x: fld.sub(kappa(x), lz(x)), feats.elems)
-        d_delta = set_difference(feats, wit)
-        if 2 * d_r > d_delta:
-            raise ClaimViolation(
-                f"rank bound broken: 2*{d_r} > {d_delta} "
-                f"(scheme={scheme} q={q} m={m} n={n} seed={seed} trial={start + i})"
-            )
-        succ += 2 * d_r == d_delta
-    return TrialReport(
-        claim,
+    head = TrialReport(
+        "thm3" if scheme == "basic" else "thm5",
         {
             "q": q,
             "m": m,
@@ -837,11 +830,18 @@ def mc_scheme_tightness(
             "distribution": distribution,
         },
         trials,
-        succ,
+        0,
         None,
         seed,
         start=start,
     )
+    alpha = find_normal_element(fld) if scheme == "generalized" else None
+    if distribution == "uniform_u":
+        draw = lambda rng, feats: sample_witness_overlap(fld, feats, rng.randrange(n + 1), rng)
+    else:
+        draw = lambda rng, feats: sample_feature_set(fld, n, rng)
+    where = f"scheme={scheme} q={q} m={m} n={n} seed={seed}"
+    return _sampled(head, _rank_bound_trial(params, alpha, draw, where))
 
 
 def mc_decode_roundtrip(
@@ -861,10 +861,10 @@ def mc_decode_roundtrip(
     fails the report.
     """
     fld = ext_field(q, m)
-    _check_trials(trials)
-    succ = 0
-    for i in range(trials):
-        rng = trial_rng(seed, start + i)
+    params = {"q": q, "m": m, "n": n, "k": k, "s": s}
+    head = TrialReport("roundtrip", params, trials, 0, Fraction(1), seed, start=start)
+
+    def trial(rng, i):
         pts = sample_feature_set(fld, n, rng)
         code = GabidulinCode(fld, n, k, s, pts.elems)
         msg = fld.random_vector(k, rng)
@@ -873,29 +873,27 @@ def mc_decode_roundtrip(
         word = tuple(fld.add(a, b) for a, b in zip(code.encode(msg), err))
         try:
             got, got_rank = code.decode(word)
-            succ += got == msg and got_rank == e
         except DecodingFailure:
-            pass
-    return TrialReport(
-        "roundtrip",
-        {"q": q, "m": m, "n": n, "k": k, "s": s},
-        trials,
-        succ,
-        Fraction(1),
-        seed,
-        start=start,
-    )
+            return False
+        return got == msg and got_rank == e
+
+    return _sampled(head, trial)
 
 
-def _sweep_values(values, point_params) -> list:
-    """The sweep's values as a list, refused before any campaign runs if
-    there are fewer than two or point_params rejects one of them."""
-    values = list(values)
+def _sweep(claim: str, scheme: str, params: dict, point, values, trials, seed, distribution):
+    """One mc_scheme_tightness campaign per value, at VaultParams point(v).
+
+    Two or more values are needed, and point checks every one of them
+    before the first campaign runs.
+    """
     if len(values) < 2:
         raise BadRange("a sweep needs at least two points")
-    for v in values:
-        point_params(v)
-    return values
+    shapes = [point(v) for v in values]
+    points = tuple(
+        mc_scheme_tightness(scheme, p.q, p.m, p.n, p.ell, p.s, trials, seed, distribution)
+        for p in shapes
+    )
+    return SweepReport(claim, dict(params, distribution=distribution), points, seed)
 
 
 def sweep_basic_tightness(
@@ -908,17 +906,10 @@ def sweep_basic_tightness(
     distribution: str = "uniform_u",
 ) -> SweepReport:
     """Failure-rate trend of the basic scheme as the field grows."""
-    q_values = _sweep_values(q_values, lambda q: VaultParams(q=q, m=n, n=n, ell=ell, s=s))
-    points = tuple(
-        mc_scheme_tightness("basic", q, n, n, ell, s, trials, seed, distribution)
-        for q in q_values
-    )
-    return SweepReport(
-        "thm3",
-        {"q_values": q_values, "n": n, "ell": ell, "s": s, "distribution": distribution},
-        points,
-        seed,
-    )
+    q_values = list(q_values)
+    params = {"q_values": q_values, "n": n, "ell": ell, "s": s}
+    point = lambda q: VaultParams(q=q, m=n, n=n, ell=ell, s=s)
+    return _sweep("thm3", "basic", params, point, q_values, trials, seed, distribution)
 
 
 def sweep_generalized_tightness(
@@ -932,14 +923,7 @@ def sweep_generalized_tightness(
     distribution: str = "uniform_u",
 ) -> SweepReport:
     """Failure-rate trend of the generalized scheme as the extension grows."""
-    m_values = _sweep_values(m_values, lambda m: VaultParams(q=q, m=m, n=n, ell=ell, s=s))
-    points = tuple(
-        mc_scheme_tightness("generalized", q, m, n, ell, s, trials, seed, distribution)
-        for m in m_values
-    )
-    return SweepReport(
-        "thm5",
-        {"q": q, "m_values": m_values, "n": n, "ell": ell, "s": s, "distribution": distribution},
-        points,
-        seed,
-    )
+    m_values = list(m_values)
+    params = {"q": q, "m_values": m_values, "n": n, "ell": ell, "s": s}
+    point = lambda m: VaultParams(q=q, m=m, n=n, ell=ell, s=s)
+    return _sweep("thm5", "generalized", params, point, m_values, trials, seed, distribution)

@@ -18,6 +18,7 @@ import hmac
 from dataclasses import dataclass
 
 from .errors import (
+    DecodingFailure,
     LengthMismatch,
     MalformedRecord,
     ParamMismatch,
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .fields import ExtField, ext_field
 from .gabidulin import GabidulinCode
-from .errors import DecodingFailure
 
 DIGEST_BYTES = 32
 

@@ -41,6 +41,7 @@ from operator import itemgetter
 from .commitment import codeword_digest, digest_from_hex
 from .errors import (
     BadDimensions,
+    DecodingFailure,
     DependentFeatures,
     DuplicateFeatures,
     LengthMismatch,
@@ -53,7 +54,6 @@ from .errors import (
 from .fields import ExtField, ext_field, is_independent
 from .gabidulin import GabidulinCode
 from .linpoly import LinearizedPoly, _check_twist
-from .errors import DecodingFailure
 
 _TABLE_GUARD = 1 << 20
 _BLOCK_WORDS = 1 << 16  # 32-bit words per chaff draw

@@ -268,3 +268,40 @@ def test_simulate_reports_match_their_pinned_digests(tmp_path):
         main(args + ["--seed", "17", "--out", str(out)])
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == _SIMULATE_DIGESTS[args[1]], f"run {args} changed its report"
+
+
+# Seeded runs at seed 23 that the runs above leave out: odd q for every
+# campaign and uniform_w witnesses. Each run's exit code and the SHA-256
+# of its report, as first written; the uniform_w thm3 sweep over q = 2,
+# 3, 5 fails its trend check at 60 trials and so exits 1.
+_MORE_SIMULATE_RUNS = [
+    (["simulate", "thm3", "--n", "3", "--ell", "1", "--q-sweep", "2,3,5",
+      "--distribution", "uniform_w", "--trials", "60"], 1,
+     "2ff295d1dd4f332004f0ffeef8dc0f18cb06d7917d2d5881e048f6a7dc3310ab"),
+    (["simulate", "thm3", "--n", "3", "--ell", "1", "--q-sweep", "3,5", "--trials", "60"], 0,
+     "bb1e2351132d05f5db90b4b4dfe0a27505384ac777721f09b4f1987bca7a1770"),
+    (["simulate", "thm5", "--q", "3", "--m-sweep", "3,4", "--n", "3", "--ell", "1",
+      "--trials", "60"], 0,
+     "ee42e8db766987eab73b17c3e28cbae5932b2eb104a322ee86ed61d9f6db63ef"),
+    (["simulate", "thm5", "--q", "2", "--m-sweep", "4,5", "--n", "3", "--ell", "1",
+      "--distribution", "uniform_w", "--trials", "60"], 0,
+     "f1deda9d9181c68b115dba501639aba0c868f57e67feffa7513fe016ad0837a2"),
+    (["simulate", "prop2", "--q", "3", "--n", "4", "--u", "2", "--ell", "1",
+      "--trials", "60"], 0,
+     "65d8275ffd67f2c145ccd9e0b11f2e4ac7db485ee998ae1eccdb259bda228d02"),
+    (["simulate", "prop4", "--q", "3", "--m", "5", "--n", "3", "--u", "1", "--v", "2",
+      "--ell", "1", "--trials", "60"], 0,
+     "be777d9b3cef981d680b7da12029d340946633f760a3caeaff292e1fc7267081"),
+    (["simulate", "roundtrip", "--q", "3", "--m", "5", "--n", "5", "--k", "1",
+      "--trials", "60"], 0,
+     "500f64302396b047dfaf683bcf05d273169e11a49a83253c8334409a535c22c2"),
+    (["simulate", "lemma2", "--q", "3", "--m", "8", "--n", "4", "--trials", "100"], 0,
+     "8767d99d74d89e16fcfee0950bdeb5e67c4c3249beeba44edf96f2fae4c5d548"),
+]
+
+
+def test_odd_q_and_uniform_w_reports_match_their_pinned_digests(tmp_path, capsys):
+    for args, code, digest in _MORE_SIMULATE_RUNS:
+        out = tmp_path / f"{args[1]}.json"
+        assert main(args + ["--seed", "23", "--out", str(out)]) == code, args
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, f"run {args} changed"

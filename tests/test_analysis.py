@@ -483,6 +483,14 @@ def test_merge_reports_rejects_mismatches():
     assert merge_reports(a) == a
 
 
+def test_merge_reports_type_checks_every_report_the_first_included():
+    sweep = SweepReport("thm3", {"n": 3}, _synthetic_points([0.7, 0.8]), seed=4)
+    trial = TrialReport("thm3", {"n": 3}, 10, 5, seed=4)
+    for reports in [(sweep,), (sweep, trial), (trial, sweep), ("x",), ("x", trial)]:
+        with pytest.raises(ParamMismatch, match="only merge TrialReports"):
+            merge_reports(*reports)
+
+
 def _synthetic_points(estimates, trials=10**4):
     return tuple(
         TrialReport("thm3", {"i": i}, trials, round(e * trials), seed=0)

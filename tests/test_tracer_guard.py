@@ -8,11 +8,13 @@ next traced benchmark run.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import rankfuzz.cli  # noqa: F401  (the tracer wraps rankfuzz.cli.main)
+from rankfuzz import analysis
 from rankfuzz.fields import ext_field
 from rankfuzz.linpoly import LinearizedPoly
 
@@ -56,3 +58,28 @@ def test_install_then_remove_restores_every_attribute(tracer):
         now = vars(obj)
         assert now.keys() == snap.keys(), obj
         assert all(now[k] is snap[k] for k in snap), obj
+
+
+def test_campaigns_reach_the_wrapped_names(tracer):
+    # A campaign that binds a library function before install() (a default
+    # argument, a module-level table) or calls a sampler by keyword would
+    # bypass the wrappers or the sampler counter; this records the spans
+    # a traced benchmark run reads.
+    trials = 3
+    t = tracer.Tracer()
+    t.install([])
+    try:
+        with t.operation(0, "campaign"):
+            analysis.mc_overlap_tightness(2, 4, 2, 1, trials=trials, seed=5)
+            analysis.mc_subspace_tightness(2, 6, 3, 1, 2, 1, trials=trials, seed=5)
+            analysis.mc_scheme_tightness("basic", 3, 3, 3, 1, trials=trials, seed=5)
+            analysis.mc_decode_roundtrip(3, 5, 5, 1, trials=trials, seed=5)
+    finally:
+        t.remove()
+    spans = Counter(t.names[i] for i in t.span_name)
+    assert spans["analysis.campaign"] == 4
+    assert spans["analysis.trial_rng"] == 4 * trials
+    for name in ("analysis.sample", "vault.lock", "analysis.witness_map",
+                 "analysis.restricted_rank", "analysis.distance"):
+        assert spans[name] > 0, name
+    assert t.counts["analysis.sample.accepted"] > 0

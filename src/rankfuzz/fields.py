@@ -48,6 +48,7 @@ _TABLE_LIMIT = 1 << 16
 
 # byte d -> the character int() reads as the digit d, for bases up to 36
 _BASE36 = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digit characters -> digit bytes
 
 # Degree cap keeps q**m comfortably inside exact int range for the
 # exhaustive guards used elsewhere.
@@ -289,6 +290,8 @@ class ExtField:
         return self.to_bytes(a).hex()
 
     def vec_to_bytes(self, vec) -> bytes:
+        if self.q == 2:  # the digits are the bits, low first
+            return "".join([f"{a:0{self.m}b}"[::-1] for a in vec]).encode().translate(_BITS)
         return b"".join(self.to_bytes(a) for a in vec)
 
     def vec_from_bytes(self, data: bytes) -> tuple[int, ...]:
@@ -671,7 +674,10 @@ class FqSpan:
         return d, None
 
     def _value(self, d) -> int:
-        return sum(c % self.q * self.q**i for i, c in enumerate(d[: self.width]))
+        q, v = self.q, 0
+        for c in reversed(d[: self.width]):
+            v = v * q + c % q
+        return v
 
 
 # ---------------------------------------------------------------------------

@@ -248,31 +248,42 @@ class LinearizedPoly:
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
         if field.q == 2:
-            return list(struct.unpack(f"<{field.order}I", self.image_lanes()))
+            lanes = self.image_lanes().to_bytes(4 * field.order, "little")
+            return list(struct.unpack(f"<{field.order}I", lanes))
         out = [0]
         add, mul = field.add, field.mul
         for b in map(self, field._qpow_m):
             out += [add(o, c) for c in [mul(d, b) for d in range(1, field.q)] for o in out]
         return out
 
-    def image_lanes(self) -> bytes:
-        """evaluate_all() as little-endian 32-bit lanes, lane x = image of x.
+    def image_lanes(self) -> int:
+        """evaluate_all() as one integer of 32-bit lanes, lane x the image
+        of x.  At q = 2 the doubling makes no object per element: the
+        images of the elements below 2^j fill the low 2^j lanes, and one
+        xor with the image b of x^j copied into every lane, shifted up by
+        2^j lanes, adds the images of the next 2^j elements."""
+        return self._lanes_at(())[0]
 
-        At q = 2 the doubling runs on one packed integer: the images of
-        the elements below 2^j fill the low 2^j lanes, and one xor with
-        the image b of x^j copied into every lane, shifted up by 2^j
-        lanes, adds the images of the next 2^j elements."""
+    def _lanes_at(self, xs) -> tuple[int, list[int]]:
+        """(image_lanes(), images of xs); at q = 2, xors of the basis images."""
         field = self.field
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
         if field.q != 2:
-            return struct.pack(f"<{field.order}I", *self.evaluate_all())
+            images = self.evaluate_all()
+            lanes = struct.pack(f"<{field.order}I", *images)
+            return int.from_bytes(lanes, "little"), [images[x] for x in xs]
+        basis = list(map(self, field._qpow_m))
         out, ones, width = 0, 1, 32
-        for b in map(self, field._qpow_m):
+        for b in basis:
             out |= (out ^ b * ones) << width
             ones |= ones << width
             width *= 2
-        return out.to_bytes(4 * field.order, "little")
+        at = [0] * len(xs)
+        for i, x in enumerate(xs):
+            for p, b in zip(field._qpow_m, basis):
+                at[i] ^= b if x & p else 0
+        return out, at
 
     # -- linear structure ---------------------------------------------------
 

@@ -13,13 +13,13 @@ ascending order of x, so a seeded random.Random gives the same table
 and is left in the same state.  The table is built in packed 32-bit
 little-endian lanes, lane x for element x: a few big-integer and bytes
 passes over the draws and kappa's image of every element stand in for
-any loop over elements (SIMD within a register).  Rejected tries are
-marked with a 0xFFFFFFFF sentinel lane and dropped by one bytes.replace,
-which is exact because accepted tries stay below _TABLE_GUARD <= 2^24
-(see _randbelow_many).  The JSON file names every element
-once, by doubling over the base-q digits, and streams the points array
-out in canonical order; reading it back parses each column of names in
-one bulk pass (ExtField.vec_from_hex).
+any loop over elements (SIMD within a register), and Vault.table is a
+read-only view of the lanes.  Rejected tries are marked with a
+0xFFFFFFFF sentinel lane and dropped by one bytes.replace, exact as
+accepted tries stay below _TABLE_GUARD <= 2^24 (see _randbelow_many).
+The JSON file names every element once, by doubling over the base-q
+digits, and streams the points array out in canonical order; reading
+it back parses each column of names in one bulk pass.
 
 Unlocking with a witness set W reads the table at W and decodes the
 values as a Gabidulin code on the points W.  Entries shared with A are
@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import hmac
 import json
-import struct
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from operator import itemgetter
 
 from .commitment import codeword_digest, digest_from_hex
@@ -57,6 +59,7 @@ from .linpoly import LinearizedPoly, _check_twist
 
 _TABLE_GUARD = 1 << 20
 _BLOCK_WORDS = 1 << 16  # 32-bit words per chaff draw
+_LANE = "I"  # array typecode of an unsigned 32-bit lane
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,9 @@ class FeatureSet:
 @dataclass(frozen=True)
 class Vault:
     params: VaultParams
-    table: tuple[int, ...] = dc_field(repr=False)  # index = element, value = table entry
+    # entry of element x at index x; a read-only view of 32-bit lanes with
+    # index, len, iteration, == and tolist(), but no hash() or pickle
+    table: memoryview = dc_field(repr=False)
     key_digest: bytes
 
 
@@ -149,10 +154,16 @@ def _as_feature_set(field: ExtField, features) -> FeatureSet:
     return FeatureSet(field, features)
 
 
+@lru_cache(maxsize=16)
+def _lane_ones(count: int, bit: int = 0) -> int:
+    """count 32-bit lanes, each with only the given bit set."""
+    return int.from_bytes(b"\1\0\0\0" * count, "little") << bit
+
+
 def _randbelow_many(rng, bound: int, count: int) -> bytes:
     """[rng.randrange(bound) for _ in range(count)] for 1 <= bound <=
-    _TABLE_GUARD, as little-endian 32-bit lanes, drawn in blocks and
-    leaving a random.Random in the same state.
+    _TABLE_GUARD, as little-endian 32-bit lanes with no object per value,
+    drawn in blocks and leaving a random.Random in the same state.
 
     randrange(bound) takes k = bound.bit_length() bits per try, and each
     try is the top k bits of the next 32-bit Mersenne word; a try of
@@ -163,18 +174,19 @@ def _randbelow_many(rng, bound: int, count: int) -> bytes:
     one randrange would have used.
 
     Bit k of a lane of tries + (2^k - bound) is set exactly when the try
-    is bound or more; such a lane is set to the sentinel 0xFFFFFFFF and
-    every sentinel is dropped by one bytes.replace.  That is exact
-    because an accepted try is below _TABLE_GUARD <= 2^24, so its top
-    byte is 0: no run of four 0xFF bytes starts inside or ends inside an
-    accepted lane, and the leftmost match is always a whole sentinel.
+    is bound or more (_lane_ones caches the lane constants); such a lane
+    is the sentinel 0xFFFFFFFF, and one bytes.replace drops them all.
+    That is exact because an accepted try is below _TABLE_GUARD <= 2^24,
+    so its top byte is 0: no run of four 0xFF bytes starts or ends inside
+    an accepted lane, and the leftmost match is always a whole sentinel.
     """
     k = bound.bit_length()
     blocks: list[bytes] = []
-    have = 0
+    have = c = 0
     while have < count:
-        c = min(count - have, _BLOCK_WORDS)
-        ones = int.from_bytes(b"\1\0\0\0" * c, "little")
+        c, last = min(count - have, _BLOCK_WORDS), c
+        # blocks never grow: a later one takes the low lanes of the last
+        ones = ones >> 32 * (last - c) if have else _lane_ones(c)
         tries = rng.getrandbits(32 * c) >> (32 - k) & ones * ((1 << k) - 1)
         rejected = (tries + ones * ((1 << k) - bound)) >> k & ones
         lanes = (tries | rejected * 0xFFFFFFFF).to_bytes(4 * c, "little")
@@ -197,24 +209,24 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
     if len(key) != params.ell:
         raise LengthMismatch(f"key length {len(key)}, expected ell={params.ell}")
     order = fld.order
-    images = LinearizedPoly(fld, params.s, key).image_lanes()
     authentic = sorted(fs.elems)
+    images, at = LinearizedPoly(fld, params.s, key)._lanes_at(authentic)
     # chaff r for x is uniform over everything except kappa(x): the draws
     # go to the other elements in ascending order, and r >= kappa(x) moves
     # up by one, which is bit k of r + 2^k - kappa(x), as r, kappa(x) < 2^k
     draws = _randbelow_many(rng, order - 1, order - len(authentic))
     cuts = [4 * (x - i) for i, x in enumerate(authentic)]
-    d = int.from_bytes(
-        bytes(4).join([draws[a:b] for a, b in zip([0, *cuts], [*cuts, len(draws)])]), "little"
-    )
+    pieces = [draws[a:b] for a, b in zip([0, *cuts], [*cuts, len(draws)])]
+    d = int.from_bytes(bytes(4).join(pieces), "little")
     k = (order - 1).bit_length()
-    ones = int.from_bytes(b"\1\0\0\0" * order, "little")
-    chaff = d + ((d + (ones << k) - int.from_bytes(images, "little")) >> k & ones)
-    table = bytearray(chaff.to_bytes(4 * order, "little"))
-    # the placeholder lanes at the features take kappa(x) from the images
-    for x in authentic:
-        table[4 * x : 4 * x + 4] = images[4 * x : 4 * x + 4]
-    return Vault(params, struct.unpack(f"<{order}I", table), codeword_digest(fld, key))
+    chaff = d + ((d + _lane_ones(order, k) - images) >> k & _lane_ones(order))
+    table = array(_LANE, chaff.to_bytes(4 * order, "little"))
+    if sys.byteorder == "big":
+        table.byteswap()
+    # the placeholder lanes at the features take kappa(x)
+    for x, y in zip(authentic, at):
+        table[x] = y
+    return Vault(params, memoryview(table).toreadonly(), codeword_digest(fld, key))
 
 
 def unlock(vault: Vault, witness) -> UnlockResult:
@@ -303,10 +315,11 @@ def vault_from_dict(data: dict) -> Vault:
     if len(set(xs)) != fld.order:
         x = next(x for x, c in Counter(xs).items() if c > 1)
         raise DuplicateFeatures(f"table lists {fld.to_hex(x)} twice")
-    table = [0] * fld.order
+    table = array(_LANE, bytes(4 * fld.order))
     for x, y in zip(xs, fld.vec_from_hex(list(map(itemgetter(1), entries)))):
         table[x] = y
-    return Vault(params, tuple(table), digest_from_hex(data["key_digest"], "key digest"))
+    table = memoryview(table).toreadonly()
+    return Vault(params, table, digest_from_hex(data["key_digest"], "key digest"))
 
 
 def save_vault(vault: Vault, path):

@@ -454,6 +454,16 @@ def test_vector_bytes_concatenation():
     assert F.vec_from_bytes(bs) == vec
 
 
+@pytest.mark.parametrize("m", [1, 8, 16, 32, 64])
+def test_binary_vector_bytes_match_digit_loop(m):
+    # at q = 2 the digit bytes come from the binary string, low bit first
+    F = ext_field(2, m)
+    rng = random.Random(m)
+    vec = (0, F.order - 1, 1, F.order >> 1) + tuple(rng.randrange(F.order) for _ in range(40))
+    assert F.vec_to_bytes(vec) == b"".join(bytes(F.digits(a)) for a in vec)
+    assert F.vec_to_bytes(()) == b""
+
+
 def test_element_out_of_range_rejected():
     F = ext_field(2, 3)
     for bad in (-1, 8, 2**40):

@@ -3,6 +3,7 @@
 import json
 import random
 import struct
+from array import array
 
 import pytest
 
@@ -22,6 +23,7 @@ from rankfuzz.errors import (
 from rankfuzz.fields import ext_field
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import (
+    _LANE,
     _TABLE_GUARD,
     FeatureSet,
     VaultParams,
@@ -37,6 +39,10 @@ from rankfuzz.vault import (
 F256 = ext_field(2, 8)
 P256 = VaultParams(q=2, m=8, n=8, ell=2)
 P1024 = VaultParams(q=2, m=10, n=8, ell=2)
+
+
+def _is_lane_view(table):
+    return type(table) is memoryview and table.readonly and table.format == _LANE
 
 
 def test_params_validation():
@@ -69,7 +75,9 @@ def test_lock_table_structure():
     v = lock(P256, feats, key, rng)
     kappa = LinearizedPoly(F256, 1, key)
     values = kappa.evaluate_all()
-    assert len(v.table) == 256
+    assert _is_lane_view(v.table) and len(v.table) == 256
+    with pytest.raises(TypeError):
+        v.table[3] = 0
     for x in range(256):
         if x in feats.as_set():
             assert v.table[x] == values[x]
@@ -187,11 +195,13 @@ def test_json_roundtrip_and_sorted_points(tmp_path):
     assert xs == sorted(xs)  # canonical order by hex form
     assert len(d["points"]) == 256
     back = vault_from_dict(d)
-    assert back.table == v.table and back.key_digest == v.key_digest
+    assert back == v and _is_lane_view(back.table)
     p1 = tmp_path / "v1.json"
     p2 = tmp_path / "v2.json"
     save_vault(v, p1)
-    save_vault(load_vault(p1), p2)
+    loaded = load_vault(p1)
+    assert loaded == v and _is_lane_view(loaded.table)
+    save_vault(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -319,6 +329,11 @@ def test_table_guard_keeps_sentinel_exact():
     assert _TABLE_GUARD <= 1 << 24
 
 
+def test_lane_typecode_is_32_bits():
+    # the table is read through native lanes of the packed 32-bit words
+    assert array(_LANE).itemsize == 4
+
+
 def _lock_by_definition(params, features, key, rng):
     """The vault table one element at a time: kappa(x) at a feature and
     elsewhere a chaff value uniform over everything except kappa(x)."""
@@ -351,6 +366,6 @@ def test_lock_matches_definition(q, m, n):
         key = fld.random_vector(params.ell, rng)
         a, b = random.Random(seed), random.Random(seed)
         v = lock(params, feats, key, a)
-        assert type(v.table) is tuple
-        assert v.table == _lock_by_definition(params, feats.as_set(), key, b)
+        assert _is_lane_view(v.table)
+        assert tuple(v.table) == _lock_by_definition(params, feats.as_set(), key, b)
         assert a.getrandbits(64) == b.getrandbits(64)

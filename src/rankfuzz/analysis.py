@@ -26,6 +26,7 @@ on it; prop4 asserts its whole chain of distances.
 import hashlib
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -537,12 +538,27 @@ def load_report(path):
 # Samplers.
 
 
+def _distinct_elements(field: ExtField, n: int, rng) -> list[int]:
+    """n distinct uniform elements in random order.  Up to sys.maxsize
+    elements this is rng.sample, so seeded draws stay as they were; it
+    cannot take the length of a longer range, so larger fields draw
+    rng.randrange and redraw repeats."""
+    if field.order <= sys.maxsize:
+        return rng.sample(range(field.order), n)
+    out: list[int] = []
+    while len(out) < n:
+        x = rng.randrange(field.order)
+        if x not in out:
+            out.append(x)
+    return out
+
+
 def sample_feature_set(field: ExtField, n: int, rng) -> FeatureSet:
     """Uniform independent n-subset of the field, by rejection."""
     if not 1 <= n <= field.m:
         raise BadDimensions(f"need 1 <= n <= m, got n={n}")
     for _ in range(_MAX_TRIES):
-        subset = rng.sample(range(field.order), n)
+        subset = _distinct_elements(field, n, rng)
         if element_rank(field, subset) == n:
             return FeatureSet(field, tuple(subset))
     raise InfeasibleShape("no independent subset found within the retry budget")
@@ -690,7 +706,7 @@ def mc_independence(
             total += 1
             succ += element_rank(fld, subset) == n
         return TrialReport("lemma2", params, total, succ, formula, seed, "exhaustive")
-    return _sampled(head, lambda rng, i: element_rank(fld, rng.sample(range(fld.order), n)) == n)
+    return _sampled(head, lambda rng, i: element_rank(fld, _distinct_elements(fld, n, rng)) == n)
 
 
 def mc_overlap_tightness(
@@ -769,12 +785,13 @@ def mc_subspace_tightness(
     def trial(rng, i):
         feats, wit, d_r, diff = _vault_trial(params, alpha, draw, rng)
         d_delta = set_difference(feats, wit)
-        d_s = subspace_distance(fld, feats.elems, wit.elems)
         inter = subspace_intersection(fld, feats.elems, wit.elems)
         if len(inter) != v:
             raise ClaimViolation(
                 f"sampled witness has span overlap {len(inter)}, not v ({where} trial={i})"
             )
+        # both sets hold n independent elements
+        d_s = 2 * (n - len(inter))
         r_int = restricted_rank(fld, diff, inter)
         if not d_s <= 2 * d_r <= d_s + 2 * r_int <= d_delta:
             raise ClaimViolation(

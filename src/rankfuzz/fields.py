@@ -13,21 +13,25 @@ vector (c_0, ..., c_{m-1}), read as the integer sum c_i * q**i, is
 smallest.  Two fields with equal (q, m) are therefore interchangeable,
 and the ext_field() factory returns a shared instance.
 
-Fields of at most 2**16 elements build discrete log tables on first
-use, and multiply, invert and apply Frobenius by lookup; for odd q
-they also add, subtract and negate by lookup, through the Zech
-logarithm zech[d] = log(1 + g^d).  The linearized-polynomial core reads
-these tables directly (ExtField._logs), so that a coefficient times a
-Frobenius power is one lookup with no call to mul or frobenius.  At
-q = 2, add and sub are operator.xor.  Larger fields (up to the
-supported m <= 64) have no tables, whose size and build time grow with
-q^m, and compute in the polynomial basis: for q = 2 by carry-less
-shift-and-xor multiplication and an extended Euclid inverse, for odd q
-digit by digit with a Fermat inverse.  There the Frobenius
-a -> a^(q^i) is applied as the F_q-linear map it is, built per
-exponent from the images of the basis on first use.  Arithmetic
-methods assume canonical ints and do not re-validate their inputs on
-every call; use check() / check_vector() at API boundaries.
+The constructor picks the code behind each of add, sub, neg, mul, inv
+and frobenius once, and binds it on the instance; the class defines
+none of them.  Fields of at most 2**16 elements build discrete log
+tables in the constructor, and multiply, invert and apply Frobenius by
+lookup; for odd q they also add, subtract and negate by lookup, through
+the Zech logarithm zech[d] = log(1 + g^d).  The build is paid even by a
+field that does no arithmetic: about 0.9 s at q^m = 3^10, 0.4 s at
+251^2 and 0.12 s at 2^16 on a 2-core Xeon.  The linearized-polynomial
+core reads the tables directly (ExtField._logs, None above the limit),
+so that a coefficient times a Frobenius power is one lookup with no
+call to mul or frobenius.  At q = 2, add and sub are operator.xor.
+Larger fields (up to the supported m <= 64) have no tables, whose size
+and build time grow with q^m, and compute in the polynomial basis: for
+q = 2 by carry-less shift-and-xor multiplication and an extended
+Euclid inverse, for odd q digit by digit with a Fermat inverse.  There
+the Frobenius a -> a^(q^i) is applied as the F_q-linear map it is,
+built per exponent from the images of the basis on first use.
+Arithmetic methods assume canonical ints and do not re-validate their
+inputs on every call; use check() / check_vector() at API boundaries.
 """
 
 from __future__ import annotations
@@ -249,18 +253,18 @@ class ExtField:
             self._fold = tuple(i for i in range(m) if self.modulus[i])
             self._nibble_shifts = range(4 * ((m - 1) // 4), -1, -4)
         self._mul_poly = self._mul_gf2 if q == 2 else self._mul_basic
-        self._logs = None  # (exp, log, n, frob_exp) once the tables exist
         self._normal = None
-        if self.order > _TABLE_LIMIT:
-            # tables will never exist; skip the lazy check on every call
-            self._frob_maps = [None] * m  # built per exponent on first use
-            self.mul = self._mul_poly
-            if q == 2:
-                self.inv = self._inv_gf2
-                self.frobenius = self._frobenius_gf2
-            else:
-                self.inv = self._inv_fermat
-                self.frobenius = self._frobenius_fq
+        if self.order <= _TABLE_LIMIT:
+            self._build_tables()  # mul, inv, frobenius; add, sub, neg at odd q
+            return
+        self._logs = None
+        self._frob_maps = [None] * m  # built per exponent on first use
+        self.mul = self._mul_poly
+        if q == 2:
+            self.inv, self.frobenius = self._inv_gf2, self._frobenius_gf2
+        else:
+            self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
+            self.inv, self.frobenius = self._inv_fermat, self._frobenius_fq
 
     def __repr__(self):
         return f"ExtField(q={self.q}, m={self.m})"
@@ -333,10 +337,10 @@ class ExtField:
 
     # -- arithmetic ---------------------------------------------------------
 
-    # The digit loops below are overridden by instance attributes: xor
-    # when q == 2, and Zech-logarithm lookups once an odd-q table field
-    # has built its tables.
-    def add(self, a: int, b: int) -> int:
+    # __init__ binds add, sub, neg, mul, inv and frobenius on the instance,
+    # to the methods below or to the table lookups of _build_tables.  The
+    # digit loops serve odd q above the table limit.
+    def _add_digits(self, a: int, b: int) -> int:
         q = self.q
         v = 0
         for p in self._qpow_m:
@@ -345,7 +349,7 @@ class ExtField:
             b //= q
         return v
 
-    def sub(self, a: int, b: int) -> int:
+    def _sub_digits(self, a: int, b: int) -> int:
         q = self.q
         v = 0
         for p in self._qpow_m:
@@ -354,7 +358,7 @@ class ExtField:
             b //= q
         return v
 
-    def neg(self, a: int) -> int:
+    def _neg_digits(self, a: int) -> int:
         q = self.q
         v = 0
         for p in self._qpow_m:
@@ -404,13 +408,6 @@ class ExtField:
             high = r >> m
         return r
 
-    def mul(self, a: int, b: int) -> int:
-        # only reached in a table-backed field before its tables exist;
-        # _ensure_tables installs instance-level lookups that shadow this
-        # method, and larger fields shadow it in __init__
-        self._ensure_tables()
-        return self.mul(a, b)
-
     def _inv_gf2(self, a: int) -> int:
         """Inverse for q = 2 by binary extended Euclid against the full
         modulus; u = g1 * a and v = g2 * a hold modulo it throughout."""
@@ -430,10 +427,6 @@ class ExtField:
             raise DivisionByZero("zero has no inverse")
         return self.pow_(a, self.order - 2)
 
-    def inv(self, a: int) -> int:
-        self._ensure_tables()
-        return self.inv(a)
-
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow_(self.inv(a), -e)
@@ -448,16 +441,6 @@ class ExtField:
             acc = mul(acc, acc)
             e >>= 1
         return result
-
-    def frobenius(self, a: int, i: int = 1) -> int:
-        """a^(q^i), by lookup: a = g^j maps to g^(j * q^i).  Fields above
-        the table limit shadow this method in __init__."""
-        if self._logs is None:
-            self._ensure_tables()
-        if a == 0:
-            return 0
-        exp, log, n, frob_exp = self._logs
-        return exp[log[a] * frob_exp[i % self.m] % n]
 
     def _frob_map(self, i: int):
         """The F_q-linear map a -> a^(q^i), built from the images of the
@@ -500,9 +483,11 @@ class ExtField:
             (sum(map(operator.mul, row, ds)) % q) * p for row, p in zip(rows, self._qpow_m)
         )
 
-    def _ensure_tables(self):
-        if self._logs is not None or self.order > _TABLE_LIMIT:
-            return
+    def _build_tables(self):
+        """Set _logs = (exp, log, n, frob_exp) and bind the lookups.  With
+        n = q^m - 1, a nonzero a is exp[log[a]], log[0] = -1, and a^(q^i)
+        is exp[log[a] * frob_exp[i] % n].  The build multiplies only
+        through _mul_poly and pow_, so it runs before mul exists."""
         n = self.order - 1
         primes = _prime_divisors(n)
         # a primitive element; when order == 2 the only unit is 1
@@ -517,7 +502,8 @@ class ExtField:
         log = [-1] * self.order
         for i, v in enumerate(exp):
             log[v] = i
-        self._logs = (exp, log, n, [pow(self.q, i, n) for i in range(self.m)])
+        frob_exp = [pow(self.q, i, n) for i in range(self.m)]
+        self._logs = (exp, log, n, frob_exp)
 
         def mul(a, b, exp=exp, log=log, n=n):
             if a == 0 or b == 0:
@@ -529,8 +515,11 @@ class ExtField:
                 raise DivisionByZero("zero has no inverse")
             return exp[(n - log[a]) % n]
 
-        self.mul = mul
-        self.inv = inv
+        def frobenius(a, i=1, exp=exp, log=log, n=n, fe=frob_exp, m=self.m):
+            # a = g^j maps to g^(j * q^i)
+            return exp[log[a] * fe[i % m] % n] if a else 0
+
+        self.mul, self.inv, self.frobenius = mul, inv, frobenius
         if self.q == 2:
             return
         # Zech logarithms: 1 + g^d = g^zech[d], or zech[d] = -1 where the
@@ -561,9 +550,7 @@ class ExtField:
         def neg(a, exp=exp, log=log, n=n, half=half):
             return exp[(log[a] + half) % n] if a else 0
 
-        self.add = add
-        self.sub = sub
-        self.neg = neg
+        self.add, self.sub, self.neg = add, sub, neg
 
     # -- sampling -----------------------------------------------------------
 

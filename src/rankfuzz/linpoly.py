@@ -12,11 +12,12 @@ k mod m, since a^(q^m) = a for every field element).  Evaluation always
 reduces exponents, so f(a) == f.reduced()(a) regardless.
 
 Evaluation, composition, division and Newton interpolation branch once
-per call on whether the field is table-backed (q^m <= 2^16).  There
-they run on discrete logarithms: c * x^(q^(s*i)) is the single lookup
+per call on field._logs, the log tables a table-backed field (q^m <=
+2^16) built in its constructor (see fields).  There they run on
+discrete logarithms: c * x^(q^(s*i)) is the single lookup
 exp[(log c + log x * q^(s*i)) % (q^m - 1)], written inline, and sums go
 through field.add (xor at q = 2, a Zech-logarithm lookup at odd q).
-Larger fields have no tables, so their branches call field.mul and
+Larger fields have _logs None, so their branches call field.mul and
 field.frobenius.  The decoder's Euclid loop uses the raw-ledger
 functions below directly, with no LinearizedPoly per step.
 """
@@ -54,16 +55,6 @@ def _check_twist(field: ExtField, s: int) -> int:
     return s
 
 
-def _logs(field: ExtField):
-    """(exp, log, n, frob_exp) of a table-backed field, its tables built
-    on first use, or None above the table limit.  With n = q^m - 1 a
-    nonzero a is exp[log[a]] and a^(q^i) = exp[log[a] * frob_exp[i] % n];
-    log[0] = -1."""
-    if field._logs is None:
-        field._ensure_tables()
-    return field._logs
-
-
 def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
@@ -83,7 +74,7 @@ def _compose_raw(field: ExtField, s: int, f, g) -> list[int]:
         return []
     add, m = field.add, field.m
     out = [0] * (len(f) + len(g) - 1)
-    logs = _logs(field)
+    logs = field._logs
     if logs:
         exp, log, n, fe = logs
         lg = [log[x] for x in g]
@@ -115,7 +106,7 @@ def _divmod(field: ExtField, s: int, f, g, left: bool) -> tuple[list[int], list[
     dg = len(g) - 1
     r = list(f)
     qq = [0] * max(len(r) - dg, 0)
-    logs = _logs(field)
+    logs = field._logs
     if logs:
         exp, log, n, fe = logs
         # the leading term cancels exactly, so only g_0..g_(dg-1) are applied
@@ -218,7 +209,7 @@ class LinearizedPoly:
 
     def __call__(self, a: int) -> int:
         field, s = self.field, self.s
-        logs = _logs(field)
+        logs = field._logs
         if logs:
             if not a:
                 return 0
@@ -243,12 +234,12 @@ class LinearizedPoly:
         The list is built by doubling: once the images of all elements
         below q^j are known, those of d * q^j + v for d = 1..q-1 are the
         same images plus d times the image of x^j.  At q = 2 this is the
-        unpacked form of image_lanes()."""
+        unpacked form of the lanes of _lanes_at()."""
         field = self.field
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
         if field.q == 2:
-            lanes = self.image_lanes().to_bytes(4 * field.order, "little")
+            lanes = self._lanes_at(())[0].to_bytes(4 * field.order, "little")
             return list(struct.unpack(f"<{field.order}I", lanes))
         out = [0]
         add, mul = field.add, field.mul
@@ -256,19 +247,15 @@ class LinearizedPoly:
             out += [add(o, c) for c in [mul(d, b) for d in range(1, field.q)] for o in out]
         return out
 
-    def image_lanes(self) -> int:
-        """evaluate_all() as one integer of 32-bit lanes, lane x the image
-        of x.  At q = 2 the doubling makes no object per element: the
-        images of the elements below 2^j fill the low 2^j lanes, and one
-        xor with the image b of x^j copied into every lane, shifted up by
-        2^j lanes, adds the images of the next 2^j elements."""
-        return self._lanes_at(())[0]
-
     def _lanes_at(self, xs) -> tuple[int, list[int]]:
-        """(image_lanes(), images of xs); at q = 2, xors of the basis images."""
+        """(lanes, images of xs): lanes is evaluate_all() as one integer
+        of 32-bit lanes, lane x the image of x.  The caller keeps q^m
+        within the enumeration limit.  At q = 2 the doubling makes no
+        object per element: the images of the elements below 2^j fill the
+        low 2^j lanes, and one xor with the image b of x^j copied into
+        every lane, shifted up by 2^j lanes, adds the images of the next
+        2^j elements; the images of xs are xors of the basis images."""
         field = self.field
-        if field.order > _EVAL_ALL_LIMIT:
-            raise TooLarge(f"field too large to enumerate ({field.order} elements)")
         if field.q != 2:
             images = self.evaluate_all()
             lanes = struct.pack(f"<{field.order}I", *images)
@@ -378,7 +365,7 @@ def _newton(field: ExtField, s: int, xs, ys) -> tuple[list[int], list[int]]:
     sm = s % field.m
     p: list[int] = []
     mm = [1]
-    logs = _logs(field)
+    logs = field._logs
     if logs:
         exp, log, n, fe = logs
         fs = fe[sm]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -550,6 +551,41 @@ def test_sample_feature_set_postconditions():
         sample_feature_set(F16, 5, rng)
     with pytest.raises(BadDimensions):
         sample_feature_set(F16, 0, rng)
+
+
+OVERSIZED = [(2, 63), (2, 64), (3, 40), (251, 8)]
+
+
+@pytest.mark.parametrize("q,m", OVERSIZED, ids=[f"{q}-{m}" for q, m in OVERSIZED])
+def test_feature_sampling_past_sys_maxsize(q, m):
+    # random.sample cannot take the length of range(q^m) here
+    fld = ext_field(q, m)
+    assert fld.order > sys.maxsize
+    fs = sample_feature_set(fld, 4, random.Random(q * m))
+    assert len(set(fs.elems)) == 4 and element_rank(fld, fs.elems) == 4
+    assert all(0 <= x < fld.order for x in fs.elems)
+    r = mc_independence(q, m, 3, trials=5, seed=1)
+    assert r.mode == "sampled" and r.trials == 5 and r.successes == 5
+
+
+def test_distinct_elements_redraws_repeats_past_sys_maxsize():
+    class Draws:
+        def __init__(self, values):
+            self.values = iter(values)
+
+        def randrange(self, stop):
+            return next(self.values)
+
+    assert analysis._distinct_elements(ext_field(2, 64), 3, Draws([5, 5, 7, 5, 9])) == [5, 7, 9]
+
+
+def test_distinct_elements_is_random_sample_up_to_sys_maxsize():
+    # seeded feature sets stay those of rng.sample
+    for fld in (ext_field(2, 8), ext_field(2, 62), ext_field(3, 39)):
+        assert fld.order <= sys.maxsize
+        a, b = random.Random(5), random.Random(5)
+        assert analysis._distinct_elements(fld, 4, a) == b.sample(range(fld.order), 4)
+        assert a.getstate() == b.getstate()
 
 
 def test_sample_witness_overlap_postconditions():

@@ -416,10 +416,41 @@ def test_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_simulate_invalid_params_exit_2(capsys):
-    rc = main(["simulate", "lemma2", "--q", "2", "--m", "4", "--n", "5"])
+INVALID_SIMULATIONS = {
+    "n-zero": "lemma2 --q 2 --m 4 --n 0",
+    "trials-zero": "lemma2 --q 2 --m 4 --n 2 --trials 0",
+    "trials-negative": "prop2 --q 2 --n 4 --u 2 --ell 1 --trials -3",
+    "k-zero": "roundtrip --q 2 --m 4 --n 4 --k 0",
+    "n-above-m": "lemma2 --q 2 --m 4 --n 5",
+    "bad-s": "prop4 --q 2 --m 6 --n 3 --u 1 --v 2 --ell 1 --s 3",
+    "u-above-n": "prop2 --q 2 --n 4 --u 5 --ell 1",
+    "ell-not-below-n": "prop2 --q 2 --n 4 --u 2 --ell 4",
+    "v-below-u": "prop4 --q 2 --m 6 --n 3 --u 2 --v 1 --ell 1",
+    "span-above-m": "prop4 --q 2 --m 5 --n 3 --u 0 --v 0 --ell 1",
+    "m-sweep-past-table-guard": "thm5 --q 2 --n 3 --ell 1 --m-sweep 4,21",
+}
+
+
+@pytest.mark.parametrize("argv", INVALID_SIMULATIONS.values(), ids=INVALID_SIMULATIONS.keys())
+def test_simulate_invalid_params_exit_2(argv, capsys):
+    rc = main(["simulate", *argv.split()])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["roundtrip --q 2 --m 64 --n 4 --k 2", "lemma2 --q 251 --m 8 --n 3"],
+    ids=["roundtrip-2-64", "lemma2-251-8"],
+)
+def test_simulate_past_sys_maxsize_exits_0(argv, capsys):
+    # q^m above sys.maxsize, where a range is too long for random.sample
+    assert main(["simulate", *argv.split(), "--trials", "5", "--seed", "3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("sweep", ["2", "2,3,4"])

@@ -242,17 +242,16 @@ ADD_SAMPLED = {(3, 10), (251, 2)}
     "q,m", ADD_FIELDS, ids=[str(q) if m == 1 else f"{q}-{m}" for q, m in ADD_FIELDS]
 )
 def test_prime_field_add_sub_neg_match_digit_loop(q, m):
-    # odd q: add/sub/neg are one reduction mod q each at m = 1, and Zech
-    # logarithm lookups once the tables exist at m >= 2; the class methods
-    # are the digit loops
+    # odd q table fields add, subtract and negate by Zech logarithm
+    # lookups; the digit loops, which serve larger odd-q fields, are the
+    # reference
     F = ext_field(q, m)
-    F.mul(1, 1)  # builds the tables
     assert {"add", "sub", "neg"} <= vars(F).keys()
     if (q, m) in ADD_SAMPLED:
         rng = random.Random(7 * q + m)
         elems = [F.random_element(rng) for _ in range(200)]
         pairs = [(F.random_element(rng), F.random_element(rng)) for _ in range(20_000)]
-        pairs += [(a, b) for a in elems[:100] for b in (0, a, ExtField.neg(F, a))]
+        pairs += [(a, b) for a in elems[:100] for b in (0, a, ExtField._neg_digits(F, a))]
         pairs += [(0, b) for b in elems]
         pairs += [(0, 0), (1, F.order - 1), (F.order - 1, 1)]
         singles = elems + [0, 1, F.order - 1]
@@ -260,10 +259,10 @@ def test_prime_field_add_sub_neg_match_digit_loop(q, m):
         pairs = itertools.product(F.elements(), repeat=2)
         singles = F.elements()
     for a in singles:
-        assert F.neg(a) == ExtField.neg(F, a), a
+        assert F.neg(a) == ExtField._neg_digits(F, a), a
     for a, b in pairs:
-        assert F.add(a, b) == ExtField.add(F, a, b), (a, b)
-        assert F.sub(a, b) == ExtField.sub(F, a, b), (a, b)
+        assert F.add(a, b) == ExtField._add_digits(F, a, b), (a, b)
+        assert F.sub(a, b) == ExtField._sub_digits(F, a, b), (a, b)
 
 
 def test_inverse_of_zero_rejected():
@@ -279,10 +278,32 @@ def test_table_mul_agrees_with_convolution():
     for q, m in [(2, 8), (3, 4), (5, 3), (2, 16)]:
         F = ext_field(q, m)
         rng = random.Random(q * m)
-        F.mul(1, 1)  # force table build
         for _ in range(400):
             a, b = F.random_element(rng), F.random_element(rng)
             assert F.mul(a, b) == F._mul_basic(a, b)
+
+
+OPERATIONS = {"add", "sub", "neg", "mul", "inv", "frobenius"}
+BINDING_FIELDS = [(2, 1), (3, 1), (2, 8), (3, 4), (2, 32), (3, 11)]
+
+
+@pytest.mark.parametrize("q,m", BINDING_FIELDS, ids=[f"{q}-{m}" for q, m in BINDING_FIELDS])
+def test_constructor_binds_every_operation(q, m):
+    # the class defines none of the six, so no call falls back to it
+    assert not OPERATIONS & vars(ExtField).keys()
+    F = ExtField(q, m)
+    assert OPERATIONS <= vars(F).keys()
+    if F.order <= 1 << 16:
+        assert type(F._logs) is tuple and len(F._logs) == 4
+    else:
+        assert F._logs is None
+    rng = random.Random(q * m)
+    for _ in range(20):
+        a, b = F.random_element(rng), F.random_element(rng) or 1
+        assert F.mul(F.add(a, b), b) == F.add(F._mul_poly(a, b), F._mul_poly(b, b))
+        assert F.add(F.sub(a, b), b) == a and F.add(F.neg(a), a) == 0
+        assert F._mul_poly(F.inv(b), b) == 1
+        assert F.frobenius(a) == F.pow_(a, q) and F.frobenius(a, m) == a
 
 
 @pytest.mark.parametrize("m", [17, 20, 32, 64])

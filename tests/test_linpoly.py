@@ -2,7 +2,6 @@
 interpolation, and induced-map ranks."""
 
 import random
-import struct
 
 import pytest
 
@@ -14,6 +13,7 @@ from rankfuzz.errors import (
     DivisionByZeroPoly,
     LengthMismatch,
     MismatchedField,
+    TooLarge,
     TwistMismatch,
 )
 from rankfuzz.fields import element_rank, ext_field, solve_ext
@@ -111,8 +111,12 @@ def test_evaluate_all_matches_pointwise():
             assert len(table) == field.order
             for a in range(field.order):
                 assert table[a] == p(a)
-            lanes = struct.pack(f"<{field.order}I", *table)
-            assert p.image_lanes() == int.from_bytes(lanes, "little")
+
+
+@pytest.mark.parametrize("q,m", [(2, 21), (3, 13)])
+def test_evaluate_all_refuses_fields_past_the_enumeration_limit(q, m):
+    with pytest.raises(TooLarge):
+        LinearizedPoly.identity(ext_field(q, m), 1).evaluate_all()
 
 
 def test_zero_polynomial_evaluates_to_zero():

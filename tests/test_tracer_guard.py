@@ -42,7 +42,6 @@ def test_every_wrapped_name_resolves(tracer):
 
 def test_install_then_remove_restores_every_attribute(tracer):
     field = ext_field(2, 8)
-    field.mul(1, 1)  # the tables, as a benchmark builds them before tracing
     classes = {
         getattr(importlib.import_module(module), cls_name)
         for targets in tracer.METHOD_SPANS.values()

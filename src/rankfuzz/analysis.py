@@ -117,25 +117,29 @@ def restricted_rank(field: ExtField, func, basis) -> int:
 class SubspaceMap:
     """F_q-linear map defined by images of a basis of a subspace.
 
-    Keeps an FqSpan of the basis, whose rows are tagged with their
-    coordinates over it: evaluation reduces x against the span and
-    combines the images with the resulting tag.
+    Keeps an FqSpan of its graph: one row (b, -f(b)) per basis element
+    b, two elements wide with b in the high half, read as the int
+    b * q^m + neg(f(b)).  The basis is independent, so every echelon
+    row has its pivot in the high half.  Reducing (x, 0) clears that
+    half exactly when x lies in the domain, taking off (x, -f(x)) and
+    leaving f(x); outside the domain the residue is q^m or more.
     """
 
-    __slots__ = ("field", "basis", "images", "_span")
+    __slots__ = ("field", "basis", "images", "_graph")
 
     def __init__(self, field: ExtField, basis, images):
         basis = field.check_vector(basis)
         images = field.check_vector(images)
         if len(basis) != len(images):
             raise DimensionMismatch("need one image per basis element")
-        span = FqSpan(field.q, field.m, basis)
-        if span.rank != len(basis):
+        if FqSpan(field.q, field.m, basis).rank != len(basis):
             raise DependentRestriction("basis elements must be independent")
+        high, neg = field.order, field.neg
+        graph = FqSpan(field.q, 2 * field.m, [b * high + neg(y) for b, y in zip(basis, images)])
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_graph", graph)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceMap is immutable")
@@ -144,19 +148,16 @@ class SubspaceMap:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, x: int):
-        """Coefficients of x over the basis, or None if x is outside."""
-        residue, tag = self._span.reduce(self.field.check(x))
-        return None if residue else tag
-
     def __contains__(self, x) -> bool:
-        return self.coordinates(x) is not None
+        field = self.field
+        return self._graph.reduce(field.check(x) * field.order) < field.order
 
     def __call__(self, x: int) -> int:
-        coords = self.coordinates(x)
-        if coords is None:
+        field = self.field
+        y = self._graph.reduce(field.check(x) * field.order)
+        if y >= field.order:
             raise BadRange("element lies outside the map's domain")
-        return fq_combination(self.field, coords, self.images)
+        return y
 
     def __repr__(self):
         return f"SubspaceMap(dim={self.dim} in F_{self.field.q}^{self.field.m})"
@@ -239,15 +240,11 @@ def independence_probability(q: int, m: int, n: int) -> Fraction:
 
 
 def overlap_tightness_probability(q: int, n: int, u: int) -> Fraction:
-    """Chance the rank bound is met with equality at set overlap u, m = n."""
-    _checked_order(q, n)
+    """Chance the rank bound is met with equality at set overlap u, m = n:
+    the subspace chance with span overlap v = n."""
     if not 0 <= u <= n:
         raise BadRange(f"need 0 <= u <= n, got u={u}")
-    order = q**n
-    out = Fraction(1)
-    for i in range(n - u):
-        out *= Fraction(order - q**i, order - 1)
-    return out
+    return subspace_tightness_probability(q, n, n, u, n)
 
 
 def subspace_tightness_probability(q: int, m: int, n: int, u: int, v: int) -> Fraction:
@@ -295,6 +292,8 @@ class TrialReport:
             raise BadRange("need at least one trial")
         if not 0 <= self.successes <= self.trials:
             raise BadRange("successes must lie in [0, trials]")
+        if self.formula is not None and not 0 <= self.formula <= 1:
+            raise BadRange(f"formula must lie in [0, 1], got {self.formula}")
 
     @property
     def estimate(self) -> float:
@@ -728,8 +727,6 @@ def mc_overlap_tightness(
     """
     params = VaultParams(q=q, m=n, n=n, ell=ell, s=s)
     fld = params.field
-    if not 0 <= u <= n:
-        raise BadRange(f"need 0 <= u <= n, got u={u}")
     head = TrialReport(
         "prop2",
         {"q": q, "n": n, "u": u, "ell": ell, "s": s},

@@ -572,48 +572,43 @@ def ext_field(q: int, m: int) -> ExtField:
 
 
 # ---------------------------------------------------------------------------
-# The F_q-span of ints read as digit vectors: every rank, coordinate and
-# intersection on field elements, and on F_q rows encoded as base-q ints.
+# The F_q-span of ints read as digit vectors: every rank, membership,
+# intersection and map on a subspace of field elements, and every rank of
+# F_q rows encoded as base-q ints.
 
 
 class FqSpan:
     """Echelon rows of the F_q-span of ints in [0, q**width), each read as
     its width base-q digits.  A row is stored under its pivot, its highest
-    nonzero digit, and tagged with its coefficients over the inputs that
-    grew the rank, in order.  At q = 2 a row is one int, the element above
-    a width-bit tag, and a step is one xor; at odd q it is a list of the
-    width digits, low first, then the tag digits up to its own, updated
-    mod q.  Inputs are not checked."""
+    nonzero digit, and carries nothing but its digits.  At q = 2 a row is
+    the int itself, filed under its bit length, and a step is one xor; at
+    odd q it is the list of its digits, low first, up to its pivot, scaled
+    so the pivot digit is 1.  Inputs are not checked."""
 
     __slots__ = ("q", "width", "rank", "_rows")
 
     def __init__(self, q: int, width: int, elems=()):
         self.q, self.width, self.rank = q, width, 0
-        # at q = 2 the pivot is the row's bit length, above the tag
-        self._rows = [0] * (2 * width + 1) if q == 2 else [None] * width
+        self._rows = [0] * (width + 1) if q == 2 else [None] * width
         self.extend(elems)
 
     def extend(self, elems) -> int:
-        """Add the elements in turn; return how many grew the rank.  A new
-        row's own tag digit is set last, as no earlier row has that digit."""
-        rows, w, q, start = self._rows, self.width, self.q, self.rank
+        """Add the elements in turn; return how many grew the rank."""
+        rows, q, start = self._rows, self.q, self.rank
         rank = start
         if q == 2:
-            low = (1 << w) - 1
-            for x in elems:
-                v = x << w
-                while v > low and (row := rows[v.bit_length()]):
+            for v in elems:
+                while v and (row := rows[v.bit_length()]):
                     v ^= row
-                if v > low:
-                    rows[v.bit_length()] = v | 1 << rank
+                if v:
+                    rows[v.bit_length()] = v
                     rank += 1
         else:
             for x in elems:
-                d, p = self._eliminate(x, rank + 1)
+                d, p = self._eliminate(x)
                 if p is not None:
-                    d[w + rank] = 1
                     inv = pow(d[p], -1, q)
-                    rows[p] = [a * inv % q for a in d]
+                    rows[p] = [a * inv % q for a in d[: p + 1]]
                     rank += 1
         self.rank = rank
         return rank - start
@@ -622,47 +617,46 @@ class FqSpan:
         """Add x; True when it grew the rank."""
         return self.extend((x,)) == 1
 
-    def reduce(self, x: int):
-        """(residue, tag): x = residue + sum(tag[i] * input_i) over the
-        inputs that grew the rank, and residue = 0 exactly when x lies in
-        the span."""
-        rows, w, q = self._rows, self.width, self.q
-        if q == 2:
-            low, v = (1 << w) - 1, x << w
-            while v > low and (row := rows[v.bit_length()]):
-                v ^= row
-            return v >> w, [v >> i & 1 for i in range(self.rank)]
-        d, _ = self._eliminate(x, self.rank)
-        return self._value(d), [-t % q for t in d[w:]]
+    def reduce(self, x: int) -> int:
+        """The residue of x: x minus an element of the span, reduced from
+        the top down to its first nonzero digit without a row.  It is 0
+        exactly when x lies in the span, and reducing it again leaves it
+        as it is."""
+        rows = self._rows
+        if self.q == 2:
+            while x and (row := rows[x.bit_length()]):
+                x ^= row
+            return x
+        return self._value(self._eliminate(x)[0])
 
     def basis(self) -> list[int]:
-        """The element part of each row."""
+        """The rows, each as an int."""
         if self.q == 2:
-            return [v >> self.width for v in self._rows if v]
+            return [v for v in self._rows if v]
         return [self._value(d) for d in self._rows if d]
 
-    def _eliminate(self, x: int, tags: int):
-        """(d, p) at odd q: the digits of x and tags zero tag digits,
-        reduced against the rows down to the first nonzero digit p without
-        a row, or to a zero element part, where p is None.  A row's tag
-        ends at its own digit, so a step updates only that long a prefix.
-        Entries are reduced mod q only where read, and before d is stored."""
-        q, w, rows = self.q, self.width, self._rows
-        d = [0] * (w + tags)
-        for i in range(w):
+    def _eliminate(self, x: int):
+        """(d, p) at odd q: the digits of x reduced against the rows down
+        to the first nonzero digit p without a row, or to zero, where p is
+        None.  A row ends at its pivot, so a step updates only that long a
+        prefix.  Entries are reduced mod q only where read, and before d
+        is stored."""
+        q, rows = self.q, self._rows
+        d = [0] * self.width
+        for i in range(self.width):
             x, d[i] = divmod(x, q)
-        for p in range(w - 1, -1, -1):
+        for p in range(self.width - 1, -1, -1):
             c = d[p] % q
             if c:
                 row = rows[p]
                 if row is None:
                     return d, p
-                d[: len(row)] = [a - c * b for a, b in zip(d, row)]
+                d[: p + 1] = [a - c * b for a, b in zip(d, row)]
         return d, None
 
     def _value(self, d) -> int:
         q, v = self.q, 0
-        for c in reversed(d[: self.width]):
+        for c in reversed(d):
             v = v * q + c % q
         return v
 

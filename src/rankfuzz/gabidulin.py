@@ -46,12 +46,12 @@ class GabidulinCode:
     """[n, k] evaluation code over F_{q^m} with twist s."""
 
     def __init__(self, field: ExtField, n: int, k: int, s: int, points):
+        if not 1 <= k <= n <= field.m:
+            raise BadDimensions(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={field.m}")
         _check_twist(field, s)
         pts = field.check_vector(points)
         if len(pts) != n:
             raise LengthMismatch(f"n={n} but {len(pts)} evaluation points")
-        if not 1 <= k <= n or n > field.m:
-            raise BadDimensions(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={field.m}")
         if not is_independent(field, pts):
             raise DependentPoints("evaluation points are dependent over F_q")
         self.field = field

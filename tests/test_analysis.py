@@ -160,18 +160,18 @@ def test_subspace_map_basics():
     sm = SubspaceMap(F16, (1, 2), (5, 7))
     assert sm.dim == 2
     assert sm(1) == 5 and sm(2) == 7
-    assert sm.coordinates(3) == [1, 1]
     assert sm(3) == F16.add(5, 7)
     assert 3 in sm and 0 in sm
     assert 4 not in sm
-    assert sm.coordinates(4) is None
     with pytest.raises(BadRange):
         sm(4)
 
 
 def test_subspace_map_is_linear_on_domain():
     rng = random.Random(2)
-    for fld in (F256, F27):
+    # (2, 40) and (3, 12) lie past the table limit, with graph rows 2m
+    # digits wide
+    for fld in (F256, F27, ext_field(2, 40), ext_field(3, 12)):
         basis = sample_feature_set(fld, 3, rng).elems
         images = fld.random_vector(3, rng)
         sm = SubspaceMap(fld, basis, images)
@@ -195,11 +195,13 @@ def test_subspace_map_odd_q_against_span_oracle():
             sm = SubspaceMap(fld, basis, images)
             span = naive_span(fld, basis)
             for x in fld.elements():
-                coords = sm.coordinates(x)
-                assert (coords is None) == (x not in span), (fld, basis, x)
-                if coords is not None:
-                    assert fq_combination(fld, coords, basis) == x
-                    assert sm(x) == fq_combination(fld, coords, images)
+                assert (x in sm) == (x in span), (fld, basis, x)
+                if x not in span:
+                    with pytest.raises(BadRange):
+                        sm(x)
+            for coords in product(range(fld.q), repeat=dim):
+                x = fq_combination(fld, coords, basis)
+                assert sm(x) == fq_combination(fld, coords, images), (fld, basis, coords)
 
 
 def test_subspace_map_full_basis_covers_field():
@@ -433,6 +435,24 @@ def test_report_dict_rejects_malformed_records(make):
     trial = TrialReport("prop4", {"q": 3}, 50, 20, Fraction(2, 5), seed=9).to_dict()
     with pytest.raises(MalformedRecord):
         report_from_dict(make(trial, _sweep_dict()))
+
+
+@pytest.mark.parametrize("formula", [Fraction(3, 2), Fraction(-1, 2)])
+def test_report_formula_outside_unit_interval_is_refused(tmp_path, formula):
+    with pytest.raises(BadRange, match="formula must lie in"):
+        TrialReport("prop2", {"u": 1}, 10, 5, formula, seed=0)
+    # a chunk whose formula got past the constructor cannot merge either
+    chunk = TrialReport("prop2", {"u": 1}, 10, 5, Fraction(1, 2), seed=0)
+    object.__setattr__(chunk, "formula", formula)
+    with pytest.raises(BadRange, match="formula must lie in"):
+        merge_reports(chunk)
+    # nor load from a file, which would otherwise crash at .verdict
+    data = TrialReport("prop2", {"u": 1}, 10, 5, Fraction(1, 2), seed=0).to_dict()
+    data["formula"] = {"numerator": formula.numerator, "denominator": formula.denominator}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data), encoding="ascii")
+    with pytest.raises(BadRange, match="formula must lie in"):
+        load_report(path)
 
 
 def test_merge_reports_equals_single_run():

@@ -136,6 +136,18 @@ def test_verify_bad_witness_file(committed, tmp_path, capsys):
     assert main(["verify", "--commitment", str(com), "--witness", str(tmp_path / "no.hex")]) == 2
 
 
+def test_commit_longer_than_m_names_the_dimensions(tmp_path, capsys):
+    # n > m is the fault, not the evaluation point x^m past the field
+    wit, com = tmp_path / "w.hex", tmp_path / "c.json"
+    write_vec(ext_field(2, 4), wit, [1, 2, 4, 8, 3])
+    argv = ["commit", "--q", "2", "--m", "4", "--n", "5", "--k", "2",
+            "--witness", str(wit), "--out", str(com)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need 1 <= k <= n <= m, got k=2, n=5, m=4\n"
+    assert not com.exists()
+
+
 MALFORMED_COMMITMENTS = {
     "missing_digest": lambda d: {k: v for k, v in d.items() if k != "digest"},
     "top_level_list": lambda d: [d],

@@ -625,14 +625,16 @@ def test_span_against_minor_oracle(q, width):
                 grown.append(x)
         assert FqSpan(q, width, elems).rank == span.rank
         inside = [fq_combination(F, [rng.randrange(q) for _ in elems], elems) for _ in range(5)]
+        spanned = [digits(g) for g in grown]
         for x in inside + [F.random_element(rng) for _ in range(5)] + [0] + elems:
-            residue, tag = span.reduce(x)
+            residue = span.reduce(x)
             # membership by the dense elimination, which the rank tests
             # above check against the minor oracle
             assert (residue == 0) == (rank_fq(rows + [digits(x)], q) == span.rank), (elems, x)
-            assert len(tag) == span.rank and all(0 <= t < q for t in tag)
-            # x = residue + the tag's combination of the inputs that grew the rank
-            assert F.add(residue, fq_combination(F, tag, grown)) == x
+            # x - residue lies in the span of the inputs that grew the rank,
+            # and the residue is already reduced
+            assert rank_fq(spanned + [digits(F.sub(x, residue))], q) == span.rank, (elems, x)
+            assert span.reduce(residue) == residue
 
 
 def test_independence_predicate():

@@ -79,6 +79,6 @@ def test_campaigns_reach_the_wrapped_names(tracer):
     assert spans["analysis.campaign"] == 4
     assert spans["analysis.trial_rng"] == 4 * trials
     for name in ("analysis.sample", "vault.lock", "analysis.witness_map",
-                 "analysis.restricted_rank", "analysis.distance"):
+                 "analysis.restricted_rank", "analysis.distance", "analysis.subspace_map"):
         assert spans[name] > 0, name
     assert t.counts["analysis.sample.accepted"] > 0

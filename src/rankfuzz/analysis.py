@@ -119,10 +119,12 @@ class SubspaceMap:
 
     Keeps an FqSpan of its graph: one row (b, -f(b)) per basis element
     b, two elements wide with b in the high half, read as the int
-    b * q^m + neg(f(b)).  The basis is independent, so every echelon
-    row has its pivot in the high half.  Reducing (x, 0) clears that
-    half exactly when x lies in the domain, taking off (x, -f(x)) and
-    leaving f(x); outside the domain the residue is q^m or more.
+    b * q^m + neg(f(b)).  The basis is independent exactly when no
+    combination of the rows clears the high half: when the graph has
+    full rank and every echelon row is q^m or more.  Reducing (x, 0)
+    then clears that half exactly when x lies in the domain, taking off
+    (x, -f(x)) and leaving f(x); outside the domain the residue is q^m
+    or more.
     """
 
     __slots__ = ("field", "basis", "images", "_graph")
@@ -132,10 +134,10 @@ class SubspaceMap:
         images = field.check_vector(images)
         if len(basis) != len(images):
             raise DimensionMismatch("need one image per basis element")
-        if FqSpan(field.q, field.m, basis).rank != len(basis):
-            raise DependentRestriction("basis elements must be independent")
         high, neg = field.order, field.neg
         graph = FqSpan(field.q, 2 * field.m, [b * high + neg(y) for b, y in zip(basis, images)])
+        if graph.rank != len(basis) or min(graph.basis(), default=high) < high:
+            raise DependentRestriction("basis elements must be independent")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "images", images)
@@ -583,6 +585,23 @@ def sample_witness_overlap(field: ExtField, features: FeatureSet, u: int, rng) -
     return FeatureSet(field, tuple(chosen))
 
 
+def _check_witness_shape(q: int, m: int, n: int, u: int, v: int) -> None:
+    """Refuse the overlaps (u, v) that no witness of n elements can meet."""
+    if not 0 <= u <= v <= n:
+        raise BadRange(f"need 0 <= u <= v <= n, got u={u} v={v}")
+    if 2 * n - v > m:
+        raise InfeasibleShape(
+            f"span of features plus witness needs dimension {2 * n - v} > m = {m}"
+        )
+    # over F_2 the span of one or two features holds no basis of itself
+    # that avoids them: its only other nonzero element is their sum
+    if q == 2 and u == 0 and v == n <= 2:
+        raise InfeasibleShape(
+            f"at q = 2 the span of n = {n} features has no basis that avoids "
+            f"them all, so u = 0 and v = n cannot be met"
+        )
+
+
 def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int, rng) -> FeatureSet:
     """Witness with set overlap exactly u and span overlap exactly v.
 
@@ -592,12 +611,7 @@ def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int,
     """
     n = len(features)
     m = field.m
-    if not 0 <= u <= v <= n:
-        raise BadRange(f"need 0 <= u <= v <= n, got u={u} v={v}")
-    if 2 * n - v > m:
-        raise InfeasibleShape(
-            f"span of features plus witness needs dimension {2 * n - v} > m = {m}"
-        )
+    _check_witness_shape(field.q, m, n, u, v)
     feats = list(features.elems)
     taken = features.as_set()
     common = list(rng.sample(feats, u))
@@ -760,12 +774,7 @@ def mc_subspace_tightness(
     """
     params = VaultParams(q=q, m=m, n=n, ell=ell, s=s)
     fld = params.field
-    if not 0 <= u <= v <= n:
-        raise BadRange(f"need 0 <= u <= v <= n, got u={u} v={v}")
-    if 2 * n - v > m:
-        raise InfeasibleShape(
-            f"span of features plus witness needs dimension {2 * n - v} > m = {m}"
-        )
+    _check_witness_shape(q, m, n, u, v)
     head = TrialReport(
         "prop4",
         {"q": q, "m": m, "n": n, "u": u, "v": v, "ell": ell, "s": s},

@@ -19,11 +19,14 @@ none of them.  Fields of at most 2**16 elements build discrete log
 tables in the constructor, and multiply, invert and apply Frobenius by
 lookup; for odd q they also add, subtract and negate by lookup, through
 the Zech logarithm zech[d] = log(1 + g^d).  The build is paid even by a
-field that does no arithmetic: about 0.9 s at q^m = 3^10, 0.4 s at
-251^2 and 0.12 s at 2^16 on a 2-core Xeon.  The linearized-polynomial
-core reads the tables directly (ExtField._logs, None above the limit),
-so that a coefficient times a Frobenius power is one lookup with no
-call to mul or frobenius.  At q = 2, add and sub are operator.xor.
+field that does no arithmetic, but past the search for g it multiplies
+only m times: the exp walk reads the image table of a -> a * g, which
+linear_images makes from the images of the basis.  It takes about
+0.04 s at q^m = 3^10 and 0.02 s at 251^2 and at 2^16 on a 2-core Xeon.
+The linearized-polynomial core reads the tables directly
+(ExtField._logs, None above the limit), so that a coefficient times a
+Frobenius power is one lookup with no call to mul or frobenius.  At
+q = 2, add and sub are operator.xor.
 Larger fields (up to the supported m <= 64) have no tables, whose size
 and build time grow with q^m, and compute in the polynomial basis: for
 q = 2 by carry-less shift-and-xor multiplication and an extended
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import struct
 
 from .errors import (
     DegreeOutOfRange,
@@ -486,19 +490,25 @@ class ExtField:
     def _build_tables(self):
         """Set _logs = (exp, log, n, frob_exp) and bind the lookups.  With
         n = q^m - 1, a nonzero a is exp[log[a]], log[0] = -1, and a^(q^i)
-        is exp[log[a] * frob_exp[i] % n].  The build multiplies only
-        through _mul_poly and pow_, so it runs before mul exists."""
+        is exp[log[a] * frob_exp[i] % n].
+
+        The build multiplies only through _mul_poly and pow_, so it runs
+        before mul exists, and only in the search for g and for the m
+        basis images g * x^i: exp[i] = exp[i - 1] * g is read off the
+        image table of the F_q-linear map a -> a * g, which linear_images
+        makes from those m images, so the walk is one index per element."""
         n = self.order - 1
         primes = _prime_divisors(n)
-        # a primitive element; when order == 2 the only unit is 1
-        g = next(
-            (c for c in range(2, self.order) if all(self.pow_(c, n // p) != 1 for p in primes)),
-            1,
-        )
-        mul_poly = self._mul_poly
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = mul_poly(exp[i - 1], g)
+        # the smallest primitive element; when order == 2 the only unit is
+        # 1.  For m > 1 no scalar below q is one, as its order divides
+        # q - 1 < n, so the search starts at x, the int q.
+        start = self.q if self.m > 1 else 2
+        is_primitive = lambda c: all(self.pow_(c, n // p) != 1 for p in primes)
+        g = next((c for c in range(start, self.order) if is_primitive(c)), 1)
+        times = linear_images(self, [self._mul_poly(g, x) for x in self._qpow_m])
+        v = 1
+        exp = [1] + [v := times[v] for _ in range(n - 1)]
+        del times  # freed before the log list is made, to keep the peak low
         log = [-1] * self.order
         for i, v in enumerate(exp):
             log[v] = i
@@ -523,10 +533,13 @@ class ExtField:
         if self.q == 2:
             return
         # Zech logarithms: 1 + g^d = g^zech[d], or zech[d] = -1 where the
-        # sum is 0.  Adding 1 changes only the lowest base-q digit.  As q
-        # is odd, n is even and -1 = g^(n/2).
+        # sum is 0.  Adding 1 changes only the lowest base-q digit, so
+        # log_plus_1[v] = log[v + 1], but log[v + 1 - q] where that digit
+        # of v is q - 1.  As q is odd, n is even and -1 = g^(n/2).
         q, half = self.q, n // 2
-        zech = [log[e - e % q + (e + 1) % q] for e in exp]
+        log_plus_1 = log[1:] + [0]  # the last v ends in q - 1, so is patched
+        log_plus_1[q - 1 :: q] = log[::q]
+        zech = list(map(log_plus_1.__getitem__, exp))
 
         def add(a, b, exp=exp, log=log, zech=zech, n=n):
             if a == 0:
@@ -569,6 +582,59 @@ class ExtField:
 def ext_field(q: int, m: int) -> ExtField:
     """Shared field instance for (q, m)."""
     return ExtField(q, m)
+
+
+# ---------------------------------------------------------------------------
+# Every image of an F_q-linear map of F_{q^m}, from the images of the
+# power basis, by doubling over the digits: once the images of all
+# elements below q^j are known, those of d * q^j + v for d = 1..q-1 are
+# the same images plus d times the image of x^j.  Both forms keep the
+# images packed in bytes or in one integer, so the doubling makes no
+# object per element.
+
+
+def image_lanes(images) -> int:
+    """The images at q = 2 as one integer of 32-bit lanes, lane x the
+    image of x, where images[j] is the image of x^j (the int 2^j).  The
+    images of the elements below 2^j fill the low 2^j lanes, and one xor
+    with images[j] copied into every lane, shifted up by 2^j lanes, adds
+    the images of the next 2^j elements.  Needs m <= 32."""
+    out, ones, width = 0, 1, 32
+    for b in images:
+        out |= (out ^ b * ones) << width
+        ones |= ones << width
+        width *= 2
+    return out
+
+
+def linear_images(field: ExtField, images) -> tuple[int, ...]:
+    """The image of every element, indexed by element, under the F_q-linear
+    map taking x^j (the int q^j) to images[j].
+
+    At odd q the doubling runs on m digit planes, plane i a byte string
+    holding digit i of each image so far.  Adding d times digit i of
+    images[j] to every byte is one bytes.translate, so each copy is
+    reduced mod q as it is made.  The planes are then spread into the
+    lanes of one integer and summed with weights q^i, which leaves the
+    value of each image in its lane.  Needs q^m <= 2^32."""
+    q, order = field.q, field.order
+    if q == 2:
+        return struct.unpack(f"<{order}I", image_lanes(images).to_bytes(4 * order, "little"))
+    ring = bytes(range(q)) * 2
+    add = [ring[c : c + q] + bytes(256 - q) for c in range(q)]  # add[c][v] = (v + c) % q
+    planes = [b"\0"] * field.m
+    for b in images:
+        planes = [
+            b"".join([p.translate(add[d * c % q]) for d in range(q)])
+            for p, c in zip(planes, field.digits(b))
+        ]
+    width, code = (2, "H") if order <= 1 << 16 else (4, "I")
+    values = 0
+    for p, weight in zip(planes, field._qpow_m):
+        lanes = bytearray(width * order)
+        lanes[::width] = p
+        values += weight * int.from_bytes(lanes, "little")
+    return struct.unpack(f"<{order}{code}", values.to_bytes(width * order, "little"))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
     TwistMismatch,
 )
-from .fields import ExtField, element_rank
+from .fields import ExtField, element_rank, image_lanes, linear_images
 
 _EVAL_ALL_LIMIT = 1 << 20
 
@@ -233,14 +233,14 @@ class LinearizedPoly:
 
         The list is built by doubling: once the images of all elements
         below q^j are known, those of d * q^j + v for d = 1..q-1 are the
-        same images plus d times the image of x^j.  At q = 2 this is the
-        unpacked form of the lanes of _lanes_at()."""
+        same images plus d times the image of x^j.  At q = 2 that is
+        fields.linear_images, which packs the images into lanes; at odd
+        q the sums are Zech-logarithm lookups."""
         field = self.field
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
         if field.q == 2:
-            lanes = self._lanes_at(())[0].to_bytes(4 * field.order, "little")
-            return list(struct.unpack(f"<{field.order}I", lanes))
+            return list(linear_images(field, list(map(self, field._qpow_m))))
         out = [0]
         add, mul = field.add, field.mul
         for b in map(self, field._qpow_m):
@@ -250,27 +250,20 @@ class LinearizedPoly:
     def _lanes_at(self, xs) -> tuple[int, list[int]]:
         """(lanes, images of xs): lanes is evaluate_all() as one integer
         of 32-bit lanes, lane x the image of x.  The caller keeps q^m
-        within the enumeration limit.  At q = 2 the doubling makes no
-        object per element: the images of the elements below 2^j fill the
-        low 2^j lanes, and one xor with the image b of x^j copied into
-        every lane, shifted up by 2^j lanes, adds the images of the next
-        2^j elements; the images of xs are xors of the basis images."""
+        within the enumeration limit.  At q = 2 the lanes come from
+        fields.image_lanes with no object per element, and the images of
+        xs are xors of the basis images."""
         field = self.field
         if field.q != 2:
             images = self.evaluate_all()
             lanes = struct.pack(f"<{field.order}I", *images)
             return int.from_bytes(lanes, "little"), [images[x] for x in xs]
         basis = list(map(self, field._qpow_m))
-        out, ones, width = 0, 1, 32
-        for b in basis:
-            out |= (out ^ b * ones) << width
-            ones |= ones << width
-            width *= 2
         at = [0] * len(xs)
         for i, x in enumerate(xs):
             for p, b in zip(field._qpow_m, basis):
                 at[i] ^= b if x & p else 0
-        return out, at
+        return image_lanes(basis), at
 
     # -- linear structure ---------------------------------------------------
 

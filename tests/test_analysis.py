@@ -220,6 +220,24 @@ def test_subspace_map_validation():
         sm.images = (3,)
 
 
+@pytest.mark.parametrize("field", [F16, F27], ids=["2-4", "3-3"])
+def test_subspace_map_refuses_exactly_the_dependent_bases(field):
+    # the graph span decides independence: full rank with every echelon
+    # row q^m or more.  A dependent basis can still give a full-rank
+    # graph, as (1, 2, 3) -> (1, 2, 4) does; element_rank is the oracle
+    rng = random.Random(field.order)
+    bases = [(1, 2, 3), (0,), (0, 1), (1, 1), (2, 2 * field.q)]
+    bases += [tuple(field.random_element(rng) for _ in range(rng.randrange(1, 4))) for _ in range(300)]
+    for basis in bases:
+        for images in [basis, tuple(field.random_element(rng) for _ in basis)]:
+            if element_rank(field, basis) == len(basis):
+                sm = SubspaceMap(field, basis, images)
+                assert [sm(b) for b in basis] == list(images)
+            else:
+                with pytest.raises(DependentRestriction):
+                    SubspaceMap(field, basis, images)
+
+
 # ---------------------------------------------------------------------------
 # Witness maps.
 
@@ -618,6 +636,46 @@ def test_sample_witness_overlap_postconditions():
         assert len(feats.as_set() & wit.as_set()) == u
     with pytest.raises(BadRange):
         sample_witness_overlap(F256, feats, 7, rng)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_witness_shape_refuses_u0_v_n_at_q2_before_drawing(n):
+    # over F_2 the span of one or two features has no basis avoiding them
+    rng = random.Random(n)
+    feats = sample_feature_set(F16, n, rng)
+    state = rng.getstate()
+    with pytest.raises(InfeasibleShape, match="u = 0 and v = n"):
+        sample_witness_shaped(F16, feats, 0, n, rng)
+    assert rng.getstate() == state
+    # at odd q a scaled feature is another basis of its span
+    odd = sample_feature_set(F27, n, rng)
+    wit = sample_witness_shaped(F27, odd, 0, n, rng)
+    assert not odd.as_set() & wit.as_set()
+    assert len(subspace_intersection(F27, odd.elems, wit.elems)) == n
+
+
+def test_witness_shape_refusals_are_exact_at_q2():
+    # every other shape with 2n - v <= m is met
+    rng = random.Random(5)
+    fld = ext_field(2, 8)
+    for n in range(1, 5):
+        feats = sample_feature_set(fld, n, rng)
+        for u in range(n + 1):
+            for v in range(u, n + 1):
+                if u == 0 and v == n <= 2:
+                    continue
+                wit = sample_witness_shaped(fld, feats, u, v, rng)
+                assert len(feats.as_set() & wit.as_set()) == u
+                assert len(subspace_intersection(fld, feats.elems, wit.elems)) == v
+
+
+def test_mc_subspace_tightness_refuses_u0_v_n_at_q2_before_any_trial(monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(analysis, "_vault_trial", no_trial)
+    with pytest.raises(InfeasibleShape, match="u = 0 and v = n"):
+        mc_subspace_tightness(q=2, m=5, n=2, u=0, v=2, ell=1, trials=10**4)
 
 
 def test_sample_witness_shaped_postconditions():

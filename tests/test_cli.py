@@ -454,6 +454,14 @@ def test_simulate_invalid_params_exit_2(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_simulate_prop4_names_an_unreachable_witness_shape(capsys):
+    # over F_2 the span of two features has no basis avoiding both
+    argv = "prop4 --q 2 --m 4 --n 2 --u 0 --v 2 --ell 1"
+    assert main(["simulate", *argv.split()]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: at q = 2") and "u = 0 and v = n cannot be met" in line
+
+
 @pytest.mark.parametrize(
     "argv",
     ["roundtrip --q 2 --m 64 --n 4 --k 2", "lemma2 --q 251 --m 8 --n 3"],

@@ -283,6 +283,52 @@ def test_table_mul_agrees_with_convolution():
             assert F.mul(a, b) == F._mul_basic(a, b)
 
 
+def unit_primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and naive_is_prime(p)]
+
+
+# both parities; at odd q, (13, 4) and (251, 2) make the most copies per
+# digit in the image-table doubling
+WALK_FIELDS = [(2, 1), (2, 8), (2, 12), (2, 16), (3, 5), (3, 10), (13, 4), (251, 2)]
+
+
+@pytest.mark.parametrize("q,m", WALK_FIELDS, ids=[f"{q}-{m}" for q, m in WALK_FIELDS])
+def test_tables_match_the_multiply_walk(q, m):
+    # the reference multiplies by the smallest primitive element g once
+    # per element, through the polynomial-basis product
+    F = ext_field(q, m)
+    exp, log, n, _ = F._logs
+    primes = unit_primes(n)
+    g = next((c for c in range(2, F.order) if all(F.pow_(c, n // p) != 1 for p in primes)), 1)
+    walk = [1] * n
+    for i in range(1, n):
+        walk[i] = F._mul_poly(walk[i - 1], g)
+    assert exp == walk
+    assert log[0] == -1 and all(log[v] == i for i, v in enumerate(walk))
+    if q > 2:  # the Zech logarithms, read through 1 + g^d = g^zech[d]
+        assert [F.add(1, v) for v in walk] == [ExtField._add_digits(F, 1, v) for v in walk]
+
+
+@pytest.mark.parametrize("q,m", [(2, 12), (3, 6)])
+def test_table_build_multiplies_once_per_basis_element_not_per_element(q, m, monkeypatch):
+    calls = []
+    for name in ("_mul_gf2", "_mul_basic"):
+        product = getattr(ExtField, name)
+
+        def counted(self, a, b, product=product):
+            calls.append((a, b))
+            return product(self, a, b)
+
+        monkeypatch.setattr(ExtField, name, counted)
+    F = ExtField(q, m)
+    n = F.order - 1
+    g = F._logs[0][1]
+    # each candidate below g takes at most one power per prime factor of
+    # n, each of at most 2 * bit_length(n) products; then g * x^i
+    assert len(calls) <= (g - 1) * len(unit_primes(n)) * 2 * n.bit_length() + m
+    assert 8 * len(calls) < F.order
+
+
 OPERATIONS = {"add", "sub", "neg", "mul", "inv", "frobenius"}
 BINDING_FIELDS = [(2, 1), (3, 1), (2, 8), (3, 4), (2, 32), (3, 11)]
 

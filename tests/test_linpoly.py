@@ -16,7 +16,7 @@ from rankfuzz.errors import (
     TooLarge,
     TwistMismatch,
 )
-from rankfuzz.fields import element_rank, ext_field, solve_ext
+from rankfuzz.fields import element_rank, ext_field, image_lanes, linear_images, solve_ext
 from rankfuzz.linpoly import LinearizedPoly, _newton, interpolate, moore_matrix
 
 F4 = ext_field(2, 2)
@@ -111,6 +111,27 @@ def test_evaluate_all_matches_pointwise():
             assert len(table) == field.order
             for a in range(field.order):
                 assert table[a] == p(a)
+
+
+# both parities, and at odd q both 16-bit value lanes and, past 2^16
+# elements, 32-bit ones
+IMAGE_FIELDS = [(2, 1), (2, 5), (2, 11), (3, 1), (3, 4), (5, 3), (13, 2), (251, 2), (3, 11)]
+
+
+@pytest.mark.parametrize("q,m", IMAGE_FIELDS, ids=[f"{q}-{m}" for q, m in IMAGE_FIELDS])
+def test_linear_images_match_pointwise(q, m):
+    field = ext_field(q, m)
+    rng = random.Random(q * 100 + m)
+    p = rand_poly(field, 1, min(m, 3) - 1, rng)
+    images = linear_images(field, [p(x) for x in field._qpow_m])
+    assert type(images) is tuple and len(images) == field.order
+    for a in range(field.order) if field.order <= 1 << 16 else rng.sample(range(field.order), 3000):
+        assert images[a] == p(a), a
+    if q == 2:
+        lanes = image_lanes([p(x) for x in field._qpow_m])
+        assert lanes.to_bytes(4 * field.order, "little") == b"".join(
+            y.to_bytes(4, "little") for y in images
+        )
 
 
 @pytest.mark.parametrize("q,m", [(2, 21), (3, 13)])

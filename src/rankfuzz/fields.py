@@ -13,26 +13,28 @@ vector (c_0, ..., c_{m-1}), read as the integer sum c_i * q**i, is
 smallest.  Two fields with equal (q, m) are therefore interchangeable,
 and the ext_field() factory returns a shared instance.
 
-The constructor picks the code behind each of add, sub, neg, mul, inv
-and frobenius once, and binds it on the instance; the class defines
-none of them.  Fields of at most 2**16 elements build discrete log
-tables in the constructor, and multiply, invert and apply Frobenius by
-lookup; for odd q they also add, subtract and negate by lookup, through
-the Zech logarithm zech[d] = log(1 + g^d).  The build is paid even by a
-field that does no arithmetic, but past the search for g it multiplies
-only m times: the exp walk reads the image table of a -> a * g, which
-linear_images makes from the images of the basis.  It takes about
-0.04 s at q^m = 3^10 and 0.02 s at 251^2 and at 2^16 on a 2-core Xeon.
-The linearized-polynomial core reads the tables directly
-(ExtField._logs, None above the limit), so that a coefficient times a
-Frobenius power is one lookup with no call to mul or frobenius.  At
-q = 2, add and sub are operator.xor.
+The constructor picks the code behind each of add, sub, neg, mul, inv,
+frobenius and twist_mul once, and binds it on the instance; the class
+defines none of them.  twist_mul(c, x, e) is c * x^(q^e), the term every
+linearized-polynomial operation is a sum of.  Fields of at most 2**16
+elements build discrete log tables in the constructor, and multiply,
+invert, apply Frobenius and twist-multiply by lookup, with no call from
+one to another; for odd q they also add, subtract and negate by lookup,
+through the Zech logarithm zech[d] = log(1 + g^d).  The build is paid
+even by a field that does no arithmetic, but past the search for g it
+multiplies only m times: the exp walk reads the image table of
+a -> a * g, which linear_images makes from the images of the basis.  It
+takes about 0.04 s at q^m = 3^10 and 0.02 s at 251^2 and at 2^16 on a
+2-core Xeon.  Newton interpolation in linpoly alone reads the tables
+directly (ExtField._logs, None above the limit).  At q = 2, add and sub
+are operator.xor.
 Larger fields (up to the supported m <= 64) have no tables, whose size
 and build time grow with q^m, and compute in the polynomial basis: for
 q = 2 by carry-less shift-and-xor multiplication and an extended
 Euclid inverse, for odd q digit by digit with a Fermat inverse.  There
 the Frobenius a -> a^(q^i) is applied as the F_q-linear map it is,
-built per exponent from the images of the basis on first use.
+built per exponent from the images of the basis on first use, and
+twist_mul is mul(c, frobenius(x, e)).
 Arithmetic methods assume canonical ints and do not re-validate their
 inputs on every call; use check() / check_vector() at API boundaries.
 """
@@ -259,11 +261,11 @@ class ExtField:
         self._mul_poly = self._mul_gf2 if q == 2 else self._mul_basic
         self._normal = None
         if self.order <= _TABLE_LIMIT:
-            self._build_tables()  # mul, inv, frobenius; add, sub, neg at odd q
+            self._build_tables()  # mul, inv, frobenius, twist_mul; add, sub, neg at odd q
             return
         self._logs = None
         self._frob_maps = [None] * m  # built per exponent on first use
-        self.mul = self._mul_poly
+        self.mul, self.twist_mul = self._mul_poly, self._twist_mul_calls
         if q == 2:
             self.inv, self.frobenius = self._inv_gf2, self._frobenius_gf2
         else:
@@ -341,9 +343,9 @@ class ExtField:
 
     # -- arithmetic ---------------------------------------------------------
 
-    # __init__ binds add, sub, neg, mul, inv and frobenius on the instance,
-    # to the methods below or to the table lookups of _build_tables.  The
-    # digit loops serve odd q above the table limit.
+    # __init__ binds add, sub, neg, mul, inv, frobenius and twist_mul on
+    # the instance, to the methods below or to the table lookups of
+    # _build_tables.  The digit loops serve odd q above the table limit.
     def _add_digits(self, a: int, b: int) -> int:
         q = self.q
         v = 0
@@ -472,6 +474,8 @@ class ExtField:
 
     def _frobenius_gf2(self, a: int, i: int = 1) -> int:
         i %= self.m
+        if not i:
+            return a
         tables = self._frob_maps[i] or self._frob_map(i)
         r = 0
         for table in tables:
@@ -481,11 +485,18 @@ class ExtField:
 
     def _frobenius_fq(self, a: int, i: int = 1) -> int:
         i %= self.m
+        if not i:
+            return a
         rows = self._frob_maps[i] or self._frob_map(i)
         q, ds = self.q, self.digits(a)
         return sum(
             (sum(map(operator.mul, row, ds)) % q) * p for row, p in zip(rows, self._qpow_m)
         )
+
+    def _twist_mul_calls(self, c: int, x: int, e: int) -> int:
+        """c * x^(q^e) above the table limit.  It reads mul and frobenius
+        at each call, so that a wrapper set on either one sees it."""
+        return self.mul(c, self.frobenius(x, e)) if c and x else 0
 
     def _build_tables(self):
         """Set _logs = (exp, log, n, frob_exp) and bind the lookups.  With
@@ -529,7 +540,10 @@ class ExtField:
             # a = g^j maps to g^(j * q^i)
             return exp[log[a] * fe[i % m] % n] if a else 0
 
-        self.mul, self.inv, self.frobenius = mul, inv, frobenius
+        def twist_mul(c, x, e, exp=exp, log=log, n=n, fe=frob_exp, m=self.m):
+            return exp[(log[c] + log[x] * fe[e % m]) % n] if c and x else 0
+
+        self.mul, self.inv, self.frobenius, self.twist_mul = mul, inv, frobenius, twist_mul
         if self.q == 2:
             return
         # Zech logarithms: 1 + g^d = g^zech[d], or zech[d] = -1 where the

@@ -11,22 +11,22 @@ to the canonical representative of the induced map (exponent k becomes
 k mod m, since a^(q^m) = a for every field element).  Evaluation always
 reduces exponents, so f(a) == f.reduced()(a) regardless.
 
-Evaluation, composition, division and Newton interpolation branch once
-per call on field._logs, the log tables a table-backed field (q^m <=
-2^16) built in its constructor (see fields).  There they run on
-discrete logarithms: c * x^(q^(s*i)) is the single lookup
-exp[(log c + log x * q^(s*i)) % (q^m - 1)], written inline, and sums go
-through field.add (xor at q = 2, a Zech-logarithm lookup at odd q).
-Larger fields have _logs None, so their branches call field.mul and
-field.frobenius.  The decoder's Euclid loop uses the raw-ledger
-functions below directly, with no LinearizedPoly per step.
+Every term is a coefficient times a Frobenius power, c * x^(q^(s*i)),
+and evaluation, composition and division compute it with the field's
+twist_mul: one exp/log lookup in a table-backed field (q^m <= 2^16), a
+multiply and a Frobenius above.  Newton interpolation alone keeps two
+bodies: in a table-backed field it reads the log tables (field._logs)
+itself, reusing one log per point over all its terms, and above the
+limit it reuses each point's Frobenius powers over both its sums.  The
+decoder's Euclid loop uses the raw-ledger functions below directly,
+with no LinearizedPoly per step.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import reduce
-from itertools import starmap, zip_longest
+from itertools import repeat, starmap, zip_longest
 from math import gcd
 
 from .errors import (
@@ -72,27 +72,12 @@ def _compose_raw(field: ExtField, s: int, f, g) -> list[int]:
     f_i * g_j^(q^(s*i))."""
     if not f or not g:
         return []
-    add, m = field.add, field.m
+    add, tm = field.add, field.twist_mul
     out = [0] * (len(f) + len(g) - 1)
-    logs = field._logs
-    if logs:
-        exp, log, n, fe = logs
-        lg = [log[x] for x in g]
-        for i, fi in enumerate(f):
-            if fi:
-                lf, t = log[fi], fe[s * i % m]
-                terms = [exp[(lf + lj * t) % n] if lj >= 0 else 0 for lj in lg]
-                out[i : i + len(g)] = map(add, out[i : i + len(g)], terms)
-        return out
-    mul, frob = field.mul, field.frobenius
-    twisted = list(g)
     for i, fi in enumerate(f):
-        if i:
-            twisted = [frob(x, s) for x in twisted]
         if fi:
-            for j, gj in enumerate(twisted):
-                if gj:
-                    out[i + j] = add(out[i + j], mul(fi, gj))
+            terms = map(tm, repeat(fi), g, repeat(s * i))
+            out[i : i + len(g)] = map(add, out[i : i + len(g)], terms)
     return out
 
 
@@ -102,49 +87,27 @@ def _divmod(field: ExtField, s: int, f, g, left: bool) -> tuple[list[int], list[
     remainder (left=True), and remainder of lower degree than g.  Each
     step cancels the leading coefficient of the remainder exactly and
     pops it."""
-    m, sub = field.m, field.sub
+    sub, tm = field.sub, field.twist_mul
     dg = len(g) - 1
     r = list(f)
     qq = [0] * max(len(r) - dg, 0)
-    logs = field._logs
-    if logs:
-        exp, log, n, fe = logs
-        # the leading term cancels exactly, so only g_0..g_(dg-1) are applied
-        lg = [log[x] for x in g[:dg]]
-        lead = log[g[-1]]
-        tw = [fe[s * j % m] for j in range(dg)]
-        back = fe[-s * dg % m]
-        while len(r) > dg:
-            top = r.pop()
-            if not top:
-                continue
-            c = len(r) - dg
-            if left:
-                # leading term of g o (qc x^[s c]) is g_dg * qc^(q^(s*dg))
-                lqc = (log[top] - lead) * back % n
-                terms = [exp[(lj + lqc * t) % n] if lj >= 0 else 0 for lj, t in zip(lg, tw)]
-            else:
-                # leading term of (qc x^[s c]) o g is qc * g_dg^(q^(s*c))
-                t = fe[s * c % m]
-                lqc = (log[top] - lead * t) % n
-                terms = [exp[(lqc + lj * t) % n] if lj >= 0 else 0 for lj in lg]
-            r[c:] = map(sub, r[c:], terms)
-            qq[c] = exp[lqc]
-        return _trim(qq), _trim(r)
-    mul, inv, frob = field.mul, field.inv, field.frobenius
-    ige = inv(g[-1])
+    ig = field.inv(g[-1])
+    back = field.frobenius(ig, -s * dg)  # (1 / g_dg)^(q^(-s*dg))
+    # the leading term cancels exactly, so only g_0..g_(dg-1) are applied
+    low = g[:dg]
     while len(r) > dg:
         top = r.pop()
         if not top:
             continue
         c = len(r) - dg
         if left:
-            qc = frob(mul(top, ige), -s * dg % m)
-            terms = [mul(gj, frob(qc, s * j % m)) if gj else 0 for j, gj in enumerate(g[:dg])]
+            # leading term of g o (qc x^[s c]) is g_dg * qc^(q^(s*dg))
+            qc = tm(back, top, -s * dg)
+            terms = map(tm, low, repeat(qc), range(0, s * dg, s))
         else:
-            e = s * c % m
-            qc = mul(top, frob(ige, e))
-            terms = [mul(qc, frob(gj, e)) if gj else 0 for gj in g[:dg]]
+            # leading term of (qc x^[s c]) o g is qc * g_dg^(q^(s*c))
+            qc = tm(top, ig, s * c)
+            terms = map(tm, repeat(qc), low, repeat(s * c))
         r[c:] = map(sub, r[c:], terms)
         qq[c] = qc
     return _trim(qq), _trim(r)
@@ -209,43 +172,17 @@ class LinearizedPoly:
 
     def __call__(self, a: int) -> int:
         field, s = self.field, self.s
-        logs = field._logs
-        if logs:
-            if not a:
-                return 0
-            exp, log, n, fe = logs
-            la, m, cs = log[a], field.m, self.coeffs
-            terms = [exp[(log[c] + la * fe[s * i % m]) % n] for i, c in enumerate(cs) if c]
-            return reduce(field.add, terms, 0)
-        add, mul, frob = field.add, field.mul, field.frobenius
-        acc = 0
-        power = a
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = frob(power, s)
-            if c:
-                acc = add(acc, mul(c, power))
-        return acc
+        cs = self.coeffs
+        return reduce(field.add, map(field.twist_mul, cs, repeat(a), range(0, s * len(cs), s)), 0)
 
     def evaluate_all(self) -> list[int]:
         """Images of every field element, indexed by element, computed
-        through F_q-linearity from the images of the polynomial basis.
-
-        The list is built by doubling: once the images of all elements
-        below q^j are known, those of d * q^j + v for d = 1..q-1 are the
-        same images plus d times the image of x^j.  At q = 2 that is
-        fields.linear_images, which packs the images into lanes; at odd
-        q the sums are Zech-logarithm lookups."""
+        through F_q-linearity from the images of the polynomial basis by
+        fields.linear_images."""
         field = self.field
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
-        if field.q == 2:
-            return list(linear_images(field, list(map(self, field._qpow_m))))
-        out = [0]
-        add, mul = field.add, field.mul
-        for b in map(self, field._qpow_m):
-            out += [add(o, c) for c in [mul(d, b) for d in range(1, field.q)] for o in out]
-        return out
+        return list(linear_images(field, list(map(self, field._qpow_m))))
 
     def _lanes_at(self, xs) -> tuple[int, list[int]]:
         """(lanes, images of xs): lanes is evaluate_all() as one integer

@@ -329,13 +329,13 @@ def test_table_build_multiplies_once_per_basis_element_not_per_element(q, m, mon
     assert 8 * len(calls) < F.order
 
 
-OPERATIONS = {"add", "sub", "neg", "mul", "inv", "frobenius"}
+OPERATIONS = {"add", "sub", "neg", "mul", "inv", "frobenius", "twist_mul"}
 BINDING_FIELDS = [(2, 1), (3, 1), (2, 8), (3, 4), (2, 32), (3, 11)]
 
 
 @pytest.mark.parametrize("q,m", BINDING_FIELDS, ids=[f"{q}-{m}" for q, m in BINDING_FIELDS])
 def test_constructor_binds_every_operation(q, m):
-    # the class defines none of the six, so no call falls back to it
+    # the class defines none of the seven, so no call falls back to it
     assert not OPERATIONS & vars(ExtField).keys()
     F = ExtField(q, m)
     assert OPERATIONS <= vars(F).keys()
@@ -350,6 +350,17 @@ def test_constructor_binds_every_operation(q, m):
         assert F.add(F.sub(a, b), b) == a and F.add(F.neg(a), a) == 0
         assert F._mul_poly(F.inv(b), b) == 1
         assert F.frobenius(a) == F.pow_(a, q) and F.frobenius(a, m) == a
+        for c, x in [(a, b), (0, b), (a, 0), (b, a)]:
+            e = rng.randrange(-m, 2 * m)
+            assert F.twist_mul(c, x, e) == F.mul(c, F.frobenius(x, e))
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (3, 2), (5, 2)])
+def test_twist_mul_matches_mul_of_frobenius_everywhere(q, m):
+    F = ExtField(q, m)
+    for e in range(-1, m + 1):
+        want = [F._mul_poly(c, F.pow_(x, q**(e % m))) for c in F.elements() for x in F.elements()]
+        assert [F.twist_mul(c, x, e) for c in F.elements() for x in F.elements()] == want, e
 
 
 @pytest.mark.parametrize("m", [17, 20, 32, 64])

@@ -16,6 +16,7 @@ import pytest
 import rankfuzz.cli  # noqa: F401  (the tracer wraps rankfuzz.cli.main)
 from rankfuzz import analysis
 from rankfuzz.fields import ext_field
+from rankfuzz.gabidulin import GabidulinCode
 from rankfuzz.linpoly import LinearizedPoly
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -82,3 +83,25 @@ def test_campaigns_reach_the_wrapped_names(tracer):
                  "analysis.restricted_rank", "analysis.distance", "analysis.subspace_map"):
         assert spans[name] > 0, name
     assert t.counts["analysis.sample.accepted"] > 0
+
+
+def test_big_field_codec_reaches_the_wrapped_field_operations(tracer):
+    # Above the table limit twist_mul reads the field's mul and frobenius
+    # at each call; had it kept the unwrapped ones, the benchmark's
+    # fields.mul and fields.frobenius counts would miss every evaluation
+    # at q^m = 2^32, and an encode is nothing else.
+    field = ext_field(2, 32)
+    code = GabidulinCode(field, 8, 4, 1, [2**i for i in range(8)])
+    message = (3, 5, 7, 11)
+    t = tracer.Tracer()
+    t.install([field])
+    try:
+        with t.operation(0, "encode"):
+            word = code.encode(message)
+        encoded = Counter(t.counts)
+        with t.operation(1, "decode"):
+            assert code.decode(word) == (message, 0)
+    finally:
+        t.remove()
+    for name in ("fields.mul", "fields.frobenius"):
+        assert 0 < encoded[name] < t.counts[name], name

@@ -135,6 +135,7 @@ def save_json(obj, path) -> None:
 
 def load_json(path):
     """Read a JSON file; records are pure ASCII, so other bytes are an error.
+    Nesting too deep for the parser is a MalformedRecord naming the path.
 
     The cyclic collector is paused while the parser allocates, since a
     vault's tens of thousands of small lists would set it off repeatedly,
@@ -144,6 +145,8 @@ def load_json(path):
     try:
         with open(path, encoding="ascii") as fh:
             return json.load(fh)
+    except RecursionError:
+        raise MalformedRecord(f"{path}: JSON nested too deeply") from None
     finally:
         if enabled:
             gc.enable()

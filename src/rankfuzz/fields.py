@@ -23,11 +23,12 @@ one to another; for odd q they also add, subtract and negate by lookup,
 through the Zech logarithm zech[d] = log(1 + g^d).  The build is paid
 even by a field that does no arithmetic, but past the search for g it
 multiplies only m times: the exp walk reads the image table of
-a -> a * g, which linear_images makes from the images of the basis.  It
-takes about 0.04 s at q^m = 3^10 and 0.02 s at 251^2 and at 2^16 on a
-2-core Xeon.  Newton interpolation in linpoly alone reads the tables
-directly (ExtField._logs, None above the limit).  At q = 2, add and sub
-are operator.xor.
+a -> a * g, which image_lanes makes from the images of the basis as 32-bit
+lanes at every q, and linear_images unpacks.  It takes about 0.05 s at
+q^m = 3^10, 0.03 s at 251^2 and 0.02 s at 2^16 on a 2-core Xeon.  Newton
+interpolation in linpoly alone reads the tables directly
+(ExtField._logs, None above the limit).  At q = 2, add and sub are
+operator.xor.
 Larger fields (up to the supported m <= 64) have no tables, whose size
 and build time grow with q^m, and compute in the polynomial basis: for
 q = 2 by carry-less shift-and-xor multiplication and an extended
@@ -507,7 +508,8 @@ class ExtField:
         before mul exists, and only in the search for g and for the m
         basis images g * x^i: exp[i] = exp[i - 1] * g is read off the
         image table of the F_q-linear map a -> a * g, which linear_images
-        makes from those m images, so the walk is one index per element."""
+        unpacks from image_lanes of those m images, so the walk is one
+        index per element."""
         n = self.order - 1
         primes = _prime_divisors(n)
         # the smallest primitive element; when order == 2 the only unit is
@@ -602,38 +604,32 @@ def ext_field(q: int, m: int) -> ExtField:
 # Every image of an F_q-linear map of F_{q^m}, from the images of the
 # power basis, by doubling over the digits: once the images of all
 # elements below q^j are known, those of d * q^j + v for d = 1..q-1 are
-# the same images plus d times the image of x^j.  Both forms keep the
-# images packed in bytes or in one integer, so the doubling makes no
-# object per element.
+# the same images plus d times the image of x^j.  The images stay packed
+# in bytes or in one integer, so the doubling makes no object per
+# element.
 
 
-def image_lanes(images) -> int:
-    """The images at q = 2 as one integer of 32-bit lanes, lane x the
-    image of x, where images[j] is the image of x^j (the int 2^j).  The
-    images of the elements below 2^j fill the low 2^j lanes, and one xor
-    with images[j] copied into every lane, shifted up by 2^j lanes, adds
-    the images of the next 2^j elements.  Needs m <= 32."""
-    out, ones, width = 0, 1, 32
-    for b in images:
-        out |= (out ^ b * ones) << width
-        ones |= ones << width
-        width *= 2
-    return out
+def image_lanes(field: ExtField, images) -> int:
+    """The image of every element under the F_q-linear map taking x^j
+    (the int q^j) to images[j], as one integer of 32-bit little-endian
+    lanes, lane x the image of x.  Needs q^m <= 2^32.
 
-
-def linear_images(field: ExtField, images) -> tuple[int, ...]:
-    """The image of every element, indexed by element, under the F_q-linear
-    map taking x^j (the int q^j) to images[j].
-
-    At odd q the doubling runs on m digit planes, plane i a byte string
-    holding digit i of each image so far.  Adding d times digit i of
-    images[j] to every byte is one bytes.translate, so each copy is
-    reduced mod q as it is made.  The planes are then spread into the
-    lanes of one integer and summed with weights q^i, which leaves the
-    value of each image in its lane.  Needs q^m <= 2^32."""
+    At q = 2 the images of the elements below 2^j fill the low 2^j
+    lanes, and one xor with images[j] copied into every lane, shifted up
+    by 2^j lanes, adds the images of the next 2^j elements.  At odd q the
+    doubling runs on m digit planes, plane i a byte string holding digit
+    i of each image so far.  Adding d times digit i of images[j] to every
+    byte is one bytes.translate, so each copy is reduced mod q as it is
+    made.  The planes are then spread into the lanes and summed with
+    weights q^i, which leaves the value of each image in its lane."""
     q, order = field.q, field.order
     if q == 2:
-        return struct.unpack(f"<{order}I", image_lanes(images).to_bytes(4 * order, "little"))
+        out, ones, width = 0, 1, 32
+        for b in images:
+            out |= (out ^ b * ones) << width
+            ones |= ones << width
+            width *= 2
+        return out
     ring = bytes(range(q)) * 2
     add = [ring[c : c + q] + bytes(256 - q) for c in range(q)]  # add[c][v] = (v + c) % q
     planes = [b"\0"] * field.m
@@ -642,13 +638,18 @@ def linear_images(field: ExtField, images) -> tuple[int, ...]:
             b"".join([p.translate(add[d * c % q]) for d in range(q)])
             for p, c in zip(planes, field.digits(b))
         ]
-    width, code = (2, "H") if order <= 1 << 16 else (4, "I")
-    values = 0
+    out = 0
     for p, weight in zip(planes, field._qpow_m):
-        lanes = bytearray(width * order)
-        lanes[::width] = p
-        values += weight * int.from_bytes(lanes, "little")
-    return struct.unpack(f"<{order}{code}", values.to_bytes(width * order, "little"))
+        lanes = bytearray(4 * order)
+        lanes[::4] = p
+        out += weight * int.from_bytes(lanes, "little")
+    return out
+
+
+def linear_images(field: ExtField, images) -> tuple[int, ...]:
+    """image_lanes as a tuple, indexed by element."""
+    order = field.order
+    return struct.unpack(f"<{order}I", image_lanes(field, images).to_bytes(4 * order, "little"))
 
 
 # ---------------------------------------------------------------------------

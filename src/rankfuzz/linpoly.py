@@ -19,12 +19,12 @@ bodies: in a table-backed field it reads the log tables (field._logs)
 itself, reusing one log per point over all its terms, and above the
 limit it reuses each point's Frobenius powers over both its sums.  The
 decoder's Euclid loop uses the raw-ledger functions below directly,
-with no LinearizedPoly per step.
+with no LinearizedPoly per step.  evaluate_all takes the image of every
+element from fields.linear_images, given the images of the basis.
 """
 
 from __future__ import annotations
 
-import struct
 from functools import reduce
 from itertools import repeat, starmap, zip_longest
 from math import gcd
@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
     TwistMismatch,
 )
-from .fields import ExtField, element_rank, image_lanes, linear_images
+from .fields import ExtField, element_rank, linear_images
 
 _EVAL_ALL_LIMIT = 1 << 20
 
@@ -183,24 +183,6 @@ class LinearizedPoly:
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
         return list(linear_images(field, list(map(self, field._qpow_m))))
-
-    def _lanes_at(self, xs) -> tuple[int, list[int]]:
-        """(lanes, images of xs): lanes is evaluate_all() as one integer
-        of 32-bit lanes, lane x the image of x.  The caller keeps q^m
-        within the enumeration limit.  At q = 2 the lanes come from
-        fields.image_lanes with no object per element, and the images of
-        xs are xors of the basis images."""
-        field = self.field
-        if field.q != 2:
-            images = self.evaluate_all()
-            lanes = struct.pack(f"<{field.order}I", *images)
-            return int.from_bytes(lanes, "little"), [images[x] for x in xs]
-        basis = list(map(self, field._qpow_m))
-        at = [0] * len(xs)
-        for i, x in enumerate(xs):
-            for p, b in zip(field._qpow_m, basis):
-                at[i] ^= b if x & p else 0
-        return image_lanes(basis), at
 
     # -- linear structure ---------------------------------------------------
 

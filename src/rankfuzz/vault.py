@@ -12,7 +12,8 @@ as rng.randrange(q^m - 1) would consume them one value at a time in
 ascending order of x, so a seeded random.Random gives the same table
 and is left in the same state.  The table is built in packed 32-bit
 little-endian lanes, lane x for element x: a few big-integer and bytes
-passes over the draws and kappa's image of every element stand in for
+passes over the draws and kappa's image of every element, which
+fields.image_lanes packs into the same lanes at every q, stand in for
 any loop over elements (SIMD within a register), and Vault.table is a
 read-only view of the lanes.  Rejected tries are marked with a
 0xFFFFFFFF sentinel lane and dropped by one bytes.replace, exact as
@@ -53,7 +54,7 @@ from .errors import (
     check_record,
     load_json,
 )
-from .fields import ExtField, ext_field, is_independent
+from .fields import ExtField, ext_field, image_lanes, is_independent
 from .gabidulin import GabidulinCode
 from .linpoly import LinearizedPoly, _check_twist
 
@@ -200,7 +201,7 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
 
     The table is computed as one packed integer of 32-bit lanes, lane x
     for element x: the chaff draws with a zero lane spliced in at each
-    feature, and kappa's image of every element."""
+    feature, and kappa's image of every element from image_lanes."""
     fld = params.field
     fs = _as_feature_set(fld, features)
     if len(fs) != params.n:
@@ -210,7 +211,8 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
         raise LengthMismatch(f"key length {len(key)}, expected ell={params.ell}")
     order = fld.order
     authentic = sorted(fs.elems)
-    images, at = LinearizedPoly(fld, params.s, key)._lanes_at(authentic)
+    kappa = LinearizedPoly(fld, params.s, key)
+    images = image_lanes(fld, list(map(kappa, fld._qpow_m)))
     # chaff r for x is uniform over everything except kappa(x): the draws
     # go to the other elements in ascending order, and r >= kappa(x) moves
     # up by one, which is bit k of r + 2^k - kappa(x), as r, kappa(x) < 2^k
@@ -224,8 +226,8 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
     if sys.byteorder == "big":
         table.byteswap()
     # the placeholder lanes at the features take kappa(x)
-    for x, y in zip(authentic, at):
-        table[x] = y
+    for x in authentic:
+        table[x] = kappa(x)
     return Vault(params, memoryview(table).toreadonly(), codeword_digest(fld, key))
 
 

@@ -1,0 +1,100 @@
+"""Prop. 2 and Prop. 4 as exact identities, one trial draw at a time.
+
+A trial draws the key, the features, the lock's chaff and the witness.
+Fix one such draw from trial_rng(7, t); the witness reads kappa(x) at
+its u feature points and chaff at its n - u others.  Enumerating every
+chaff value there (each different from kappa(x)) and running each table
+through the library's own pipeline gives the rate of rank-bound
+equality over the chaff alone.  At these tiny shapes that rate equals
+the formula exactly, whatever the draw, so the enumeration is an exact
+oracle for everything below the lock.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from rankfuzz.analysis import (
+    overlap_tightness_probability,
+    restricted_rank,
+    sample_feature_set,
+    sample_witness_overlap,
+    sample_witness_shaped,
+    set_difference,
+    subspace_tightness_probability,
+    trial_rng,
+    witness_map,
+    witness_map_completed,
+)
+from rankfuzz.fields import find_normal_element
+from rankfuzz.linpoly import LinearizedPoly
+from rankfuzz.vault import Vault, VaultParams, lock
+
+DRAWS = range(3)
+
+
+def exact_tight_fraction(params: VaultParams, draw, rank, t: int) -> Fraction:
+    """Share of chaff substitutions at which 2 d_r == |A ^ W|, for the
+    draw of trial t.  draw(rng, feats) is the witness sampler; rank(vault,
+    wit, feats, kappa) is d_r.  Asserts 2 d_r <= |A ^ W| on every table."""
+    fld = params.field
+    rng = trial_rng(7, t)
+    key = fld.random_vector(params.ell, rng)
+    feats = sample_feature_set(fld, params.n, rng)
+    vault = lock(params, feats, key, rng)
+    wit = draw(rng, feats)
+    kappa = LinearizedPoly(fld, params.s, key)
+    d_delta = set_difference(feats, wit)
+    chaff_at = [x for x in wit.elems if x not in feats.as_set()]
+    assert d_delta == 2 * len(chaff_at)
+    choices = [[y for y in range(fld.order) if y != kappa(x)] for x in chaff_at]
+    table = list(vault.table)
+    tight = total = 0
+    for ys in product(*choices):
+        for x, y in zip(chaff_at, ys):
+            table[x] = y
+        d_r = rank(Vault(params, tuple(table), vault.key_digest), wit, feats, kappa)
+        assert 2 * d_r <= d_delta, (t, ys)
+        tight += 2 * d_r == d_delta
+        total += 1
+    return Fraction(tight, total)
+
+
+def _map_rank(vault, wit, feats, kappa):
+    return (kappa - witness_map(vault, wit)).map_rank()
+
+
+PROP2 = [(q, n, u) for q, n in [(2, 3), (3, 2)] for u in range(n + 1)]
+
+
+@pytest.mark.parametrize("q,n,u", PROP2, ids=[f"{q}-{n}-{u}" for q, n, u in PROP2])
+def test_prop2_rate_is_exact_per_draw(q, n, u):
+    params = VaultParams(q=q, m=n, n=n, ell=1)
+    fld = params.field
+    draw = lambda rng, feats: sample_witness_overlap(fld, feats, u, rng)
+    formula = overlap_tightness_probability(q, n, u)
+    for t in DRAWS:
+        assert exact_tight_fraction(params, draw, _map_rank, t) == formula, t
+
+
+# every feasible (u, v): 2n - v <= m, and at q = 2 not u = 0 with v = n
+PROP4 = [(2, 4, 2, u, v) for u, v in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]] + [
+    (3, 3, 2, u, v) for u, v in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+]
+
+
+@pytest.mark.parametrize("q,m,n,u,v", PROP4, ids=["-".join(map(str, s)) for s in PROP4])
+def test_prop4_rate_is_exact_per_draw(q, m, n, u, v):
+    params = VaultParams(q=q, m=m, n=n, ell=1)
+    fld = params.field
+    alpha = find_normal_element(fld)
+    draw = lambda rng, feats: sample_witness_shaped(fld, feats, u, v, rng)
+
+    def rank(vault, wit, feats, kappa):
+        lz = witness_map_completed(vault, wit, feats, kappa, alpha)
+        return restricted_rank(fld, lambda x: fld.sub(kappa(x), lz(x)), feats.elems)
+
+    formula = subspace_tightness_probability(q, m, n, u, v)
+    for t in DRAWS:
+        assert exact_tight_fraction(params, draw, rank, t) == formula, t

@@ -103,7 +103,7 @@ def test_evaluation_is_additive_and_scalar_linear():
 
 def test_evaluate_all_matches_pointwise():
     rng = random.Random(4)
-    # (251,2) and (3,11) take linear_images' 16-bit and 32-bit lanes at odd q
+    # odd q below and above 2^16 elements: (251,2) and (3,11)
     for field, s in [(F16, 1), (F16, 3), (F27, 1), (F27, 2), (ext_field(5, 2), 1),
                      (ext_field(2, 16), 1), (ext_field(3, 5), 2), (ext_field(251, 2), 1),
                      (ext_field(3, 11), 2)]:
@@ -117,8 +117,8 @@ def test_evaluate_all_matches_pointwise():
                 assert table[a] == p(a)
 
 
-# both parities, and at odd q both 16-bit value lanes and, past 2^16
-# elements, 32-bit ones
+# both parities, and at odd q both table-backed fields and, past 2^16
+# elements, one sampled at 0, 1, the last element and 3,000 more points
 IMAGE_FIELDS = [(2, 1), (2, 5), (2, 11), (3, 1), (3, 4), (5, 3), (13, 2), (251, 2), (3, 11)]
 
 
@@ -129,13 +129,11 @@ def test_linear_images_match_pointwise(q, m):
     p = rand_poly(field, 1, min(m, 3) - 1, rng)
     images = linear_images(field, [p(x) for x in field._qpow_m])
     assert type(images) is tuple and len(images) == field.order
-    for a in range(field.order) if field.order <= 1 << 16 else rng.sample(range(field.order), 3000):
+    order = field.order
+    for a in range(order) if order <= 1 << 16 else [0, 1, order - 1, *rng.sample(range(order), 3000)]:
         assert images[a] == p(a), a
-    if q == 2:
-        lanes = image_lanes([p(x) for x in field._qpow_m])
-        assert lanes.to_bytes(4 * field.order, "little") == b"".join(
-            y.to_bytes(4, "little") for y in images
-        )
+    lanes = image_lanes(field, [p(x) for x in field._qpow_m])
+    assert lanes.to_bytes(4 * order, "little") == b"".join(y.to_bytes(4, "little") for y in images)
 
 
 @pytest.mark.parametrize("q,m", [(2, 21), (3, 13)])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from rankfuzz.analysis import SweepReport, TrialReport, load_report
 from rankfuzz.cli import main
-from rankfuzz.errors import ClaimViolation, RankfuzzError
+from rankfuzz.errors import ClaimViolation, MalformedRecord, RankfuzzError
 from rankfuzz.fields import ext_field
 
 F256 = ext_field(2, 8)
@@ -198,3 +198,29 @@ def test_load_report_survives_mutated_reports(files, kind, data):
     else:
         assert isinstance(report, (TrialReport, SweepReport))
         report.to_dict()
+
+
+@pytest.fixture(scope="module")
+def deep(files):
+    """A file nested deeper than the JSON parser recurses."""
+    path = files[0] / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="ascii")
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "unlock"])
+def test_deeply_nested_files_exit_2_with_one_line(files, deep, command):
+    d, wit, _ = files
+    if command == "verify":
+        argv = ["verify", "--commitment", str(deep), "--witness", str(wit)]
+    else:
+        argv = ["vault", "unlock", "--vault", str(deep), "--witness", str(wit),
+                "--key-out", str(d / "k-deep.hex")]
+    code, err = run_main(argv)
+    assert code == 2
+    assert err.splitlines() == [f"error: {deep}: JSON nested too deeply"]
+
+
+def test_load_report_refuses_deeply_nested_files(deep):
+    with pytest.raises(MalformedRecord, match="nested too deeply"):
+        load_report(deep)

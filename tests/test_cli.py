@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, file outputs, reproducibility."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -519,3 +520,95 @@ def test_missing_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# The flag contract: every option of every command path.
+
+HELP = ("flag", False, argparse.SUPPRESS, None)
+NUMBER = ("int", True, None, None)
+FILE = ("str", True, None, None)
+OPTIONAL_FILE = ("str", False, None, None)
+TWIST = ("int", False, 1, None)
+SEED = ("int", False, 0, None)
+FORMAT = ("str", False, "text", ("text", "json"))
+DISTRIBUTION = ("str", False, "uniform_u", ("uniform_u", "uniform_w"))
+SIMULATE = {
+    "--trials": ("int", False, 10**4, None),
+    "--out": OPTIONAL_FILE,
+    "--strict": ("flag", False, False, None),
+    "--seed": SEED,
+    "--format": FORMAT,
+}
+
+# (kind, required, default, choices) per option string; kind is "flag"
+# for an option that takes no value, else the name of its type.  Every
+# path also takes -h and --help; "<command>" stands for a subcommand.
+FLAG_CONTRACT = {
+    (): {"<command>": ("command", True, None, ("field-info", "commit", "verify", "vault", "simulate"))},
+    ("field-info",): {"--q": NUMBER, "--m": NUMBER, "--format": FORMAT},
+    ("commit",): {
+        "--q": NUMBER, "--m": NUMBER, "--n": NUMBER, "--k": NUMBER, "--s": TWIST,
+        "--witness": FILE, "--out": FILE, "--seed": SEED, "--format": FORMAT,
+    },
+    ("verify",): {
+        "--commitment": FILE, "--witness": FILE, "--out": OPTIONAL_FILE, "--format": FORMAT,
+    },
+    ("vault",): {"<command>": ("command", True, None, ("lock", "unlock"))},
+    ("vault", "lock"): {
+        "--q": NUMBER, "--m": NUMBER, "--n": NUMBER, "--ell": NUMBER, "--s": TWIST,
+        "--features": FILE, "--key": FILE, "--out": FILE, "--seed": SEED, "--format": FORMAT,
+    },
+    ("vault", "unlock"): {
+        "--vault": FILE, "--witness": FILE, "--key-out": FILE, "--format": FORMAT,
+    },
+    ("simulate",): {
+        "<command>": (
+            "command", True, None, ("lemma2", "prop2", "prop4", "thm3", "thm5", "roundtrip")
+        ),
+    },
+    ("simulate", "lemma2"): {**SIMULATE, "--q": NUMBER, "--m": NUMBER, "--n": NUMBER},
+    ("simulate", "prop2"): {
+        **SIMULATE, "--q": NUMBER, "--n": NUMBER, "--u": NUMBER, "--ell": NUMBER, "--s": TWIST,
+    },
+    ("simulate", "prop4"): {
+        **SIMULATE, "--q": NUMBER, "--m": NUMBER, "--n": NUMBER, "--u": NUMBER, "--v": NUMBER,
+        "--ell": NUMBER, "--s": TWIST,
+    },
+    ("simulate", "thm3"): {
+        **SIMULATE, "--n": NUMBER, "--ell": NUMBER, "--s": TWIST,
+        "--q-sweep": ("_int_list", False, [2, 3, 5], None), "--distribution": DISTRIBUTION,
+    },
+    ("simulate", "thm5"): {
+        **SIMULATE, "--q": NUMBER, "--n": NUMBER, "--ell": NUMBER, "--s": TWIST,
+        "--m-sweep": ("_int_list", False, [4, 5, 6], None), "--distribution": DISTRIBUTION,
+    },
+    ("simulate", "roundtrip"): {
+        **SIMULATE, "--trials": ("int", False, 10**3, None),
+        "--q": NUMBER, "--m": NUMBER, "--n": NUMBER, "--k": NUMBER, "--s": TWIST,
+    },
+}
+
+
+def _flag_contract(parser, path=()):
+    """{command path: {option string: (kind, required, default, choices)}}."""
+    table, options = {}, {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            options["<command>"] = ("command", action.required, None, tuple(action.choices))
+            for name, child in action.choices.items():
+                table.update(_flag_contract(child, path + (name,)))
+            continue
+        kind = "flag" if action.nargs == 0 else getattr(action.type, "__name__", "str")
+        choices = tuple(action.choices) if action.choices else None
+        for option in action.option_strings:
+            options[option] = (kind, action.required, parser.get_default(action.dest), choices)
+    table[path] = options
+    return table
+
+
+def test_every_command_path_keeps_its_flag_contract():
+    expected = {
+        path: {"-h": HELP, "--help": HELP, **options} for path, options in FLAG_CONTRACT.items()
+    }
+    assert _flag_contract(build_parser()) == expected

@@ -585,6 +585,16 @@ def sample_witness_overlap(field: ExtField, features: FeatureSet, u: int, rng) -
     return FeatureSet(field, tuple(chosen))
 
 
+def _check_overlap_shape(q: int, m: int, n: int, u: int) -> None:
+    """Refuse the one set overlap no witness can meet: in F_4 the only
+    nonzero element outside two independent features is their sum."""
+    if q == 2 and m == n == 2 and u == 0:
+        raise InfeasibleShape(
+            "at q = 2 and m = n = 2 the only nonzero element outside the two "
+            "features is their sum, so u = 0 cannot be met"
+        )
+
+
 def _check_witness_shape(q: int, m: int, n: int, u: int, v: int) -> None:
     """Refuse the overlaps (u, v) that no witness of n elements can meet."""
     if not 0 <= u <= v <= n:
@@ -750,6 +760,7 @@ def mc_overlap_tightness(
         seed,
         start=start,
     )
+    _check_overlap_shape(q, n, n, u)
     draw = lambda rng, feats: sample_witness_overlap(fld, feats, u, rng)
     return _sampled(head, _rank_bound_trial(params, None, draw, f"q={q} n={n} u={u} seed={seed}"))
 
@@ -860,6 +871,7 @@ def mc_scheme_tightness(
     )
     alpha = find_normal_element(fld) if scheme == "generalized" else None
     if distribution == "uniform_u":
+        _check_overlap_shape(q, m, n, 0)
         draw = lambda rng, feats: sample_witness_overlap(fld, feats, rng.randrange(n + 1), rng)
     else:
         draw = lambda rng, feats: sample_feature_set(fld, n, rng)
@@ -906,12 +918,18 @@ def mc_decode_roundtrip(
 def _sweep(claim: str, scheme: str, params: dict, point, values, trials, seed, distribution):
     """One mc_scheme_tightness campaign per value, at VaultParams point(v).
 
-    Two or more values are needed, and point checks every one of them
-    before the first campaign runs.
+    Two or more increasing values are needed.  Every point is checked
+    before the first campaign runs: by point, and under uniform_u, which
+    draws u = 0 too, for a witness sharing none of the features.
     """
     if len(values) < 2:
         raise BadRange("a sweep needs at least two points")
     shapes = [point(v) for v in values]
+    if distribution == "uniform_u":
+        for p in shapes:
+            _check_overlap_shape(p.q, p.m, p.n, 0)
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise BadRange(f"sweep values must increase, got {values}")
     points = tuple(
         mc_scheme_tightness(scheme, p.q, p.m, p.n, p.ell, p.s, trials, seed, distribution)
         for p in shapes

@@ -13,6 +13,13 @@ string per line.  Commitments, vaults, and reports are canonical JSON,
 so the same command with the same flags, seed, and inputs reproduces
 output files byte for byte.
 
+Each flag that several commands take is declared once, in _FLAGS, and
+each simulate claim once, in _CLAIMS, with the campaign it calls and
+the flags it passes to it by keyword.  A claim's parameters are checked
+before its first trial: a sweep refuses values that do not increase,
+and a witness shape that cannot be drawn, such as u = 0 at q = 2 and
+m = n = 2, is refused with its reason.
+
 Exit codes: 0 success or accept; 1 protocol reject, failed verdict, or
 a broken always-true guarantee; 2 usage, parameter, or input errors.
 """
@@ -196,29 +203,9 @@ def _finish_simulate(report, args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    claim = args.claim
-    if claim == "lemma2":
-        report = mc_independence(args.q, args.m, args.n, args.trials, args.seed)
-    elif claim == "prop2":
-        report = mc_overlap_tightness(
-            args.q, args.n, args.u, args.ell, args.s, args.trials, args.seed
-        )
-    elif claim == "prop4":
-        report = mc_subspace_tightness(
-            args.q, args.m, args.n, args.u, args.v, args.ell, args.s, args.trials, args.seed
-        )
-    elif claim == "thm3":
-        report = sweep_basic_tightness(
-            args.q_sweep, args.n, args.ell, args.s, args.trials, args.seed, args.distribution
-        )
-    elif claim == "thm5":
-        report = sweep_generalized_tightness(
-            args.q, args.m_sweep, args.n, args.ell, args.s, args.trials, args.seed, args.distribution
-        )
-    else:  # roundtrip
-        report = mc_decode_roundtrip(
-            args.q, args.m, args.n, args.k, args.s, args.trials, args.seed
-        )
+    campaign, _, flags, _ = _CLAIMS[args.claim]
+    kwargs = {name: getattr(args, name) for name in flags}
+    report = campaign(**kwargs, trials=args.trials, seed=args.seed)
     return _finish_simulate(report, args)
 
 
@@ -233,13 +220,49 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _add_common(p, *, seed=True, fmt=True):
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="deterministic randomness seed")
-    if fmt:
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="stdout style"
-        )
+# Each flag more than one command takes, by the name it parses to, which
+# is also the keyword of every campaign that takes it: option string and
+# add_argument keywords.
+_FLAGS = {
+    "q": ("--q", dict(type=int, required=True, help="prime base field size")),
+    "m": ("--m", dict(type=int, required=True, help="extension degree")),
+    "n": ("--n", dict(type=int, required=True, help="feature or witness count")),
+    "k": ("--k", dict(type=int, required=True, help="code dimension")),
+    "ell": ("--ell", dict(type=int, required=True, help="key length")),
+    "s": ("--s", dict(type=int, default=1, help="twist exponent")),
+    "u": ("--u", dict(type=int, required=True, help="common element count")),
+    "v": ("--v", dict(type=int, required=True, help="span overlap dimension")),
+    "q_values": ("--q-sweep", dict(type=_int_list, default=[2, 3, 5], help="comma list")),
+    "m_values": ("--m-sweep", dict(type=_int_list, default=[4, 5, 6], help="comma list")),
+    "distribution": (
+        "--distribution", dict(choices=("uniform_u", "uniform_w"), default="uniform_u")
+    ),
+    "seed": ("--seed", dict(type=int, default=0, help="deterministic randomness seed")),
+    "format": ("--format", dict(choices=("text", "json"), default="text", help="stdout style")),
+}
+
+# Each simulate claim: campaign, default trial count, the _FLAGS it passes
+# to the campaign by name, and help line.
+_CLAIMS = {
+    "lemma2": (mc_independence, 10**4, ("q", "m", "n"),
+               "independence rate of uniform element subsets"),
+    "prop2": (mc_overlap_tightness, 10**4, ("q", "n", "u", "ell", "s"),
+              "tightness rate at fixed set overlap, m = n"),
+    "prop4": (mc_subspace_tightness, 10**4, ("q", "m", "n", "u", "v", "ell", "s"),
+              "tightness rate at fixed set and span overlap"),
+    "thm3": (sweep_basic_tightness, 10**4, ("n", "ell", "s", "q_values", "distribution"),
+             "failure trend of the m = n scheme as q grows"),
+    "thm5": (sweep_generalized_tightness, 10**4, ("q", "n", "ell", "s", "m_values", "distribution"),
+             "failure trend of the completed scheme as m grows"),
+    "roundtrip": (mc_decode_roundtrip, 10**3, ("q", "m", "n", "k", "s"),
+                  "decode success rate within half distance"),
+}
+
+
+def _add_flags(p, *names) -> None:
+    for name in names:
+        option, kwargs = _FLAGS[name]
+        p.add_argument(option, dest=name, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,110 +273,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field-info", help="show parameters of F_{q^m}")
-    p.add_argument("--q", type=int, required=True, help="prime base field size")
-    p.add_argument("--m", type=int, required=True, help="extension degree")
-    _add_common(p, seed=False)
+    _add_flags(p, "q", "m", "format")
     p.set_defaults(func=_cmd_field_info)
 
     p = sub.add_parser("commit", help="bind a witness vector to a random codeword")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="witness length")
-    p.add_argument("--k", type=int, required=True, help="code dimension")
-    p.add_argument("--s", type=int, default=1, help="twist exponent")
     p.add_argument("--witness", required=True, help="hex vector file, n lines")
     p.add_argument("--out", required=True, help="commitment JSON path")
-    _add_common(p)
+    _add_flags(p, "q", "m", "n", "k", "s", "seed", "format")
     p.set_defaults(func=_cmd_commit)
 
     p = sub.add_parser("verify", help="check a witness against a commitment")
     p.add_argument("--commitment", required=True, help="commitment JSON path")
     p.add_argument("--witness", required=True, help="hex vector file")
     p.add_argument("--out", default=None, help="optional outcome JSON path")
-    _add_common(p, seed=False)
+    _add_flags(p, "format")
     p.set_defaults(func=_cmd_verify)
 
     vault = sub.add_parser("vault", help="feature-keyed key protection")
     vsub = vault.add_subparsers(dest="vault_command", required=True)
 
     p = vsub.add_parser("lock", help="hide a key among chaff points")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="feature count")
-    p.add_argument("--ell", type=int, required=True, help="key length")
-    p.add_argument("--s", type=int, default=1)
     p.add_argument("--features", required=True, help="hex vector file, n lines")
     p.add_argument("--key", required=True, help="hex vector file, ell lines")
     p.add_argument("--out", required=True, help="vault JSON path")
-    _add_common(p)
+    _add_flags(p, "q", "m", "n", "ell", "s", "seed", "format")
     p.set_defaults(func=_cmd_vault_lock)
 
     p = vsub.add_parser("unlock", help="recover the key with a witness set")
     p.add_argument("--vault", required=True, help="vault JSON path")
     p.add_argument("--witness", required=True, help="hex vector file, n lines")
     p.add_argument("--key-out", required=True, help="recovered key path")
-    _add_common(p, seed=False)
+    _add_flags(p, "format")
     p.set_defaults(func=_cmd_vault_unlock)
 
     sim = sub.add_parser("simulate", help="run a seeded experiment campaign")
     ssub = sim.add_subparsers(dest="claim", required=True)
-
-    def sim_parser(token, help_text):
-        q = ssub.add_parser(token, help=help_text)
-        q.add_argument("--trials", type=int, default=10**4)
-        q.add_argument("--out", default=None, help="report JSON path")
-        q.add_argument("--strict", action="store_true", help="flagged verdicts exit 1")
-        _add_common(q)
-        q.set_defaults(func=_cmd_simulate, claim=token)
-        return q
-
-    p = sim_parser("lemma2", "independence rate of uniform element subsets")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sim_parser("prop2", "tightness rate at fixed set overlap, m = n")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u", type=int, required=True, help="common element count")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
-
-    p = sim_parser("prop4", "tightness rate at fixed set and span overlap")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u", type=int, required=True, help="common element count")
-    p.add_argument("--v", type=int, required=True, help="span overlap dimension")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
-
-    p = sim_parser("thm3", "failure trend of the m = n scheme as q grows")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--q-sweep", type=_int_list, default=[2, 3, 5], help="comma list")
-    p.add_argument(
-        "--distribution", choices=("uniform_u", "uniform_w"), default="uniform_u"
-    )
-
-    p = sim_parser("thm5", "failure trend of the completed scheme as m grows")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--m-sweep", type=_int_list, default=[4, 5, 6], help="comma list")
-    p.add_argument(
-        "--distribution", choices=("uniform_u", "uniform_w"), default="uniform_u"
-    )
-
-    p = sim_parser("roundtrip", "decode success rate within half distance")
-    p.set_defaults(trials=10**3)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
+    for claim, (_, trials, flags, help_text) in _CLAIMS.items():
+        p = ssub.add_parser(claim, help=help_text)
+        p.add_argument("--trials", type=int, default=trials)
+        p.add_argument("--out", default=None, help="report JSON path")
+        p.add_argument("--strict", action="store_true", help="flagged verdicts exit 1")
+        _add_flags(p, "seed", "format", *flags)
+        p.set_defaults(func=_cmd_simulate)
 
     return parser
 

@@ -678,6 +678,20 @@ def test_mc_subspace_tightness_refuses_u0_v_n_at_q2_before_any_trial(monkeypatch
         mc_subspace_tightness(q=2, m=5, n=2, u=0, v=2, ell=1, trials=10**4)
 
 
+def test_overlap_u0_at_q2_m2_is_refused_before_any_trial(monkeypatch):
+    # the only nonzero element of F_4 outside two independent features
+    # is their sum, so no witness shares none of them
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(analysis, "_vault_trial", no_trial)
+    with pytest.raises(InfeasibleShape, match="u = 0"):
+        mc_overlap_tightness(2, 2, 0, 1)
+    for scheme in ("basic", "generalized"):
+        with pytest.raises(InfeasibleShape, match="u = 0"):
+            mc_scheme_tightness(scheme, 2, 2, 2, 1)
+
+
 def test_sample_witness_shaped_postconditions():
     rng = random.Random(9)
     fld = ext_field(2, 10)
@@ -792,6 +806,16 @@ def test_sweeps_check_every_point_before_any_campaign(monkeypatch):
         sweep_generalized_tightness(2, iter([4]), 3, 1, trials=10)
     with pytest.raises(BadDimensions):
         sweep_generalized_tightness(2, [4, 5, 2], 3, 1, trials=10)
+    # uniform_u draws u = 0, which F_4 cannot meet; uniform_w can draw there
+    with pytest.raises(InfeasibleShape, match="u = 0"):
+        sweep_basic_tightness([2, 3], 2, 1, trials=10)
+    with pytest.raises(InfeasibleShape, match="u = 0"):
+        sweep_generalized_tightness(2, [2, 3], 2, 1, trials=10)
+    with pytest.raises(AssertionError, match="a campaign ran"):
+        sweep_basic_tightness([2, 3], 2, 1, trials=10, distribution="uniform_w")
+    for q_values in ([5, 3, 2], [3, 3]):
+        with pytest.raises(BadRange, match="must increase"):
+            sweep_basic_tightness(q_values, 3, 1, trials=10)
 
 
 def test_sweep_basic_tightness_structure():

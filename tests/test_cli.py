@@ -441,6 +441,11 @@ INVALID_SIMULATIONS = {
     "v-below-u": "prop4 --q 2 --m 6 --n 3 --u 2 --v 1 --ell 1",
     "span-above-m": "prop4 --q 2 --m 5 --n 3 --u 0 --v 0 --ell 1",
     "m-sweep-past-table-guard": "thm5 --q 2 --n 3 --ell 1 --m-sweep 4,21",
+    "prop2-u0-in-F4": "prop2 --q 2 --n 2 --u 0 --ell 1",
+    "thm3-uniform-u-in-F4": "thm3 --n 2 --ell 1 --q-sweep 2,3",
+    "thm5-uniform-u-in-F4": "thm5 --q 2 --n 2 --ell 1 --m-sweep 2,3",
+    "q-sweep-decreasing": "thm3 --n 3 --ell 1 --q-sweep 5,3,2",
+    "q-sweep-repeated": "thm3 --n 3 --ell 1 --q-sweep 3,3",
 }
 
 

@@ -8,6 +8,13 @@ through the library's own pipeline gives the rate of rank-bound
 equality over the chaff alone.  At these tiny shapes that rate equals
 the formula exactly, whatever the draw, so the enumeration is an exact
 oracle for everything below the lock.
+
+Under thm3's and thm5's uniform_w law the witness is a uniform
+independent set, drawn as mc_scheme_tightness draws it.  For the basic
+scheme the rate at each draw is Prop. 2's formula at the drawn u.  For
+the completed scheme it is Prop. 4's formula at the drawn (u, v) exactly
+when the witness points lying in span(A) span all of span(A) inter
+span(W); a draw where they do not gives another rate.
 """
 
 from fractions import Fraction
@@ -22,12 +29,13 @@ from rankfuzz.analysis import (
     sample_witness_overlap,
     sample_witness_shaped,
     set_difference,
+    subspace_intersection,
     subspace_tightness_probability,
     trial_rng,
     witness_map,
     witness_map_completed,
 )
-from rankfuzz.fields import find_normal_element
+from rankfuzz.fields import element_rank, find_normal_element
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import Vault, VaultParams, lock
 
@@ -65,6 +73,26 @@ def _map_rank(vault, wit, feats, kappa):
     return (kappa - witness_map(vault, wit)).map_rank()
 
 
+def _completed_rank(fld, alpha):
+    def rank(vault, wit, feats, kappa):
+        lz = witness_map_completed(vault, wit, feats, kappa, alpha)
+        return restricted_rank(fld, lambda x: fld.sub(kappa(x), lz(x)), feats.elems)
+
+    return rank
+
+
+def _uniform_w(fld, n, drawn):
+    """The uniform_w witness sampler, which appends each (features,
+    witness) it sees to drawn."""
+
+    def draw(rng, feats):
+        wit = sample_feature_set(fld, n, rng)
+        drawn.append((feats, wit))
+        return wit
+
+    return draw
+
+
 PROP2 = [(q, n, u) for q, n in [(2, 3), (3, 2)] for u in range(n + 1)]
 
 
@@ -88,13 +116,51 @@ PROP4 = [(2, 4, 2, u, v) for u, v in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]] +
 def test_prop4_rate_is_exact_per_draw(q, m, n, u, v):
     params = VaultParams(q=q, m=m, n=n, ell=1)
     fld = params.field
-    alpha = find_normal_element(fld)
     draw = lambda rng, feats: sample_witness_shaped(fld, feats, u, v, rng)
-
-    def rank(vault, wit, feats, kappa):
-        lz = witness_map_completed(vault, wit, feats, kappa, alpha)
-        return restricted_rank(fld, lambda x: fld.sub(kappa(x), lz(x)), feats.elems)
-
+    rank = _completed_rank(fld, find_normal_element(fld))
     formula = subspace_tightness_probability(q, m, n, u, v)
     for t in DRAWS:
         assert exact_tight_fraction(params, draw, rank, t) == formula, t
+
+
+UNIFORM_W_DRAWS = range(6)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)], ids=["2-3", "3-2"])
+def test_thm3_uniform_w_rate_is_exact_per_draw(q, n):
+    params = VaultParams(q=q, m=n, n=n, ell=1)
+    drawn = []
+    draw = _uniform_w(params.field, n, drawn)
+    for t in UNIFORM_W_DRAWS:
+        rate = exact_tight_fraction(params, draw, _map_rank, t)
+        feats, wit = drawn[-1]
+        u = len(feats.as_set() & wit.as_set())
+        assert rate == overlap_tightness_probability(q, n, u), t
+
+
+THM5 = [(2, 4, 2), (3, 3, 2), (2, 5, 2)]
+
+
+@pytest.mark.parametrize("q,m,n", THM5, ids=["-".join(map(str, s)) for s in THM5])
+def test_thm5_uniform_w_rate_is_exact_when_witness_points_span_the_overlap(q, m, n):
+    params = VaultParams(q=q, m=m, n=n, ell=1)
+    fld = params.field
+    rank = _completed_rank(fld, find_normal_element(fld))
+    drawn = []
+    draw = _uniform_w(fld, n, drawn)
+    exact, inexact = [], []
+    for t in UNIFORM_W_DRAWS:
+        rate = exact_tight_fraction(params, draw, rank, t)
+        feats, wit = drawn[-1]
+        u = len(feats.as_set() & wit.as_set())
+        v = len(subspace_intersection(fld, feats.elems, wit.elems))
+        inside = [w for w in wit.elems if element_rank(fld, feats.elems + (w,)) == n]
+        formula = subspace_tightness_probability(q, m, n, u, v)
+        if element_rank(fld, inside) == v:
+            assert rate == formula, t
+            exact.append(t)
+        else:
+            assert rate != formula, t
+            inexact.append(t)
+    # these draws take both branches at every shape
+    assert exact and inexact

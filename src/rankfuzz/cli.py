@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rankfuzz",
         description="rank-metric fuzzy authentication: commitments, vaults, experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each prog= is the prefix argparse would otherwise format from a usage line
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     p = sub.add_parser("field-info", help="show parameters of F_{q^m}")
     _add_flags(p, "q", "m", "format")
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     vault = sub.add_parser("vault", help="feature-keyed key protection")
-    vsub = vault.add_subparsers(dest="vault_command", required=True)
+    vsub = vault.add_subparsers(dest="vault_command", required=True, prog=vault.prog)
 
     p = vsub.add_parser("lock", help="hide a key among chaff points")
     p.add_argument("--features", required=True, help="hex vector file, n lines")
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_vault_unlock)
 
     sim = sub.add_parser("simulate", help="run a seeded experiment campaign")
-    ssub = sim.add_subparsers(dest="claim", required=True)
+    ssub = sim.add_subparsers(dest="claim", required=True, prog=sim.prog)
     for claim, (_, trials, flags, help_text) in _CLAIMS.items():
         p = ssub.add_parser(claim, help=help_text)
         p.add_argument("--trials", type=int, default=trials)

@@ -154,6 +154,7 @@ def test_thm5_uniform_w_rate_is_exact_when_witness_points_span_the_overlap(q, m,
         feats, wit = drawn[-1]
         u = len(feats.as_set() & wit.as_set())
         v = len(subspace_intersection(fld, feats.elems, wit.elems))
+        # w lies in span(A) when adding it to the features leaves rank n
         inside = [w for w in wit.elems if element_rank(fld, feats.elems + (w,)) == n]
         formula = subspace_tightness_probability(q, m, n, u, v)
         if element_rank(fld, inside) == v:

@@ -18,13 +18,15 @@ each simulate claim once, in _CLAIMS, with the campaign it calls and
 the flags it passes to it by keyword.  A claim's parameters are checked
 before its first trial: a sweep refuses values that do not increase,
 and a witness shape that cannot be drawn, such as u = 0 at q = 2 and
-m = n = 2, is refused with its reason.
+m = n = 2, is refused with its reason.  main() parses with one parser,
+built on its first call and kept for the life of the process.
 
 Exit codes: 0 success or accept; 1 protocol reject, failed verdict, or
 a broken always-true guarantee; 2 usage, parameter, or input errors.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -320,9 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and kept: parsing
+    # leaves no state in it, so later calls parse exactly as a fresh one
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ClaimViolation as exc:

@@ -295,6 +295,8 @@ class ExtField:
         return tuple(out)
 
     def to_bytes(self, a: int) -> bytes:
+        if self.q == 2:  # the digits are the bits, low first
+            return f"{a:0{self.m}b}"[::-1].encode().translate(_BITS)
         return bytes(self.digits(a))
 
     def to_hex(self, a: int) -> str:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rankfuzz
-from rankfuzz import analysis
+from rankfuzz import analysis, cli
 from rankfuzz.analysis import load_report
 from rankfuzz.cli import _verdict_exit, build_parser, main
 from rankfuzz.fields import ext_field
@@ -617,3 +617,137 @@ def test_every_command_path_keeps_its_flag_contract():
         path: {"-h": HELP, "--help": HELP, **options} for path, options in FLAG_CONTRACT.items()
     }
     assert _flag_contract(build_parser()) == expected
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: main builds it on its first call and keeps it,
+# so repeated calls must parse as independently as fresh processes do.
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for _ in range(5):
+        assert main(["field-info", "--q", "2", "--m", "4"]) == 0
+    with pytest.raises(SystemExit):
+        main(["field-info", "--q", "2"])
+    assert main(["field-info", "--q", "4", "--m", "2"]) == 2
+    assert len(built) == 1
+
+
+def _enrolments(tmp_path):
+    """(argv, output file) per command that writes a seeded file."""
+    wit, feats, key = tmp_path / "w.hex", tmp_path / "f.hex", tmp_path / "k.hex"
+    write_vec(F256, wit, BASIS)
+    write_vec(F256, feats, OFFBASIS)
+    write_vec(F256, key, [171, 205])
+    com, vault, rep = tmp_path / "c.json", tmp_path / "v.json", tmp_path / "r.json"
+    return {
+        "commit": ([
+            "commit", "--q", "2", "--m", "8", "--n", "8", "--k", "4",
+            "--witness", str(wit), "--out", str(com), "--seed", "4",
+        ], com),
+        "lock": ([
+            "vault", "lock", "--q", "2", "--m", "8", "--n", "8", "--ell", "2",
+            "--features", str(feats), "--key", str(key), "--out", str(vault), "--seed", "4",
+        ], vault),
+        "prop2": ([
+            "simulate", "prop2", "--q", "3", "--n", "3", "--u", "1", "--ell", "1",
+            "--trials", "60", "--seed", "4", "--out", str(rep),
+        ], rep),
+    }
+
+
+@pytest.mark.parametrize("command", ["commit", "lock", "prop2"])
+def test_same_argv_gives_the_same_run_after_failed_calls(command, tmp_path, capsys):
+    argv, out = _enrolments(tmp_path)[command]
+    short = tmp_path / "short.hex"
+    write_vec(F256, short, BASIS[:3])
+    runs = []
+    for _ in range(2):
+        rc = main(argv)
+        runs.append((rc, out.read_bytes(), capsys.readouterr()))
+        out.unlink()
+        # a usage error part way through the same command's flags, then an
+        # input error that exits 2 from inside the command
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:-2] + ["--seed", "x"])
+        assert exc.value.code == 2
+        bad = ["commit", "--q", "2", "--m", "8", "--n", "8", "--k", "4",
+               "--witness", str(short), "--out", str(tmp_path / "bad.json")]
+        assert main(bad) == 2
+        assert "error: " in capsys.readouterr().err
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, dest, default",
+    [
+        ("simulate thm3 --n 3 --ell 1 --trials 20", "q_values", [2, 3, 5]),
+        ("simulate thm5 --q 2 --n 3 --ell 1 --trials 20", "m_values", [4, 5, 6]),
+    ],
+)
+def test_sweeps_leave_the_shared_sweep_defaults_alone(argv, dest, default, capsys):
+    # the default list is one object, shared by every call's namespace
+    assert main(argv.split()) in (0, 1)
+    assert getattr(cli._parser().parse_args(argv.split()), dest) == default
+
+
+def _subparser(parser, path):
+    for name in path:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("path", [(), ("vault", "lock"), ("simulate", "thm5")])
+def test_help_through_main_is_a_fresh_parsers_help(path, capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == _subparser(build_parser(), path).format_help()
+
+
+# argparse accepts any unique prefix of a long option, so these
+# abbreviations are part of the command line: a new flag that shares one
+# would turn an accepted command into an "ambiguous option" exit 2.
+PREFIXES = {
+    "q-sweep": ("simulate thm3 --n 3 --ell 1 --q 2,3", "q_values", [2, 3]),
+    "m-sweep": ("simulate thm5 --q 2 --n 3 --ell 1 --m 4,5", "m_values", [4, 5]),
+    "trials": ("simulate lemma2 --q 2 --m 4 --n 2 --tr 7", "trials", 7),
+    "strict": ("simulate lemma2 --q 2 --m 4 --n 2 --st", "strict", True),
+    "seed": ("simulate lemma2 --q 2 --m 4 --n 2 --se 9", "seed", 9),
+}
+
+
+@pytest.mark.parametrize("argv, dest, value", PREFIXES.values(), ids=PREFIXES.keys())
+def test_unique_prefix_parses_as_its_flag(argv, dest, value):
+    assert getattr(build_parser().parse_args(argv.split()), dest) == value
+
+
+def test_ambiguous_prefix_exits_2(capsys):
+    argv = "vault lock --q 2 --m 4 --n 2 --ell 1 --key k --out o --f json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "ambiguous option: --f could match --features, --format" in capsys.readouterr().err
+
+
+def test_import_rankfuzz_loads_no_command_line():
+    # the parser is built on the first main() call, never at import, so
+    # neither argparse nor the cli module counts towards import time
+    code = "import sys, rankfuzz; print(sorted({'argparse', 'rankfuzz.cli'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(rankfuzz.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -488,7 +488,7 @@ def test_bytes_and_hex_roundtrip():
 @pytest.mark.parametrize(
     "q, m, count",
     [(2, 8, None), (3, 5, None), (5, 4, None), (31, 2, None), (37, 2, None),
-     (2, 64, 200), (251, 2, 200)],
+     (2, 32, 200), (2, 64, 200), (251, 2, 200)],
 )
 def test_hex_codec_matches_digits(q, m, count):
     # every element of the small fields, random ones of the large; q = 31

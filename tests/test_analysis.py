@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import pytest
 
-from rankfuzz import analysis
+from rankfuzz import analysis, gabidulin
 from rankfuzz.analysis import (
     SubspaceMap,
     SweepReport,
@@ -57,6 +57,7 @@ from rankfuzz.errors import (
     TwistMismatch,
 )
 from rankfuzz.fields import element_rank, ext_field, find_normal_element
+from rankfuzz.gabidulin import random_rank_error
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import FeatureSet, VaultParams, lock
 
@@ -706,6 +707,71 @@ def test_sample_witness_shaped_postconditions():
         sample_witness_shaped(fld, feats, 3, 2, rng)
     with pytest.raises(InfeasibleShape):
         sample_witness_shaped(F16, sample_feature_set(F16, 4, rng), 0, 1, rng)
+
+
+def span_draws_digest() -> str:
+    """SHA-256 over seeded draws of every span-growing sampler, each
+    followed by the generator state it left: rank errors at every rank on
+    both sides of the table limit, and witnesses at several overlaps."""
+    h = hashlib.sha256()
+
+    def record(out, rng):
+        h.update(repr((out, rng.getstate())).encode())
+
+    for q, m, n in [(2, 8, 8), (3, 5, 5), (5, 4, 4), (2, 32, 8), (3, 11, 6)]:
+        fld = ext_field(q, m)
+        rng = random.Random(f"rank-error:{q}:{m}:{n}")
+        for rank in range(min(n, m) + 1):
+            for _ in range(3):
+                record(random_rank_error(fld, n, rank, rng), rng)
+    for q, m, n in [(2, 8, 4), (3, 6, 3)]:
+        fld = ext_field(q, m)
+        rng = random.Random(f"witness:{q}:{m}:{n}")
+        feats = sample_feature_set(fld, n, rng)
+        for u in range(n + 1):
+            record(sample_witness_overlap(fld, feats, u, rng).elems, rng)
+            for v in range(u, n + 1):
+                record(sample_witness_shaped(fld, feats, u, v, rng).elems, rng)
+    return h.hexdigest()
+
+
+def test_span_draws_match_pinned_digest():
+    assert span_draws_digest() == (
+        "5d812d171fcf1e2fe49f06ce7270560234518d1a94847f94624f0f7b269711e3"
+    )
+
+
+class ScriptedRng:
+    """randrange returns the scripted values, then 0 forever."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randrange(self, stop):
+        return next(self.values, 0)
+
+
+def test_span_draws_raise_their_message_when_the_budget_runs_out(monkeypatch):
+    fld = ext_field(2, 8)
+    feats = sample_feature_set(fld, 4, random.Random(3))
+    for module in (gabidulin, analysis):
+        monkeypatch.setattr(module, "_MAX_TRIES", 0, raising=False)
+    rng = random.Random(4)
+    with pytest.raises(InfeasibleShape, match="^witness retry budget exhausted$"):
+        sample_witness_overlap(fld, feats, 2, rng)
+    with pytest.raises(InfeasibleShape, match="^witness retry budget exhausted$"):
+        sample_witness_shaped(fld, feats, 1, 3, rng)  # inside the feature span
+    with pytest.raises(InfeasibleShape, match="^witness retry budget exhausted$"):
+        sample_witness_shaped(fld, feats, 2, 2, rng)  # outside it
+    with pytest.raises(InfeasibleShape, match="^could not sample independent multipliers$"):
+        random_rank_error(fld, 4, 1, rng)
+    # a draw that needs none still succeeds
+    assert sample_witness_overlap(fld, feats, 4, rng).as_set() == feats.as_set()
+    # the rows are reached once one multiplier is drawn: all its digits
+    # are 1, and every row after it is zero
+    monkeypatch.setattr(gabidulin, "_MAX_TRIES", 1)
+    with pytest.raises(InfeasibleShape, match="^could not sample independent support rows$"):
+        random_rank_error(fld, 4, 1, ScriptedRng([1] * fld.m))
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,13 @@ from .errors import (
     save_json,
 )
 from .fields import ExtField, FqSpan, element_rank, ext_field, find_normal_element, fq_combination
-from .gabidulin import _MAX_TRIES, GabidulinCode, random_rank_error
+from .gabidulin import _MAX_TRIES, GabidulinCode, _grow, random_rank_error
 from .linpoly import LinearizedPoly, interpolate
 from .vault import FeatureSet, Vault, VaultParams, _as_feature_set, lock
 
 _EXHAUSTIVE_ORDER = 1 << 12
 _EXHAUSTIVE_SUBSETS = 10**6
-
-
-def _elements_of(x) -> list:
-    if isinstance(x, FeatureSet):
-        return list(x.elems)
-    return list(x)
+_BUDGET_SPENT = "witness retry budget exhausted"
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +64,7 @@ def _elements_of(x) -> list:
 
 def set_difference(a, b) -> int:
     """Cardinality of the symmetric difference of two element sets."""
-    return len(set(_elements_of(a)) ^ set(_elements_of(b)))
+    return len(set(a) ^ set(b))
 
 
 def _zassenhaus(field: ExtField, a, b):
@@ -77,8 +72,8 @@ def _zassenhaus(field: ExtField, a, b):
     the rows (x, x) for x in a and (y, 0) for y in b, two elements wide,
     high half first.  That span has dimension dim<a> + dim<b>, and its
     echelon rows whose high half vanishes span the intersection."""
-    ea = field.check_vector(_elements_of(a))
-    eb = field.check_vector(_elements_of(b))
+    ea = field.check_vector(a)
+    eb = field.check_vector(b)
     high = field.order
     span = FqSpan(field.q, 2 * field.m, [x * high + x for x in ea] + [y * high for y in eb])
     return span.rank, tuple(r for r in span.basis() if r < high)
@@ -104,7 +99,7 @@ def subspace_intersection(field: ExtField, a, b) -> tuple:
 
 def restricted_rank(field: ExtField, func, basis) -> int:
     """Rank of an F_q-linear callable on the span of independent elements."""
-    basis = field.check_vector(_elements_of(basis))
+    basis = field.check_vector(basis)
     if element_rank(field, basis) != len(basis):
         raise DependentRestriction("restriction elements must be independent")
     return element_rank(field, [func(x) for x in basis])
@@ -232,7 +227,7 @@ def independence_probability(q: int, m: int, n: int) -> Fraction:
     the span of the first i (q^i elements) given it avoids the i chosen
     ones, giving the product of (q^m - q^i)/(q^m - i).
     """
-    fld_order = _checked_order(q, m)
+    fld_order = ext_field(q, m).order
     if not 0 <= n <= fld_order:
         raise BadRange(f"need 0 <= n <= q^m, got n={n}")
     out = Fraction(1)
@@ -251,18 +246,13 @@ def overlap_tightness_probability(q: int, n: int, u: int) -> Fraction:
 
 def subspace_tightness_probability(q: int, m: int, n: int, u: int, v: int) -> Fraction:
     """Equality chance at set overlap u and span overlap v, any m >= n."""
-    order = _checked_order(q, m)
+    order = ext_field(q, m).order
     if not (0 <= u <= v <= n <= m):
         raise BadRange(f"need 0 <= u <= v <= n <= m, got u={u} v={v} n={n} m={m}")
     out = Fraction(1)
     for i in range(n - v, n - u):
         out *= Fraction(order - q**i, order - 1)
     return out
-
-
-def _checked_order(q: int, m: int) -> int:
-    # delegate parameter validation to the field constructor
-    return ext_field(q, m).order
 
 
 # ---------------------------------------------------------------------------
@@ -444,32 +434,15 @@ class SweepReport:
         return sum(r.successes for r in self.points)
 
     @property
-    def estimate(self) -> float:
-        return self.successes / self.trials
-
-    @property
-    def standard_error(self) -> float:
-        p = self.estimate
-        return math.sqrt(p * (1.0 - p) / self.trials)
-
-    @property
     def verdict(self) -> str:
         return "within_3sigma" if trend_holds(self.points) else "failed"
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": dict(self.params),
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "formula": None,
-            "standard_error": self.standard_error,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "mode": "sweep",
-            "points": [r.to_dict() for r in self.points],
-        }
+        """The record of all points pooled into one trial report, judged
+        by trend, with the points' own records."""
+        pooled = TrialReport(self.claim, self.params, self.trials, self.successes, seed=self.seed)
+        points = [r.to_dict() for r in self.points]
+        return dict(pooled.to_dict(), verdict=self.verdict, mode="sweep", points=points)
 
 
 _NONE = type(None)
@@ -572,16 +545,9 @@ def sample_witness_overlap(field: ExtField, features: FeatureSet, u: int, rng) -
         raise BadRange(f"need 0 <= u <= n, got u={u}")
     taken = features.as_set()
     chosen = list(rng.sample(list(features.elems), u))
+    # chosen lies in the span, so a repeat does not grow it
     span = FqSpan(field.q, field.m, chosen)
-    tries = 0
-    while len(chosen) < n:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise InfeasibleShape("witness retry budget exhausted")
-        x = field.random_element(rng)
-        # chosen lies in the span, so add() refuses a repeat
-        if x not in taken and span.add(x):
-            chosen.append(x)
+    _grow(span, chosen, n, lambda: field.random_element(rng), _BUDGET_SPENT, taken)
     return FeatureSet(field, tuple(chosen))
 
 
@@ -627,24 +593,10 @@ def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int,
     common = list(rng.sample(feats, u))
     # one span: common and in_span, then all of feats and outside
     span = FqSpan(field.q, m, common)
-    tries = 0
-    in_span: list = []
-    while len(in_span) < v - u:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise InfeasibleShape("witness retry budget exhausted")
-        x = fq_combination(field, [rng.randrange(field.q) for _ in range(n)], feats)
-        if x not in taken and span.add(x):
-            in_span.append(x)
+    combination = lambda: fq_combination(field, [rng.randrange(field.q) for _ in range(n)], feats)
+    in_span = _grow(span, [], v - u, combination, _BUDGET_SPENT, taken)
     span.extend(feats)
-    outside: list = []
-    while len(outside) < n - v:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise InfeasibleShape("witness retry budget exhausted")
-        x = field.random_element(rng)
-        if span.add(x):
-            outside.append(x)
+    outside = _grow(span, [], n - v, lambda: field.random_element(rng), _BUDGET_SPENT)
     return FeatureSet(field, tuple(outside + in_span + common))
 
 

@@ -68,14 +68,7 @@ _MAX_PRIME = 251
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +76,8 @@ def is_prime(n: int) -> bool:
 # the modulus search needs lives here.
 
 
-def _ptrim(c: list[int]) -> list[int]:
+def _trim(c: list[int]) -> list[int]:
+    """Drop trailing zeros in place; linpoly trims its ledgers here too."""
     while c and c[-1] == 0:
         c.pop()
     return c
@@ -97,7 +91,7 @@ def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % q
-    return _ptrim(out)
+    return _trim(out)
 
 
 def _pmod(a: list[int], mod: list[int], q: int) -> list[int]:
@@ -111,7 +105,7 @@ def _pmod(a: list[int], mod: list[int], q: int) -> list[int]:
             for j in range(dm):
                 a[off + j] = (a[off + j] - lead * mod[j]) % q
         a.pop()
-    return _ptrim(a)
+    return _trim(a)
 
 
 def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
@@ -164,7 +158,7 @@ def _is_irreducible(poly: list[int], q: int) -> bool:
         if i in checkpoints:
             diff = list(t) + [0] * max(0, 2 - len(t))
             diff[1] = (diff[1] - 1) % q
-            if len(_pgcd(poly, _ptrim(diff), q)) - 1 > 0:
+            if len(_pgcd(poly, _trim(diff), q)) - 1 > 0:
                 return False
     return t == _pmod([0, 1], poly, q)
 

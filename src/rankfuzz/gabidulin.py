@@ -10,6 +10,11 @@ of rank at most t = floor((n - k) / 2) in O(n^2) field operations: Newton
 interpolation of the received word, then the extended Euclidean
 algorithm on linearized polynomials (Gabidulin 1985; Wachter-Zeh,
 PhD thesis, Ulm 2013).
+
+Random errors of a given rank come from _grow, the one span draw that
+every sampler of independent elements runs on, the witness samplers in
+analysis too: it redraws until the span has grown enough, and each call
+gets its own retry budget.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .linpoly import (
 )
 
 _EXHAUSTIVE_LIMIT = 1 << 20
-_MAX_TRIES = 10**4  # rejection-sampling budget, shared with analysis
+_MAX_TRIES = 10**4  # draws per _grow call and per analysis.sample_feature_set
 
 
 class GabidulinCode:
@@ -156,32 +161,32 @@ def min_distance_exhaustive(code: GabidulinCode) -> int:
     return best
 
 
+def _grow(span: FqSpan, out: list, count: int, draw, what: str, avoid=()) -> list:
+    """Append to out each draw() that is not in avoid and grows span, until
+    out holds count elements; raise InfeasibleShape(what) after _MAX_TRIES
+    draws.  Every span-growing sampler draws through here."""
+    for _ in range(_MAX_TRIES):
+        if len(out) >= count:
+            break
+        x = draw()
+        if x not in avoid and span.add(x):
+            out.append(x)
+    if len(out) < count:
+        raise InfeasibleShape(what)
+    return out
+
+
 def random_rank_error(field: ExtField, n: int, rank: int, rng):
     """Length-n vector whose coordinate matrix has the exact given rank:
     sum of rank many products a_j * row_j with independent a_j in F_{q^m}
-    and independent row_j in F_q^n, each row spanned as the base-q int
-    of its n digits."""
+    and independent row_j in F_q^n, each row drawn as the base-q int of
+    its n digits, low first, and read back one digit per coordinate."""
     if not 0 <= rank <= min(n, field.m):
         raise BadRange(f"rank must lie in 0..min(n, m), got {rank}")
-    if rank == 0:
-        return (0,) * n
-    tries = 0
-    scalars: list[int] = []
-    span = FqSpan(field.q, field.m)
-    while len(scalars) < rank:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise InfeasibleShape("could not sample independent multipliers")
-        c = field.random_element(rng)
-        if span.add(c):
-            scalars.append(c)
-    rows: list[list[int]] = []
-    span = FqSpan(field.q, n)
-    while len(rows) < rank:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise InfeasibleShape("could not sample independent support rows")
-        r = [rng.randrange(field.q) for _ in range(n)]
-        if span.add(sum(d * field.q**i for i, d in enumerate(r))):
-            rows.append(r)
-    return tuple(fq_combination(field, column, scalars) for column in zip(*rows))
+    q = field.q
+    powers = [q**i for i in range(n)]
+    scalar = lambda: field.random_element(rng)
+    row = lambda: sum(rng.randrange(q) * p for p in powers)
+    mults = _grow(FqSpan(q, field.m), [], rank, scalar, "could not sample independent multipliers")
+    rows = _grow(FqSpan(q, n), [], rank, row, "could not sample independent support rows")
+    return tuple(fq_combination(field, [r // p % q for r in rows], mults) for p in powers)

@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
     TwistMismatch,
 )
-from .fields import ExtField, element_rank, linear_images
+from .fields import ExtField, _trim, element_rank, linear_images
 
 _EVAL_ALL_LIMIT = 1 << 20
 
@@ -53,12 +53,6 @@ def _check_twist(field: ExtField, s: int) -> int:
     if not isinstance(s, int) or s < 1 or s >= m or gcd(s, m) != 1:
         raise BadTwist(f"s must satisfy 1 <= s < {m} and gcd(s, m) = 1, got {s!r}")
     return s
-
-
-def _trim(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
 
 
 def _zip_raw(op, a, b) -> list[int]:

@@ -11,10 +11,10 @@ interpolation of the received word, then the extended Euclidean
 algorithm on linearized polynomials (Gabidulin 1985; Wachter-Zeh,
 PhD thesis, Ulm 2013).
 
-Random errors of a given rank come from _grow, the one span draw that
-every sampler of independent elements runs on, the witness samplers in
-analysis too: it redraws until the span has grown enough, and each call
-gets its own retry budget.
+Random errors of a given rank are drawn through _grow, the one
+retry-budgeted span draw that the witness samplers in analysis share:
+it redraws until the span has grown by the count asked for, on a budget
+of its own for each call.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .linpoly import (
 )
 
 _EXHAUSTIVE_LIMIT = 1 << 20
-_MAX_TRIES = 10**4  # draws per _grow call and per analysis.sample_feature_set
+_MAX_TRIES = 10**4  # draws per _grow call, subsets per analysis.sample_feature_set
 
 
 class GabidulinCode:

@@ -751,3 +751,42 @@ def test_import_rankfuzz_loads_no_command_line():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Console output, pinned: every command path in both --format styles, with
+# its exit code and the files it writes, hashed into one digest.  Files
+# are named relative to the working directory so no temporary path shows.
+
+CONSOLE_RUNS = [
+    "field-info --q 3 --m 2",
+    "commit --q 2 --m 8 --n 8 --k 4 --witness w.hex --out c.json --seed 5",
+    "verify --commitment c.json --witness w.hex --out ok.json",
+    "verify --commitment c.json --witness far.hex --out no.json",
+    "vault lock --q 2 --m 8 --n 8 --ell 2 --features w.hex --key k.hex --out v.json --seed 3",
+    "vault unlock --vault v.json --witness w.hex --key-out rec.hex",
+    "vault unlock --vault v.json --witness far.hex --key-out none.hex",
+    "simulate prop2 --q 2 --n 4 --u 3 --ell 2 --trials 20 --seed 6 --out p.json",
+    "simulate thm3 --n 4 --ell 1 --q-sweep 2,3 --trials 20 --seed 42 --out t.json",
+]
+CONSOLE_DIGEST = "fd68122b3d333be6f804ff2cfd2d6d8d6141cd952b42b68b5028f3c009b1f6ac"
+
+
+def test_console_output_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_vec(F256, tmp_path / "w.hex", BASIS)
+    write_vec(F256, tmp_path / "far.hex", OFFBASIS)
+    write_vec(F256, tmp_path / "k.hex", [171, 205])
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        for argv in CONSOLE_RUNS:
+            rc = main(argv.split() + ["--format", fmt])
+            captured = capsys.readouterr()
+            digest.update(repr((argv, fmt, rc, captured.out, captured.err)).encode())
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.json", "far.hex", "k.hex", "no.json", "ok.json", "p.json", "rec.hex", "t.json",
+        "v.json", "w.hex",
+    ]
+    assert digest.hexdigest() == CONSOLE_DIGEST

@@ -171,9 +171,7 @@ def witness_map(vault: Vault, witness) -> LinearizedPoly:
     fld = params.field
     if params.m != params.n:
         raise DimensionMismatch("full interpolation needs m = n")
-    ws = _as_feature_set(fld, witness)
-    if len(ws.elems) != params.n:
-        raise ParamMismatch(f"witness must have {params.n} elements")
+    ws = _as_feature_set(params, witness, "witness")
     ys = [vault.table[x] for x in ws.elems]
     return interpolate(fld, params.s, ws.elems, ys)
 
@@ -192,10 +190,8 @@ def witness_map_completed(
     """
     params = vault.params
     fld = params.field
-    ws = _as_feature_set(fld, witness)
-    fs = _as_feature_set(fld, features)
-    if len(ws.elems) != params.n or len(fs.elems) != params.n:
-        raise ParamMismatch(f"witness and features must have {params.n} elements")
+    ws = _as_feature_set(params, witness, "witness")
+    fs = _as_feature_set(params, features, "features")
     if not isinstance(key_poly, LinearizedPoly):
         raise TypeError("key_poly must be a LinearizedPoly")
     if key_poly.field is not fld:
@@ -280,6 +276,9 @@ class TrialReport:
     start: int = 0
 
     def __post_init__(self):
+        counts = {type(self.trials), type(self.successes), type(self.start)}
+        if counts != {int} or type(self.seed) not in (int, type(None)):
+            raise BadRange("trials, successes and start must be ints, seed an int or None")
         if self.trials < 1:
             raise BadRange("need at least one trial")
         if not 0 <= self.successes <= self.trials:

@@ -9,9 +9,12 @@ Commands:
   simulate       seeded experiment campaigns with pass/fail verdicts
 
 Element vectors cross the boundary as text files, one canonical hex
-string per line.  Commitments, vaults, and reports are canonical JSON,
-so the same command with the same flags, seed, and inputs reproduces
-output files byte for byte.
+string per line, and a file with the wrong number of names is refused
+by ExtField.check_sized.  Commitments, vaults, and reports are canonical
+JSON, so the same command with the same flags, seed, and inputs
+reproduces output files byte for byte.  Every command prints through
+_emit: its record as errors.canonical_json under --format json, else
+its text lines.
 
 Each flag that several commands take is declared once, in _FLAGS, and
 each simulate claim once, in _CLAIMS, with the campaign it calls and
@@ -27,7 +30,6 @@ a broken always-true guarantee; 2 usage, parameter, or input errors.
 
 import argparse
 import functools
-import json
 import random
 import sys
 
@@ -47,7 +49,7 @@ from .commitment import (
     save_commitment,
     verify as check_witness,
 )
-from .errors import ClaimViolation, RankfuzzError, save_json
+from .errors import ClaimViolation, RankfuzzError, canonical_json, save_json
 from .fields import ExtField, ext_field, modulus_string
 from .gabidulin import GabidulinCode
 from .vault import VaultParams, load_vault, lock, save_vault, unlock
@@ -60,10 +62,7 @@ def _canonical_points(field: ExtField, n: int) -> tuple:
 
 def _read_hex_vector(field: ExtField, path: str, expect: int) -> tuple:
     with open(path, "r", encoding="ascii") as fh:
-        words = fh.read().split()
-    if len(words) != expect:
-        raise RankfuzzError(f"{path}: expected {expect} elements, found {len(words)}")
-    return field.vec_from_hex(words)
+        return field.check_sized(field.vec_from_hex(fh.read().split()), expect, path)
 
 
 def _write_hex_vector(field: ExtField, vec, path: str) -> None:
@@ -72,8 +71,8 @@ def _write_hex_vector(field: ExtField, vec, path: str) -> None:
             fh.write(field.to_hex(v) + "\n")
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _emit(args, record, *lines) -> None:
+    print(canonical_json(record) if args.format == "json" else "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +88,7 @@ def _cmd_field_info(args) -> int:
         "modulus": modulus_string(fld),
         "modulus_coeffs": list(fld.modulus),
     }
-    if args.format == "json":
-        _print_json(info)
-    else:
-        for k in ("q", "m", "order", "modulus"):
-            print(f"{k} = {info[k]}")
+    _emit(args, info, *(f"{k} = {info[k]}" for k in ("q", "m", "order", "modulus")))
     return 0
 
 
@@ -112,10 +107,7 @@ def _cmd_commit(args) -> int:
         "s": args.s,
         "tolerated_rank": code.t,
     }
-    if args.format == "json":
-        _print_json(summary)
-    else:
-        print(f"commitment written to {args.out} (tolerates rank {code.t})")
+    _emit(args, summary, f"commitment written to {args.out} (tolerates rank {code.t})")
     return 0
 
 
@@ -129,14 +121,7 @@ def _cmd_verify(args) -> int:
         outcome["codeword"] = [code.field.to_hex(c) for c in res.codeword]
     if args.out:
         save_json(outcome, args.out)
-    if args.format == "json":
-        _print_json(outcome)
-    elif res:
-        print("accepted")
-        for h in outcome["codeword"]:
-            print(h)
-    else:
-        print("rejected")
+    _emit(args, outcome, "accepted" if res else "rejected", *outcome.get("codeword", ()))
     if not res:
         print(f"reason: {res.reason}", file=sys.stderr)
         return 1
@@ -150,10 +135,8 @@ def _cmd_vault_lock(args) -> int:
     key = _read_hex_vector(fld, args.key, args.ell)
     vault = lock(params, feats, key, random.Random(args.seed))
     save_vault(vault, args.out)
-    if args.format == "json":
-        _print_json({"written": args.out, "points": fld.order, "tolerated_rank": params.t})
-    else:
-        print(f"vault written to {args.out} (tolerates distance {2 * params.t})")
+    summary = {"written": args.out, "points": fld.order, "tolerated_rank": params.t}
+    _emit(args, summary, f"vault written to {args.out} (tolerates distance {2 * params.t})")
     return 0
 
 
@@ -163,17 +146,12 @@ def _cmd_vault_unlock(args) -> int:
     witness = _read_hex_vector(fld, args.witness, vault.params.n)
     res = unlock(vault, witness)
     if not res:
-        if args.format == "json":
-            _print_json({"ok": False, "reason": "unlock_failure", "detail": res.reason})
-        else:
-            print("unlock failed")
+        failure = {"ok": False, "reason": "unlock_failure", "detail": res.reason}
+        _emit(args, failure, "unlock failed")
         print("reason: unlock_failure", file=sys.stderr)
         return 1
     _write_hex_vector(fld, res.key, args.key_out)
-    if args.format == "json":
-        _print_json({"ok": True, "key_file": args.key_out})
-    else:
-        print(f"key recovered to {args.key_out}")
+    _emit(args, {"ok": True, "key_file": args.key_out}, f"key recovered to {args.key_out}")
     return 0
 
 
@@ -188,19 +166,15 @@ def _verdict_exit(verdict: str, strict: bool) -> int:
 def _finish_simulate(report, args) -> int:
     if args.out:
         save_report(report, args.out)
-    if args.format == "json":
-        _print_json(report.to_dict())
-    else:
-        d = report.to_dict()
-        shown = " ".join(f"{k}={v}" for k, v in sorted(d["params"].items()))
-        line = f"{d['claim']} {shown}: {d['successes']}/{d['trials']} = {d['estimate']:.6f}"
-        if d["formula"]:
-            line += f" vs {d['formula']['numerator']}/{d['formula']['denominator']}"
-        if d.get("points"):
-            fails = ", ".join(f"{1 - p['estimate']:.4f}" for p in d["points"])
-            line += f" [failure rates: {fails}]"
-        print(line)
-        print(f"verdict: {d['verdict']}")
+    d = report.to_dict()
+    shown = " ".join(f"{k}={v}" for k, v in sorted(d["params"].items()))
+    line = f"{d['claim']} {shown}: {d['successes']}/{d['trials']} = {d['estimate']:.6f}"
+    if d["formula"]:
+        line += f" vs {d['formula']['numerator']}/{d['formula']['denominator']}"
+    if d.get("points"):
+        fails = ", ".join(f"{1 - p['estimate']:.4f}" for p in d["points"])
+        line += f" [failure rates: {fails}]"
+    _emit(args, d, line, f"verdict: {d['verdict']}")
     return _verdict_exit(report.verdict, args.strict)
 
 
@@ -341,7 +315,7 @@ def main(argv=None) -> int:
         # outcome does, but exits 2 like every input error
         print(f"reason: {exc.reason}" if exc.reason else f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

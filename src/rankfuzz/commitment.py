@@ -76,9 +76,7 @@ class VerifyResult:
 def commit(code: GabidulinCode, witness, rng) -> Commitment:
     """Commit to a witness vector of n field elements."""
     field = code.field
-    b = field.check_vector(witness)
-    if len(b) != code.n:
-        raise LengthMismatch(f"witness length {len(b)}, expected {code.n}")
+    b = field.check_sized(witness, code.n, "witness")
     message = field.random_vector(code.k, rng)
     c_b = code.encode(message)
     sub = field.sub
@@ -117,9 +115,7 @@ def verify(code: GabidulinCode, witness, com: Commitment) -> VerifyResult:
         or tuple(com.points) != code.points
     ):
         raise ParamMismatch("commitment was made under a different code")
-    b2 = field.check_vector(witness)
-    if len(b2) != code.n:
-        raise LengthMismatch(f"witness length {len(b2)}, expected {code.n}")
+    b2 = field.check_sized(witness, code.n, "witness")
     sub = field.sub
     shifted = tuple(sub(x, y) for x, y in zip(b2, com.offset))
     try:
@@ -165,9 +161,6 @@ def commitment_from_dict(data: dict) -> Commitment:
     check_record(data, "commitment", _SCHEMA)
     field = ext_field(data["q"], data["m"])
     n = data["n"]
-    if len(data["offset"]) != n:
-        raise LengthMismatch(f"offset has {len(data['offset'])} elements, expected n={n}")
-    digest = digest_from_hex(data["digest"], "digest")
     return Commitment(
         q=field.q,
         m=field.m,
@@ -175,8 +168,8 @@ def commitment_from_dict(data: dict) -> Commitment:
         k=data["k"],
         s=data["s"],
         points=field.vec_from_hex(data["points"]),
-        offset=field.vec_from_hex(data["offset"]),
-        digest=digest,
+        offset=field.check_sized(field.vec_from_hex(data["offset"]), n, "offset"),
+        digest=digest_from_hex(data["digest"], "digest"),
     )
 
 

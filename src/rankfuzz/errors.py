@@ -1,5 +1,6 @@
 """Exception types shared across the package, the shape check for
-records read from files, and the canonical JSON file form of records.
+records read from files, and canonical_json, the one text form of a
+record, which files and the command line's JSON output both use.
 
 Every domain error derives from RankfuzzError so callers can catch the
 whole family at once; most also derive from the matching builtin
@@ -125,12 +126,16 @@ def check_record(data, what: str, schema: dict) -> None:
             raise MalformedRecord(f"{what}: {key} must be {names}, got {value!r}")
 
 
+def canonical_json(obj) -> str:
+    """A record as ASCII JSON with two-space indent and sorted keys, so
+    equal records give equal text."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def save_json(obj, path) -> None:
-    """Write a record as canonical JSON: ASCII, two-space indent, sorted
-    keys and a final newline, so equal records give equal bytes."""
+    """Write a record's canonical JSON and a final newline."""
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(canonical_json(obj) + "\n")
 
 
 def load_json(path):

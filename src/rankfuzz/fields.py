@@ -37,7 +37,8 @@ the Frobenius a -> a^(q^i) is applied as the F_q-linear map it is,
 built per exponent from the images of the basis on first use, and
 twist_mul is mul(c, frobenius(x, e)).
 Arithmetic methods assume canonical ints and do not re-validate their
-inputs on every call; use check() / check_vector() at API boundaries.
+inputs on every call; use check() / check_vector() at API boundaries, and
+check_sized() where a vector must have a fixed number of elements.
 """
 
 from __future__ import annotations
@@ -224,9 +225,9 @@ class ExtField:
 
     def __init__(self, q: int, m: int):
         # bound before primality, whose trial division is slow for huge q
-        if not isinstance(q, int) or q > _MAX_PRIME or not is_prime(q):
+        if type(q) is not int or q > _MAX_PRIME or not is_prime(q):
             raise NonPrimeQ(f"q must be a prime <= {_MAX_PRIME}, got {q!r}")
-        if not isinstance(m, int) or m < 1 or m > _MAX_DEGREE:
+        if type(m) is not int or m < 1 or m > _MAX_DEGREE:
             raise DegreeOutOfRange(f"m must be in 1..{_MAX_DEGREE}, got {m!r}")
         self.q = q
         self.m = m
@@ -279,6 +280,13 @@ class ExtField:
 
     def check_vector(self, vec) -> tuple[int, ...]:
         return tuple(self.check(a) for a in vec)
+
+    def check_sized(self, vec, n: int, what: str) -> tuple[int, ...]:
+        """check_vector of exactly n elements; what names the vector."""
+        out = self.check_vector(vec)
+        if len(out) != n:
+            raise LengthMismatch(f"{what}: {len(out)} elements, expected {n}")
+        return out
 
     def digits(self, a: int) -> tuple[int, ...]:
         q = self.q
@@ -590,9 +598,10 @@ class ExtField:
         return tuple(self.random_element(rng) for _ in range(n))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def ext_field(q: int, m: int) -> ExtField:
-    """Shared field instance for (q, m)."""
+    """Shared field instance for (q, m).  The cache is typed, so a bool
+    is refused, not served the field cached for the equal int."""
     return ExtField(q, m)
 
 

@@ -28,7 +28,6 @@ from .errors import (
     DecodingFailure,
     DependentPoints,
     InfeasibleShape,
-    LengthMismatch,
     TooLarge,
 )
 from .fields import ExtField, FqSpan, element_rank, fq_combination, is_independent, rank_distance
@@ -51,12 +50,10 @@ class GabidulinCode:
     """[n, k] evaluation code over F_{q^m} with twist s."""
 
     def __init__(self, field: ExtField, n: int, k: int, s: int, points):
-        if not 1 <= k <= n <= field.m:
+        if {type(n), type(k)} != {int} or not 1 <= k <= n <= field.m:
             raise BadDimensions(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={field.m}")
         _check_twist(field, s)
-        pts = field.check_vector(points)
-        if len(pts) != n:
-            raise LengthMismatch(f"n={n} but {len(pts)} evaluation points")
+        pts = field.check_sized(points, n, "evaluation points")
         if not is_independent(field, pts):
             raise DependentPoints("evaluation points are dependent over F_q")
         self.field = field
@@ -80,9 +77,7 @@ class GabidulinCode:
         return moore_matrix(self.field, self.s, self.k, self.points)
 
     def message_poly(self, message) -> LinearizedPoly:
-        msg = self.field.check_vector(message)
-        if len(msg) != self.k:
-            raise LengthMismatch(f"message length {len(msg)}, expected {self.k}")
+        msg = self.field.check_sized(message, self.k, "message")
         return LinearizedPoly(self.field, self.s, msg)
 
     def encode(self, message) -> tuple[int, ...]:
@@ -110,9 +105,7 @@ class GabidulinCode:
         """(message, error_rank, codeword): decode() together with the
         codeword its rank check re-encoded."""
         field = self.field
-        received = field.check_vector(received)
-        if len(received) != self.n:
-            raise LengthMismatch(f"received length {len(received)}, expected {self.n}")
+        received = field.check_sized(received, self.n, "received")
         t, k, s = self.t, self.k, self.s
         interp, r_prev = _newton(field, s, self.points, received)
         r, v_prev, v = _trim(interp), [], [1]

@@ -47,10 +47,10 @@ _EVAL_ALL_LIMIT = 1 << 20
 def _check_twist(field: ExtField, s: int) -> int:
     m = field.m
     if m == 1:
-        if s != 1:
-            raise BadTwist(f"m = 1 requires s = 1, got {s}")
+        if type(s) is not int or s != 1:
+            raise BadTwist(f"m = 1 requires s = 1, got {s!r}")
         return s
-    if not isinstance(s, int) or s < 1 or s >= m or gcd(s, m) != 1:
+    if type(s) is not int or s < 1 or s >= m or gcd(s, m) != 1:
         raise BadTwist(f"s must satisfy 1 <= s < {m} and gcd(s, m) = 1, got {s!r}")
     return s
 
@@ -322,9 +322,7 @@ def interpolate(field: ExtField, s: int, xs, ys) -> LinearizedPoly:
     independent over F_q."""
     _check_twist(field, s)
     xs = list(field.check_vector(xs))
-    ys = list(field.check_vector(ys))
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"{len(xs)} points but {len(ys)} values")
+    ys = list(field.check_sized(ys, len(xs), "values"))
     if not xs:
         raise LengthMismatch("need at least one point")
     return LinearizedPoly(field, s, _newton(field, s, xs, ys)[0])

@@ -33,7 +33,6 @@ confirms it.
 from __future__ import annotations
 
 import hmac
-import json
 import sys
 from array import array
 from collections import Counter
@@ -51,6 +50,7 @@ from .errors import (
     MalformedRecord,
     ParamMismatch,
     TooLarge,
+    canonical_json,
     check_record,
     load_json,
 )
@@ -74,7 +74,7 @@ class VaultParams:
     def __post_init__(self):
         fld = ext_field(self.q, self.m)  # validates q, m
         _check_twist(fld, self.s)
-        if not 1 <= self.ell < self.n <= self.m:
+        if {type(self.n), type(self.ell)} != {int} or not 1 <= self.ell < self.n <= self.m:
             raise BadDimensions(
                 f"need 1 <= ell < n <= m, got ell={self.ell}, n={self.n}, m={self.m}"
             )
@@ -147,12 +147,15 @@ class UnlockResult:
         return self.key is not None
 
 
-def _as_feature_set(field: ExtField, features) -> FeatureSet:
-    if isinstance(features, FeatureSet):
-        if features.field is not field:
-            raise ParamMismatch("feature set belongs to a different field")
-        return features
-    return FeatureSet(field, features)
+def _as_feature_set(params: VaultParams, elems, what: str) -> FeatureSet:
+    """elems as a FeatureSet of params.field with exactly params.n
+    elements; what names the set in the refusal."""
+    fs = elems if isinstance(elems, FeatureSet) else FeatureSet(params.field, elems)
+    if fs.field is not params.field:
+        raise ParamMismatch(f"{what}: feature set belongs to a different field")
+    if len(fs) != params.n:
+        raise ParamMismatch(f"{what}: {len(fs)} elements, expected {params.n}")
+    return fs
 
 
 @lru_cache(maxsize=16)
@@ -203,12 +206,8 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
     for element x: the chaff draws with a zero lane spliced in at each
     feature, and kappa's image of every element from image_lanes."""
     fld = params.field
-    fs = _as_feature_set(fld, features)
-    if len(fs) != params.n:
-        raise ParamMismatch(f"feature count {len(fs)} differs from n={params.n}")
-    key = fld.check_vector(key)
-    if len(key) != params.ell:
-        raise LengthMismatch(f"key length {len(key)}, expected ell={params.ell}")
+    fs = _as_feature_set(params, features, "features")
+    key = fld.check_sized(key, params.ell, "key")
     order = fld.order
     authentic = sorted(fs.elems)
     kappa = LinearizedPoly(fld, params.s, key)
@@ -235,9 +234,7 @@ def unlock(vault: Vault, witness) -> UnlockResult:
     """Try to recover the key with a witness feature set."""
     params = vault.params
     fld = params.field
-    ws = _as_feature_set(fld, witness)
-    if len(ws) != params.n:
-        raise ParamMismatch(f"witness count {len(ws)} differs from n={params.n}")
+    ws = _as_feature_set(params, witness, "witness")
     code = GabidulinCode(fld, params.n, params.ell, params.s, ws.elems)
     received = tuple(vault.table[x] for x in ws.elems)
     try:
@@ -329,8 +326,7 @@ def save_vault(vault: Vault, path):
     the points array streamed out rather than built as objects."""
     names, order = _names_and_order(vault.params.field)
     table = vault.table
-    text = json.dumps(_record(vault, []), indent=2, sort_keys=True)
-    head, tail = text.split('"points": []')
+    head, tail = canonical_json(_record(vault, [])).split('"points": []')
     rows = (f',\n    [\n      "{names[x]}",\n      "{names[table[x]]}"\n    ]' for x in order)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(head + '"points": [\n' + next(rows)[2:])

@@ -276,8 +276,8 @@ class TrialReport:
     start: int = 0
 
     def __post_init__(self):
-        counts = {type(self.trials), type(self.successes), type(self.start)}
-        if counts != {int} or type(self.seed) not in (int, type(None)):
+        counts_are_ints = type(self.trials) is type(self.successes) is type(self.start) is int
+        if not counts_are_ints or self.seed is not None and type(self.seed) is not int:
             raise BadRange("trials, successes and start must be ints, seed an int or None")
         if self.trials < 1:
             raise BadRange("need at least one trial")
@@ -423,6 +423,8 @@ class SweepReport:
     def __post_init__(self):
         if len(self.points) < 2:
             raise BadRange("a sweep needs at least two points")
+        if self.seed is not None and type(self.seed) is not int:
+            raise BadRange("seed must be an int or None")
 
     @property
     def trials(self) -> int:

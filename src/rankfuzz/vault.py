@@ -150,8 +150,9 @@ class UnlockResult:
 def _as_feature_set(params: VaultParams, elems, what: str) -> FeatureSet:
     """elems as a FeatureSet of params.field with exactly params.n
     elements; what names the set in the refusal."""
-    fs = elems if isinstance(elems, FeatureSet) else FeatureSet(params.field, elems)
-    if fs.field is not params.field:
+    fld = params.field
+    fs = elems if isinstance(elems, FeatureSet) else FeatureSet(fld, elems)
+    if fs.field is not fld:
         raise ParamMismatch(f"{what}: feature set belongs to a different field")
     if len(fs) != params.n:
         raise ParamMismatch(f"{what}: {len(fs)} elements, expected {params.n}")

@@ -17,6 +17,7 @@ from rankfuzz import (
     LinearizedPoly,
     NonPrimeQ,
     ParamMismatch,
+    SweepReport,
     TrialReport,
     VaultParams,
     commit,
@@ -181,6 +182,8 @@ def test_cli_short_offset_exits_2_with_one_error_line(tmp_path, capsys):
 # A bool is an int to Python but not to a record: each is refused where
 # it would be stored.
 
+_REPORT = TrialReport("c", {}, 2, 1)
+
 BOOLS = {
     "field-q": (lambda: ext_field(True, 4), NonPrimeQ),
     "field-m": (lambda: ext_field(2, True), DegreeOutOfRange),
@@ -198,6 +201,7 @@ BOOLS = {
     "report-successes": (lambda: TrialReport("c", {}, 2, True), BadRange),
     "report-start": (lambda: TrialReport("c", {}, 2, 1, start=True), BadRange),
     "report-seed": (lambda: TrialReport("c", {}, 2, 1, seed=False), BadRange),
+    "sweep-seed": (lambda: SweepReport("c", {}, (_REPORT, _REPORT), seed=True), BadRange),
 }
 
 
@@ -234,13 +238,18 @@ def _roundtrip(tmp_path, obj, save, load):
     return again
 
 
-def test_commitment_file_loads_back(tmp_path):
-    com = _commitment()
+@pytest.mark.parametrize("q, m, s", [(2, 4, 1), (3, 5, 2)])
+def test_commitment_file_loads_back(tmp_path, q, m, s):
+    fld = ext_field(q, m)
+    code = GabidulinCode(fld, 4, 2, s, [q**i for i in range(4)])
+    com = commit(code, fld.random_vector(4, random.Random(2)), random.Random(3))
     assert _roundtrip(tmp_path, com, save_commitment, load_commitment) == com
 
 
-def test_vault_file_loads_back(tmp_path):
-    vault = _vault()
+@pytest.mark.parametrize("q, m, s", [(2, 4, 1), (3, 5, 2)])
+def test_vault_file_loads_back(tmp_path, q, m, s):
+    params = VaultParams(q=q, m=m, n=4, ell=2, s=s)
+    vault = lock(params, [q**i for i in range(4)], KEY, random.Random(4))
     assert _roundtrip(tmp_path, vault, save_vault, load_vault) == vault
 
 

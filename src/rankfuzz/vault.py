@@ -154,8 +154,8 @@ def _as_feature_set(params: VaultParams, elems, what: str) -> FeatureSet:
     fs = elems if isinstance(elems, FeatureSet) else FeatureSet(fld, elems)
     if fs.field is not fld:
         raise ParamMismatch(f"{what}: feature set belongs to a different field")
-    if len(fs) != params.n:
-        raise ParamMismatch(f"{what}: {len(fs)} elements, expected {params.n}")
+    if len(fs.elems) != params.n:
+        raise ParamMismatch(f"{what}: {len(fs.elems)} elements, expected {params.n}")
     return fs
 
 

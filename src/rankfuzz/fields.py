@@ -311,11 +311,19 @@ class ExtField:
 
     def vec_from_bytes(self, data: bytes) -> tuple[int, ...]:
         """Elements from their digit bytes, m per element, low digit first."""
-        q, m = self.q, self.m
-        if len(data) % m:
+        return self._values(self._check_digits(data))
+
+    def _check_digits(self, data: bytes) -> bytes:
+        """data, refused unless it holds m digits per element, each below q."""
+        q = self.q
+        if len(data) % self.m:
             raise LengthMismatch("byte length is not a multiple of m")
         if data.translate(None, bytes(range(q))):
             raise MismatchedField(f"digit {max(data)!r} out of range for q={q}")
+        return data
+
+    def _values(self, data: bytes) -> tuple[int, ...]:
+        q, m = self.q, self.m
         if q > 36:  # int() parses bases up to 36
             pows = self._qpow_m
             return tuple(
@@ -327,9 +335,10 @@ class ExtField:
         vals.reverse()
         return tuple(vals)
 
-    def vec_from_hex(self, texts: list[str]) -> tuple[int, ...]:
-        """Elements from their names, each exactly 2m hex digits of either
-        case, parsed in one pass over the concatenation."""
+    def digits_from_hex(self, texts: list[str]) -> bytes:
+        """The digit bytes of element names, m per name, low digit first.
+        Each name must be exactly 2m hex digits of either case, with every
+        digit below q; the check is one pass over the concatenation."""
         m = self.m
         try:
             data = bytes.fromhex("".join(texts))
@@ -341,7 +350,11 @@ class ExtField:
         # fromhex skips whitespace, so a padded name still parses
         if len(data) != m * len(texts) or set(map(len, texts)) - {2 * m}:
             raise LengthMismatch(f"element names must be exactly {2 * m} hex digits")
-        return self.vec_from_bytes(data)
+        return self._check_digits(data)
+
+    def vec_from_hex(self, texts: list[str]) -> tuple[int, ...]:
+        """Elements from their names, checked as digits_from_hex checks them."""
+        return self._values(self.digits_from_hex(texts))
 
     def elements(self):
         return range(self.order)

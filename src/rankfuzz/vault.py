@@ -19,8 +19,10 @@ read-only view of the lanes.  Rejected tries are marked with a
 0xFFFFFFFF sentinel lane and dropped by one bytes.replace, exact as
 accepted tries stay below _TABLE_GUARD <= 2^24 (see _randbelow_many).
 The JSON file names every element once, by doubling over the base-q
-digits, and streams the points array out in canonical order; reading
-it back parses each column of names in one bulk pass.
+digits, and writes the points array in canonical order, _ROWS rows per
+join.  Reading it back parses each column of names into 32-bit lanes by
+Horner's rule over its digit columns, a few bytes and big-integer
+passes per digit, as the table is built.
 
 Unlocking with a witness set W reads the table at W and decodes the
 values as a Gabidulin code on the points W.  Entries shared with A are
@@ -61,6 +63,7 @@ from .linpoly import LinearizedPoly, _check_twist
 _TABLE_GUARD = 1 << 20
 _BLOCK_WORDS = 1 << 16  # 32-bit words per chaff draw
 _LANE = "I"  # array typecode of an unsigned 32-bit lane
+_ROWS = 4096  # points rows per write in save_vault
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,14 @@ def _as_feature_set(params: VaultParams, elems, what: str) -> FeatureSet:
     return fs
 
 
+def _lanes(value: int, count: int) -> array:
+    """The count 32-bit little-endian lanes of value, as a lane array."""
+    out = array(_LANE, value.to_bytes(4 * count, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
 @lru_cache(maxsize=16)
 def _lane_ones(count: int, bit: int = 0) -> int:
     """count 32-bit lanes, each with only the given bit set."""
@@ -222,9 +233,7 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
     d = int.from_bytes(bytes(4).join(pieces), "little")
     k = (order - 1).bit_length()
     chaff = d + ((d + _lane_ones(order, k) - images) >> k & _lane_ones(order))
-    table = array(_LANE, chaff.to_bytes(4 * order, "little"))
-    if sys.byteorder == "big":
-        table.byteswap()
+    table = _lanes(chaff, order)
     # the placeholder lanes at the features take kappa(x)
     for x in authentic:
         table[x] = kappa(x)
@@ -299,6 +308,24 @@ _SCHEMA = {
 }
 
 
+def _column(fld: ExtField, texts: list[str]) -> array:
+    """fld.vec_from_hex(texts) as a lane array, with the same checks.
+
+    The value is built by Horner's rule over the digit columns, highest
+    digit first: one strided copy spreads digit j of every name into the
+    low byte of its lane, and one big-integer pass multiplies the lanes
+    so far by q and adds the digits.  No lane carries into the next, as
+    every value is below q^m <= _TABLE_GUARD."""
+    data = fld.digits_from_hex(texts)
+    q, m = fld.q, fld.m
+    digits = bytearray(4 * len(texts))
+    value = 0
+    for j in reversed(range(m)):
+        digits[::4] = data[j::m]
+        value = value * q + int.from_bytes(digits, "little")
+    return _lanes(value, len(texts))
+
+
 def vault_from_dict(data: dict) -> Vault:
     check_record(data, "vault", _SCHEMA)
     params = VaultParams(
@@ -311,12 +338,12 @@ def vault_from_dict(data: dict) -> Vault:
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         bad = next(e for e in entries if type(e) is not list or len(e) != 2)
         raise MalformedRecord(f"vault entry must be an [x, y] pair, got {bad!r}")
-    xs = fld.vec_from_hex(list(map(itemgetter(0), entries)))
+    xs = _column(fld, list(map(itemgetter(0), entries)))
     if len(set(xs)) != fld.order:
         x = next(x for x, c in Counter(xs).items() if c > 1)
         raise DuplicateFeatures(f"table lists {fld.to_hex(x)} twice")
     table = array(_LANE, bytes(4 * fld.order))
-    for x, y in zip(xs, fld.vec_from_hex(list(map(itemgetter(1), entries)))):
+    for x, y in zip(xs, _column(fld, list(map(itemgetter(1), entries)))):
         table[x] = y
     table = memoryview(table).toreadonly()
     return Vault(params, table, digest_from_hex(data["key_digest"], "key digest"))
@@ -324,15 +351,29 @@ def vault_from_dict(data: dict) -> Vault:
 
 def save_vault(vault: Vault, path):
     """Write the bytes save_json(vault_to_dict(vault), path) would, with
-    the points array streamed out rather than built as objects."""
+    the points array written _ROWS rows at a time rather than built as
+    objects.  A chunk's x and y names are gathered by itemgetter and
+    slotted between the fixed separators of a row template, and the
+    chunk goes out as one join."""
     names, order = _names_and_order(vault.params.field)
     table = vault.table
     head, tail = canonical_json(_record(vault, [])).split('"points": []')
-    rows = (f',\n    [\n      "{names[x]}",\n      "{names[table[x]]}"\n    ]' for x in order)
+    # row i of a chunk is rows[4i : 4i + 4]: the text before its x name,
+    # the x name, the text between the names and the y name
+    between = '"\n    ],\n    [\n      "'  # closes a row, opens the next
+    rows = [between, "", '",\n      "', ""] * _ROWS
+    rows[0] = head + '"points": [\n    [\n      "'
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(head + '"points": [\n' + next(rows)[2:])
-        fh.writelines(rows)
-        fh.write("\n  ]" + tail + "\n")
+        for i in range(0, len(order), _ROWS):
+            # itemgetter of one index returns the item, not a tuple, but no
+            # table leaves a chunk of one row (test_no_table_leaves_a_one_row_chunk)
+            xs = order[i : i + _ROWS]
+            del rows[4 * len(xs) :]
+            rows[1::4] = itemgetter(*xs)(names)
+            rows[3::4] = itemgetter(*itemgetter(*xs)(table))(names)
+            fh.write("".join(rows))
+            rows[0] = between
+        fh.write('"\n    ]\n  ]' + tail + "\n")
 
 
 def load_vault(path) -> Vault:

@@ -342,6 +342,33 @@ def test_vault_lock_golden_file(tmp_path, capsys, q, m, n, feats, key, seed, dig
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_vault_lock_and_unlock_at_benchmark_shape(tmp_path, capsys):
+    """The auth-table benchmark's shape, (2,16) with n = 16 and ell = 4:
+    the seeded file's SHA-256, then an unlock that recovers the key from
+    a witness sharing 10 of the 16 features, which is within t = 6."""
+    fld = ext_field(2, 16)
+    key = [0x1234, 0xBEEF, 0x0F0F, 0x8001]
+    write_vec(fld, tmp_path / "f.hex", [1 << i for i in range(16)])
+    write_vec(fld, tmp_path / "k.hex", key)
+    witness = [1 << i for i in range(10)] + [1 << i | 1 for i in range(10, 16)]
+    write_vec(fld, tmp_path / "w.hex", witness)
+    vault, out = tmp_path / "v.json", tmp_path / "rec.hex"
+    assert main([
+        "vault", "lock", "--q", "2", "--m", "16", "--n", "16", "--ell", "4",
+        "--features", str(tmp_path / "f.hex"), "--key", str(tmp_path / "k.hex"),
+        "--out", str(vault), "--seed", "2016",
+    ]) == 0
+    assert hashlib.sha256(vault.read_bytes()).hexdigest() == (
+        "4ad01576879ba275bd6a3e3f0f14b24088dd9772e28ad9b4d815d1898b46c10f"
+    )
+    assert main([
+        "vault", "unlock", "--vault", str(vault), "--witness", str(tmp_path / "w.hex"),
+        "--key-out", str(out),
+    ]) == 0
+    assert out.read_text(encoding="ascii").split() == [fld.to_hex(k) for k in key]
+    assert capsys.readouterr().out.splitlines()[-1] == f"key recovered to {out}"
+
+
 # ---------------------------------------------------------------------------
 # simulate.
 

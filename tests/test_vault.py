@@ -20,11 +20,13 @@ from rankfuzz.errors import (
     TooLarge,
     BadTwist,
 )
-from rankfuzz.fields import ext_field
+from rankfuzz.fields import ext_field, is_prime
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import (
     _LANE,
+    _ROWS,
     _TABLE_GUARD,
+    _column,
     FeatureSet,
     VaultParams,
     _randbelow_many,
@@ -231,32 +233,51 @@ def _with_entry(d, i, entry):
     return dict(d, points=points)
 
 
+# each refusal with its exception type and its one-line message
 @pytest.mark.parametrize(
-    "mutate, exc",
+    "mutate, exc, message",
     [
-        (lambda d: {k: v for k, v in d.items() if k != "key_digest"}, MalformedRecord),
-        (lambda d: [d], MalformedRecord),
-        (lambda d: dict(d, ell=2.0), MalformedRecord),
-        (lambda d: dict(d, points=[p[:1] for p in d["points"]]), MalformedRecord),
-        (lambda d: dict(d, key_digest="zz"), MalformedRecord),
-        (lambda d: dict(d, key_digest=_spaced(d["key_digest"])), LengthMismatch),
-        (lambda d: _with_entry(d, 5, d["points"][5] + ["00" * 8]), MalformedRecord),
-        (lambda d: _with_entry(d, 5, ["00" * 7, "00" * 8]), LengthMismatch),
-        (lambda d: _with_entry(d, 5, [d["points"][5][0], "02" + "00" * 7]), MismatchedField),
-        (lambda d: _with_entry(d, 5, ["zz" * 8, "00" * 8]), MismatchedField),
-        (lambda d: _with_entry(d, 5, [5, "00" * 8]), MismatchedField),
-        (lambda d: _with_entry(d, 5, [d["points"][4][0], "00" * 8]), DuplicateFeatures),
-        (lambda d: _with_entry(d, 5, [" " + d["points"][5][0], "00" * 8]), LengthMismatch),
+        (lambda d: {k: v for k, v in d.items() if k != "key_digest"}, MalformedRecord,
+         "vault: missing keys ['key_digest']"),
+        (lambda d: [d], MalformedRecord, "vault must be a JSON object, got list"),
+        (lambda d: dict(d, ell=2.0), MalformedRecord, "vault: ell must be int, got 2.0"),
+        (lambda d: dict(d, points=[p[:1] for p in d["points"]]), MalformedRecord,
+         "vault entry must be an [x, y] pair, got ['0000000000000000']"),
+        (lambda d: dict(d, key_digest="zz"), MalformedRecord, "bad key digest hex 'zz'"),
+        (lambda d: dict(d, key_digest=_spaced(d["key_digest"])), LengthMismatch,
+         "key digest must be exactly 64 hex digits"),
+        (lambda d: _with_entry(d, 5, d["points"][5] + ["00" * 8]), MalformedRecord,
+         "vault entry must be an [x, y] pair, got "
+         "['0000000000010001', '0001000101000100', '0000000000000000']"),
+        (lambda d: _with_entry(d, 5, ["00" * 7, "00" * 8]), LengthMismatch,
+         "element names must be exactly 16 hex digits"),
+        (lambda d: _with_entry(d, 5, [d["points"][5][0], "02" + "00" * 7]), MismatchedField,
+         "digit 2 out of range for q=2"),
+        (lambda d: _with_entry(d, 5, ["zz" * 8, "00" * 8]), MismatchedField,
+         "element names must be hex"),
+        (lambda d: _with_entry(d, 5, [5, "00" * 8]), MismatchedField,
+         "element must be a hex string, got 5"),
+        (lambda d: _with_entry(d, 5, [d["points"][4][0], "00" * 8]), DuplicateFeatures,
+         "table lists 0000000000010000 twice"),
+        (lambda d: _with_entry(d, 5, [" " + d["points"][5][0], "00" * 8]), LengthMismatch,
+         "element names must be exactly 16 hex digits"),
+        (lambda d: _with_entry(d, -1, ["00" * 7 + "02", d["points"][-1][1]]), MismatchedField,
+         "digit 2 out of range for q=2"),
+        (lambda d: _with_entry(d, -1, [d["points"][-1][0], "00" * 7]), LengthMismatch,
+         "element names must be exactly 16 hex digits"),
+        (lambda d: _with_entry(d, 5, [d["points"][5][0], "0A" + "00" * 7]), MismatchedField,
+         "digit 10 out of range for q=2"),
     ],
     ids=["missing_key", "list", "float_ell", "one_field_entries", "bad_digest",
          "spaced_digest", "three_field_entry", "short_name", "digit_ge_q", "not_hex", "int_name",
-         "repeated_x", "padded_name"],
+         "repeated_x", "padded_name", "last_row_bad_x", "last_row_short_y", "upper_case_bad_y"],
 )
-def test_vault_dict_rejects_malformed_records(mutate, exc):
+def test_vault_dict_rejects_malformed_records(mutate, exc, message):
     rng = random.Random(10)
     v = lock(P256, sample_feature_set(F256, 8, rng), F256.random_vector(2, rng), rng)
-    with pytest.raises(exc):
+    with pytest.raises(exc) as info:
         vault_from_dict(mutate(vault_to_dict(v)))
+    assert str(info.value) == message
 
 
 def test_vault_dict_accepts_any_order_and_upper_case():
@@ -271,10 +292,13 @@ def test_vault_dict_accepts_any_order_and_upper_case():
     assert vault_from_dict(d).table == v.table
 
 
-# save_vault streams the points array; its bytes must be those of the
-# canonical JSON dump of the dict form
+# save_vault writes the points array in chunks of _ROWS rows; its bytes
+# must be those of the canonical JSON dump of the dict form.  (3,8) has
+# 6,561 rows, one full chunk and a part; (2,16) has 16 full chunks.
 @pytest.mark.parametrize(
-    "q, m, n", [(2, 8, 8), (3, 5, 4), (37, 2, 2), (2, 16, 8)], ids=["2-8", "3-5", "37-2", "2-16"]
+    "q, m, n",
+    [(2, 8, 8), (3, 5, 4), (37, 2, 2), (2, 16, 8), (3, 8, 8), (251, 2, 2)],
+    ids=["2-8", "3-5", "37-2", "2-16", "3-8", "251-2"],
 )
 def test_save_vault_bytes_match_json_dump(tmp_path, q, m, n):
     fld = ext_field(q, m)
@@ -284,6 +308,28 @@ def test_save_vault_bytes_match_json_dump(tmp_path, q, m, n):
     save_vault(v, path)
     expected = json.dumps(vault_to_dict(v), indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_no_table_leaves_a_one_row_chunk():
+    # itemgetter of a single index returns the item, not a tuple, so
+    # save_vault needs every chunk, the last included, to hold two rows
+    assert _ROWS >= 2
+    for q in filter(is_prime, range(2, 252)):
+        for m in range(2, _TABLE_GUARD.bit_length()):
+            if q**m <= _TABLE_GUARD:
+                assert q**m % _ROWS != 1, (q, m)
+
+
+@pytest.mark.parametrize("q, m", [(2, 16), (3, 10), (37, 2), (251, 2)])
+def test_column_parse_matches_vec_from_bytes(q, m):
+    # every element, q^m - 1 included, upper-case names as well
+    fld = ext_field(q, m)
+    names = [fld.to_hex(x) for x in range(fld.order)]
+    expected = list(fld.vec_from_bytes(b"".join(map(fld.to_bytes, range(fld.order)))))
+    assert expected == list(range(fld.order))
+    col = _column(fld, names)
+    assert type(col) is array and col.typecode == _LANE and col.tolist() == expected
+    assert _column(fld, [t.upper() for t in reversed(names)]).tolist() == expected[::-1]
 
 
 def test_lock_is_deterministic_under_seeded_rng():

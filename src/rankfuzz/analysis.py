@@ -17,10 +17,11 @@ randomness stream per trial by hashing (seed, trial index), so a
 campaign can be split into chunks, run in any order, and merged by
 summing counts; each report records its first trial index, and a merge
 refuses chunks that overlap or leave a gap.  The four tightness
-campaigns share one vault trial: lock a vault, draw a witness, and
-measure the rank distance d_r of the key polynomial from the map the
-witness decodes against.  prop2, thm3 and thm5 assert 2 d_r <= |A ^ W|
-on it; prop4 asserts its whole chain of distances.
+campaigns share one vault trial: lock a vault, draw a witness, and take
+d_r, the rank distance of the key polynomial from the map the witness
+decodes against, as the rank of its residuals on a basis: the witness
+at m = n, the features otherwise.  prop2, thm3 and thm5 assert
+2 d_r <= |A ^ W| on it; prop4 asserts its whole chain of distances.
 """
 
 import hashlib
@@ -622,11 +623,11 @@ def _vault_trial(params: VaultParams, alpha, draw, rng):
 
     Draws the key, the features, the chaff (lock) and then the witness
     draw(rng, features), in that order.  Returns (features, witness, d_r,
-    diff): d_r is the rank of diff, the key polynomial minus the map the
-    witness decodes against.  With alpha None (m = n) that map is the
-    interpolated one, diff is None and d_r its full map rank; otherwise it
-    is the map completed with the normal element alpha, and d_r is diff's
-    rank on the feature span.
+    diff): d_r is the rank of kappa - L, the key polynomial minus the map
+    the witness decodes against, read off the residuals diff on a basis.
+    With alpha None (m = n) that basis is the witness and L sends it to
+    its table entries, so diff is kappa - L on the witness only; else L
+    is completed with the normal element alpha on the feature basis.
     """
     fld = params.field
     key = fld.random_vector(params.ell, rng)
@@ -635,10 +636,11 @@ def _vault_trial(params: VaultParams, alpha, draw, rng):
     wit = draw(rng, feats)
     kappa = LinearizedPoly(fld, params.s, key)
     if alpha is None:
-        return feats, wit, (kappa - witness_map(vault, wit)).map_rank(), None
-    lz = witness_map_completed(vault, wit, feats, kappa, alpha)
-    diff = lambda x: fld.sub(kappa(x), lz(x))
-    return feats, wit, restricted_rank(fld, diff, feats.elems), diff
+        basis, decoded = wit.elems, vault.table.__getitem__
+    else:
+        basis, decoded = feats.elems, witness_map_completed(vault, wit, feats, kappa, alpha)
+    diff = lambda x: fld.sub(kappa(x), decoded(x))
+    return feats, wit, restricted_rank(fld, diff, basis), diff
 
 
 def _rank_bound_trial(params: VaultParams, alpha, draw, where: str):
@@ -697,9 +699,9 @@ def mc_overlap_tightness(
 ) -> TrialReport:
     """Rate of rank-bound equality at fixed set overlap u, with m = n.
 
-    Each trial locks a fresh vault, rebuilds the witness-interpolated
-    map, and compares twice its rank distance from the key polynomial
-    against the symmetric difference 2(n - u).  The one-sided bound is
+    Each trial locks a fresh vault and compares twice the rank distance
+    of the key polynomial from the witness-interpolated map against the
+    symmetric difference 2(n - u).  The one-sided bound is
     asserted outright on every trial; only equality is counted.
     """
     params = VaultParams(q=q, m=n, n=n, ell=ell, s=s)

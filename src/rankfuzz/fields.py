@@ -274,7 +274,7 @@ class ExtField:
     # -- representation -----------------------------------------------------
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or a < 0 or a >= self.order:
+        if type(a) is not int or a < 0 or a >= self.order:
             raise MismatchedField(f"{a!r} is not an element of {self!r}")
         return a
 
@@ -469,21 +469,19 @@ class ExtField:
     def _frob_map(self, i: int):
         """The F_q-linear map a -> a^(q^i), built from the images of the
         power basis, which are the powers of x^(q^i).  For q = 2 it is
-        stored as one 256-entry table per byte of the input; for odd q as
-        the rows of its m x m matrix."""
+        stored as one table per byte of the input, built by doubling; for
+        odd q as the rows of its m x m matrix."""
         mul, m = self._mul_poly, self.m
         images = [1]
         step = self.pow_(self.q, self.q**i)  # the element x is the int q
         for _ in range(m - 1):
             images.append(mul(images[-1], step))
         if self.q == 2:
-            images += [0] * (-m % 8)
             out = []
             for k in range(0, m, 8):
-                table = [0] * 256
-                for v in range(1, 256):
-                    low = v & -v
-                    table[v] = table[v ^ low] ^ images[k + low.bit_length() - 1]
+                table = [0]
+                for b in images[k : k + 8]:
+                    table += [t ^ b for t in table]
                 out.append(table)
         else:
             out = tuple(zip(*(self.digits(b) for b in images)))

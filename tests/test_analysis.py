@@ -46,6 +46,7 @@ from rankfuzz.errors import (
     BadDimensions,
     BadRange,
     ClaimViolation,
+    DecodingFailure,
     DependentRestriction,
     DimensionMismatch,
     InfeasibleShape,
@@ -57,7 +58,7 @@ from rankfuzz.errors import (
     TwistMismatch,
 )
 from rankfuzz.fields import element_rank, ext_field, find_normal_element
-from rankfuzz.gabidulin import random_rank_error
+from rankfuzz.gabidulin import GabidulinCode, random_rank_error
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import FeatureSet, VaultParams, lock
 
@@ -166,6 +167,8 @@ def test_subspace_map_basics():
     assert 4 not in sm
     with pytest.raises(BadRange):
         sm(4)
+    assert repr(sm) == "SubspaceMap(dim=2 in F_2^4)"
+    assert repr(SubspaceMap(F16, (), ())) == "SubspaceMap(dim=0 in F_2^4)"
 
 
 def test_subspace_map_is_linear_on_domain():
@@ -774,6 +777,21 @@ def test_span_draws_raise_their_message_when_the_budget_runs_out(monkeypatch):
         random_rank_error(fld, 4, 1, ScriptedRng([1] * fld.m))
 
 
+class RepeatingRng:
+    """sample returns the same draw every time."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def sample(self, population, k):
+        return list(self.draw)
+
+
+def test_feature_sampling_raises_when_every_draw_is_dependent():
+    with pytest.raises(InfeasibleShape, match="^no independent subset found within the retry budget$"):
+        sample_feature_set(F16, 3, RepeatingRng([1, 2, 3]))
+
+
 # ---------------------------------------------------------------------------
 # Campaigns (small instances; the acceptance suite runs the big ones).
 
@@ -845,6 +863,24 @@ def test_mc_scheme_tightness_smoke():
         mc_scheme_tightness("basic", 2, 6, 4, 1, trials=10)
 
 
+def test_square_trials_never_build_the_interpolated_map(monkeypatch):
+    # at m = n the trial reads d_r off the residuals on the witness
+    runs = lambda: [
+        mc_overlap_tightness(2, 4, 1, ell=1, trials=60, seed=11).to_dict(),
+        mc_overlap_tightness(3, 3, 0, ell=1, trials=60, seed=11).to_dict(),
+        mc_scheme_tightness("basic", 2, 4, 4, 2, s=3, trials=60, seed=11).to_dict(),
+        mc_scheme_tightness("basic", 5, 3, 3, 1, trials=60, seed=11).to_dict(),
+    ]
+    expected = runs()
+
+    def refuse(*args):
+        raise AssertionError("the trial rebuilt the interpolated map")
+
+    monkeypatch.setattr(analysis, "witness_map", refuse)
+    monkeypatch.setattr(LinearizedPoly, "map_rank", refuse)
+    assert runs() == expected
+
+
 def test_mc_decode_roundtrip_smoke():
     r = mc_decode_roundtrip(2, 6, 6, 2, trials=60, seed=3)
     assert r.claim == "roundtrip"
@@ -852,11 +888,43 @@ def test_mc_decode_roundtrip_smoke():
     assert r.formula == 1 and r.verdict == "within_3sigma"
 
 
+def test_mc_decode_roundtrip_counts_a_decoding_failure_as_a_failed_trial(monkeypatch):
+    def refuse(self, received):
+        raise DecodingFailure("refused", "remainder", 0, 0)
+
+    monkeypatch.setattr(GabidulinCode, "decode", refuse)
+    r = mc_decode_roundtrip(2, 6, 6, 2, trials=20, seed=3)
+    assert r.successes == 0 and r.verdict == "failed"
+
+
 def test_mc_subspace_tightness_wrong_span_overlap_is_a_claim_violation(monkeypatch):
     monkeypatch.setattr(analysis, "subspace_intersection", lambda field, a, b: ())
     with pytest.raises(ClaimViolation) as exc:
         mc_subspace_tightness(2, 6, 3, 1, 2, ell=1, trials=5, seed=8)
     assert "q=2 m=6 n=3 u=1 v=2 seed=8 trial=0" in str(exc.value)
+
+
+# Each campaign's hard check: the campaign and the refusal it raises once
+# set_difference reads 0, so that any trial with d_r > 0 breaks the bound.
+BROKEN_BOUNDS = {
+    "prop2": (
+        lambda: mc_overlap_tightness(2, 4, 1, ell=1, trials=5, seed=8),
+        "rank bound broken: 2*3 > 0 (q=2 n=4 u=1 seed=8 trial=0)",
+    ),
+    "prop4": (
+        lambda: mc_subspace_tightness(2, 6, 3, 1, 2, ell=1, trials=5, seed=8),
+        "distance chain broken: d_s=2 2d_r=4 d_s+2r=4 d_delta=0 "
+        "(q=2 m=6 n=3 u=1 v=2 seed=8 trial=0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("campaign, message", BROKEN_BOUNDS.values(), ids=BROKEN_BOUNDS.keys())
+def test_broken_bound_is_a_claim_violation_naming_its_trial(campaign, message, monkeypatch):
+    monkeypatch.setattr(analysis, "set_difference", lambda a, b: 0)
+    with pytest.raises(ClaimViolation) as exc:
+        campaign()
+    assert str(exc.value) == message
 
 
 def test_sweeps_check_every_point_before_any_campaign(monkeypatch):

@@ -1,6 +1,7 @@
 """Input boundaries: every fixed-size element vector and feature set is
-refused with a message naming the short input, every integer a record
-stores refuses a bool, and every file the library writes loads back."""
+refused with a message naming the short input, every other refusal keeps
+its type and message, every integer a record stores and every field
+element refuses a bool, and every file the library writes loads back."""
 
 import json
 import random
@@ -12,9 +13,12 @@ from rankfuzz import (
     BadRange,
     BadTwist,
     DegreeOutOfRange,
+    DimensionMismatch,
+    FeatureSet,
     GabidulinCode,
     LengthMismatch,
     LinearizedPoly,
+    MismatchedField,
     NonPrimeQ,
     ParamMismatch,
     SweepReport,
@@ -23,13 +27,17 @@ from rankfuzz import (
     commit,
     ext_field,
     find_normal_element,
+    independence_probability,
     interpolate,
     load_commitment,
     load_report,
     load_vault,
     lock,
+    moore_matrix,
+    rank_distance,
     save_commitment,
     save_vault,
+    singleton_bound,
     unlock,
     verify,
 )
@@ -43,7 +51,9 @@ from rankfuzz.analysis import (
 from rankfuzz.cli import main
 from rankfuzz.commitment import commitment_from_dict, commitment_to_dict
 from rankfuzz.errors import load_json, save_json
+from rankfuzz.fields import solve_ext
 from rankfuzz.linpoly import _check_twist
+from rankfuzz.vault import _as_feature_set
 
 F16 = ext_field(2, 4)
 BASIS = (1, 2, 4, 8)
@@ -114,6 +124,23 @@ SIZED = {
     "completed-features": (
         lambda: _completed(BASIS, SHORT), ParamMismatch, "features: 3 elements, expected 4",
     ),
+    "rank-distance": (
+        lambda: rank_distance(F16, BASIS, SHORT), LengthMismatch, "vectors differ in length",
+    ),
+    "element-bytes": (
+        lambda: ext_field(2, 2).vec_from_bytes(bytes(3)),
+        LengthMismatch, "byte length is not a multiple of m",
+    ),
+    "moore-points": (
+        lambda: moore_matrix(F16, 1, 2, ()), LengthMismatch, "need at least one point",
+    ),
+    "interpolate-points": (
+        lambda: interpolate(F16, 1, (), ()), LengthMismatch, "need at least one point",
+    ),
+    "solve-rhs": (
+        lambda: solve_ext(F16, [[1, 2], [3, 4]], [1]),
+        DimensionMismatch, "right-hand side length does not match",
+    ),
 }
 
 
@@ -123,6 +150,34 @@ def test_sized_boundary_names_the_short_input(call, exc, message):
         call()
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+# Each other refusal at a library boundary, as SIZED.
+REFUSALS = {
+    "independence-n": (
+        lambda: independence_probability(2, 2, 5), BadRange, "need 0 <= n <= q^m, got n=5",
+    ),
+    "moore-rows": (
+        lambda: moore_matrix(F16, 1, 0, BASIS), BadDimensions, "need at least one row, got k=0",
+    ),
+    "singleton-n": (
+        lambda: singleton_bound(2, 4, 0, 1),
+        BadDimensions, "need n >= 1 and m >= 1, got n=0, m=4",
+    ),
+    "feature-set-field": (
+        lambda: _as_feature_set(PARAMS, FeatureSet(ext_field(2, 8), BASIS), "witness"),
+        ParamMismatch, "witness: feature set belongs to a different field",
+    ),
+    "feature-set-elems": (
+        lambda: setattr(FeatureSet(F16, BASIS), "elems", SHORT),
+        AttributeError, "FeatureSet is immutable",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_keeps_its_type_and_message(call, exc, message):
+    test_sized_boundary_names_the_short_input(call, exc, message)
 
 
 def _write(path, vec):
@@ -179,8 +234,8 @@ def test_cli_short_offset_exits_2_with_one_error_line(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# A bool is an int to Python but not to a record: each is refused where
-# it would be stored.
+# A bool is an int to Python but not to a record or a field element: each
+# is refused where it would be stored.
 
 _REPORT = TrialReport("c", {}, 2, 1)
 
@@ -202,6 +257,11 @@ BOOLS = {
     "report-start": (lambda: TrialReport("c", {}, 2, 1, start=True), BadRange),
     "report-seed": (lambda: TrialReport("c", {}, 2, 1, seed=False), BadRange),
     "sweep-seed": (lambda: SweepReport("c", {}, (_REPORT, _REPORT), seed=True), BadRange),
+    "element": (lambda: F16.check(True), MismatchedField),
+    "feature-set": (lambda: FeatureSet(F16, (True, 2, 4, 8)), MismatchedField),
+    "code-point": (lambda: GabidulinCode(F16, 4, 2, 1, (True, 2, 4, 8)), MismatchedField),
+    "poly-coeff": (lambda: LinearizedPoly(F16, 1, [True]), MismatchedField),
+    "commit-witness": (lambda: commit(CODE, (True, 2, 4, 8), random.Random(0)), MismatchedField),
 }
 
 

@@ -768,6 +768,14 @@ def test_ambiguous_prefix_exits_2(capsys):
     assert "ambiguous option: --f could match --features, --format" in capsys.readouterr().err
 
 
+def test_sweep_of_non_integers_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main("simulate thm3 --n 3 --ell 1 --q-sweep a,b".split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --q-sweep: not a comma-separated integer list: 'a,b'\n")
+
+
 def test_import_rankfuzz_loads_no_command_line():
     # the parser is built on the first main() call, never at import, so
     # neither argparse nor the cli module counts towards import time

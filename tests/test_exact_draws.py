@@ -15,6 +15,10 @@ scheme the rate at each draw is Prop. 2's formula at the drawn u.  For
 the completed scheme it is Prop. 4's formula at the drawn (u, v) exactly
 when the witness points lying in span(A) span all of span(A) inter
 span(W); a draw where they do not gives another rate.
+
+The map rank of kappa minus the interpolated witness map is also the
+oracle for the trial's own rank step, which at m = n reads d_r off the
+residuals kappa(w) - table[w] on the witness alone.
 """
 
 from fractions import Fraction
@@ -22,6 +26,7 @@ from itertools import product
 
 import pytest
 
+from rankfuzz import analysis
 from rankfuzz.analysis import (
     overlap_tightness_probability,
     restricted_rank,
@@ -165,3 +170,28 @@ def test_thm5_uniform_w_rate_is_exact_when_witness_points_span_the_overlap(q, m,
             inexact.append(t)
     # these draws take both branches at every shape
     assert exact and inexact
+
+
+# (q, n, s): both parities of q, a twist above 1, and n = 8
+RANK_STEP_SHAPES = [(2, 4, 1), (2, 4, 3), (2, 8, 1), (3, 4, 1), (5, 3, 2)]
+RANK_STEP_DRAWS = range(10)
+
+
+@pytest.mark.parametrize(
+    "q,n,s", RANK_STEP_SHAPES, ids=["-".join(map(str, x)) for x in RANK_STEP_SHAPES]
+)
+def test_vault_trial_rank_step_matches_the_interpolated_map_rank(q, n, s):
+    params = VaultParams(q=q, m=n, n=n, ell=2, s=s)
+    fld = params.field
+    overlap = lambda u: lambda rng, feats: sample_witness_overlap(fld, feats, u, rng)
+    draws = [overlap(u) for u in range(n + 1)] + [_uniform_w(fld, n, [])]
+    for d, draw in enumerate(draws):
+        for t in RANK_STEP_DRAWS:
+            feats, wit, d_r, _ = analysis._vault_trial(params, None, draw, trial_rng(d, t))
+            # replay the same draws, as exact_tight_fraction does
+            rng = trial_rng(d, t)
+            key = fld.random_vector(params.ell, rng)
+            assert sample_feature_set(fld, n, rng).elems == feats.elems
+            vault = lock(params, feats, key, rng)
+            assert draw(rng, feats).elems == wit.elems
+            assert d_r == _map_rank(vault, wit, feats, LinearizedPoly(fld, s, key)), (d, t)

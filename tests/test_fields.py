@@ -27,6 +27,7 @@ from rankfuzz.fields import (
     fq_combination,
     is_independent,
     is_prime,
+    kernel_ext,
     kernel_fq,
     modulus_string,
     rank_distance,
@@ -393,6 +394,8 @@ def test_pow_matches_repeated_multiplication():
         acc = 1
         for e in range(9):
             assert F.pow_(a, e) == acc
+            if a:
+                assert F.pow_(a, -e) == F.pow_(F.inv(a), e)
             acc = F.mul(acc, a)
 
 
@@ -419,7 +422,7 @@ def test_frobenius_is_qth_power():
             assert F.frobenius(a, i) == F.pow_(a, q ** (i % m))
 
 
-@pytest.mark.parametrize("q,m", [(2, 32), (2, 64), (3, 12), (2, 16), (3, 4)])
+@pytest.mark.parametrize("q,m", [(2, 32), (2, 33), (2, 64), (3, 12), (2, 16), (3, 4)])
 def test_frobenius_matches_repeated_convolution_powers(q, m):
     # a^(q^i) for every i in 0..2m, by repeated q-th powers of _mul_basic
     F = ext_field(q, m)
@@ -644,6 +647,7 @@ def test_solve_detects_inconsistency():
 def test_kernel_spans_the_null_space():
     ker = kernel_fq([[1, 1, 0], [0, 0, 1]], 2)
     assert ker == [(1, 1, 0)]
+    assert kernel_ext(ext_field(2, 4), []) == []
 
 
 def test_element_rank_both_paths_agree():

@@ -4,9 +4,11 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from rankfuzz.analysis import sample_feature_set, trial_rng
 from rankfuzz.errors import (
     BadDimensions,
     BadDistance,
@@ -347,6 +349,43 @@ def test_decoding_failure_names_its_check():
             if exc.check == "rank":
                 assert exc.rank > exc.t == code.t
     assert failures > 150
+
+
+def rank_r_words(q: int, m: int, n: int, r: int) -> int:
+    """Vectors of F_{q^m}^n of rank r: [n choose r]_q subspaces of F_q^n
+    as row spaces, times prod_{i<r} (q^m - q^i) ordered bases spanning
+    each column space."""
+    count = 1
+    for i in range(r):
+        count = count * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    for i in range(r):
+        count *= q**m - q**i
+    return count
+
+
+# (q, m, n, k) -> refusals by check: (remainder, quotient_degree)
+BALL_REFUSALS = {(2, 3, 3, 1): (56, 56), (2, 4, 3, 1): (2160, 240), (3, 3, 3, 1): (9828, 702)}
+
+
+@pytest.mark.parametrize("shape", sorted(BALL_REFUSALS), ids=lambda s: "-".join(map(str, s)))
+def test_decoder_ball_is_exact_on_every_word(shape):
+    # a bounded-distance decoder decodes exactly the q^(mk) * N_r words at
+    # each error rank r <= t, at the right rank, and refuses all others;
+    # the rank check never fires, since no refusal names it
+    q, m, n, k = shape
+    F = ext_field(q, m)
+    code = GabidulinCode(F, n, k, 1, sample_feature_set(F, n, trial_rng(1, 0)).elems)
+    decoded, refused = Counter(), Counter()
+    for word in itertools.product(range(F.order), repeat=n):
+        try:
+            message, rank = code.decode(word)
+        except DecodingFailure as exc:
+            refused[exc.check] += 1
+            continue
+        assert rank == rank_distance(F, word, code.encode(message)), word
+        decoded[rank] += 1
+    assert decoded == {r: F.order**k * rank_r_words(q, m, n, r) for r in range(code.t + 1)}
+    assert refused == dict(zip(("remainder", "quotient_degree"), BALL_REFUSALS[shape]))
 
 
 # (q, m, n, k, s) -> SHA-256 of the decode outcomes on seeded words at

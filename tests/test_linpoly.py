@@ -76,6 +76,14 @@ def test_immutability():
         p.coeffs = (0,)
 
 
+def test_repr_and_hash():
+    p = LinearizedPoly(F16, 1, [3, 0, 5])
+    assert repr(p) == "LinearizedPoly(s=1, [(0, 01010000), (2, 01000100)])"
+    assert repr(LinearizedPoly(F16, 3, [0])) == "LinearizedPoly(s=3, 0)"
+    trimmed = LinearizedPoly(F16, 1, [3, 0, 5, 0])
+    assert trimmed == p and hash(trimmed) == hash(p)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation.
 

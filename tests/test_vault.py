@@ -68,6 +68,7 @@ def test_feature_set_validation():
         FeatureSet(F256, (1, 2, 3))
     fs = FeatureSet(F256, (1, 2, 4))
     assert len(fs) == 3 and 2 in fs and 8 not in fs
+    assert repr(fs) == "FeatureSet([0100000000000000, 0001000000000000, 0000010000000000])"
 
 
 def test_lock_table_structure():

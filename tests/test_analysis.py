@@ -788,7 +788,8 @@ class RepeatingRng:
 
 
 def test_feature_sampling_raises_when_every_draw_is_dependent():
-    with pytest.raises(InfeasibleShape, match="^no independent subset found within the retry budget$"):
+    budget = "^no independent subset found within the retry budget$"
+    with pytest.raises(InfeasibleShape, match=budget):
         sample_feature_set(F16, 3, RepeatingRng([1, 2, 3]))
 
 

@@ -352,9 +352,9 @@ def test_decoding_failure_names_its_check():
 
 
 def rank_r_words(q: int, m: int, n: int, r: int) -> int:
-    """Vectors of F_{q^m}^n of rank r: [n choose r]_q subspaces of F_q^n
-    as row spaces, times prod_{i<r} (q^m - q^i) ordered bases spanning
-    each column space."""
+    """Vectors of F_{q^m}^n of rank r: one of the [n choose r]_q
+    r-dimensional subspaces of F_q^n as row space, times the
+    prod_{i<r} (q^m - q^i) m x r matrices of rank r over a basis of it."""
     count = 1
     for i in range(r):
         count = count * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
@@ -370,8 +370,8 @@ BALL_REFUSALS = {(2, 3, 3, 1): (56, 56), (2, 4, 3, 1): (2160, 240), (3, 3, 3, 1)
 @pytest.mark.parametrize("shape", sorted(BALL_REFUSALS), ids=lambda s: "-".join(map(str, s)))
 def test_decoder_ball_is_exact_on_every_word(shape):
     # a bounded-distance decoder decodes exactly the q^(mk) * N_r words at
-    # each error rank r <= t, at the right rank, and refuses all others;
-    # the rank check never fires, since no refusal names it
+    # each error rank r <= t, at the right rank, and refuses all others,
+    # none of them by the rank check
     q, m, n, k = shape
     F = ext_field(q, m)
     code = GabidulinCode(F, n, k, 1, sample_feature_set(F, n, trial_rng(1, 0)).elems)

@@ -27,7 +27,6 @@ from .errors import (
     MalformedRecord,
     MismatchedField,
     NonPrimeQ,
-    NotNormal,
     ParamMismatch,
     RankfuzzError,
     TooLarge,

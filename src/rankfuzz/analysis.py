@@ -20,7 +20,8 @@ refuses chunks that overlap or leave a gap.  The four tightness
 campaigns share one vault trial: lock a vault, draw a witness, and take
 d_r, the rank distance of the key polynomial from the map the witness
 decodes against, as the rank of its residuals on a basis: the witness
-at m = n, the features otherwise.  prop2, thm3 and thm5 assert
+for the basic scheme (prop2, thm3), the features for the completed one
+(prop4, thm5).  prop2, thm3 and thm5 assert
 2 d_r <= |A ^ W| on it; prop4 asserts its whole chain of distances.
 """
 
@@ -42,7 +43,6 @@ from .errors import (
     InfeasibleShape,
     MalformedRecord,
     MismatchedField,
-    NotNormal,
     ParamMismatch,
     TwistMismatch,
     check_record,
@@ -178,14 +178,15 @@ def witness_map(vault: Vault, witness) -> LinearizedPoly:
 
 
 def witness_map_completed(
-    vault: Vault, witness, features, key_poly: LinearizedPoly, normal_elem: int
+    vault: Vault, witness, features, key_poly: LinearizedPoly
 ) -> SubspaceMap:
     """Extend the table-on-witness map across the span of the features.
 
     The witness images come from the vault table.  Feature elements that
     enlarge the span are appended in order; the i-th feature (1-based)
-    contributes the image key_poly(g) + normal_elem^(q^i), whose shifts
-    range over a basis and so cannot hide inside any proper subspace.
+    contributes the image key_poly(g) + alpha^(q^i), where alpha is the
+    field's smallest normal element (find_normal_element): its conjugates
+    form a basis, so the shifts cannot hide inside any proper subspace.
     Analysis-side only: it reads the features and the key polynomial,
     which an unlocker never has.
     """
@@ -199,17 +200,14 @@ def witness_map_completed(
         raise MismatchedField("key polynomial belongs to a different field")
     if key_poly.s != params.s:
         raise TwistMismatch("key polynomial uses a different twist")
-    normal_elem = fld.check(normal_elem)
-    orbit = [fld.frobenius(normal_elem, i) for i in range(fld.m)]
-    if element_rank(fld, orbit) != fld.m:
-        raise NotNormal("conjugates of the given element do not span the field")
+    alpha = find_normal_element(fld)
     basis = list(ws.elems)
     images = [vault.table[x] for x in ws.elems]
     span = FqSpan(fld.q, fld.m, basis)
     for i, g in enumerate(fs.elems, start=1):
         if span.add(g):
             basis.append(g)
-            images.append(fld.add(key_poly(g), fld.frobenius(normal_elem, i)))
+            images.append(fld.add(key_poly(g), fld.frobenius(alpha, i)))
     return SubspaceMap(fld, basis, images)
 
 
@@ -618,16 +616,17 @@ def _sampled(head: TrialReport, trial) -> TrialReport:
     )
 
 
-def _vault_trial(params: VaultParams, alpha, draw, rng):
+def _vault_trial(params: VaultParams, completed: bool, draw, rng):
     """Lock a fresh vault and measure one witness against it.
 
     Draws the key, the features, the chaff (lock) and then the witness
     draw(rng, features), in that order.  Returns (features, witness, d_r,
     diff): d_r is the rank of kappa - L, the key polynomial minus the map
     the witness decodes against, read off the residuals diff on a basis.
-    With alpha None (m = n) that basis is the witness and L sends it to
-    its table entries, so diff is kappa - L on the witness only; else L
-    is completed with the normal element alpha on the feature basis.
+    With completed true L is witness_map_completed and the basis is the
+    features; this route holds at any m >= n.  Otherwise (m = n only) the
+    basis is the witness and L sends it to its table entries, so diff is
+    kappa - L on the witness only.
     """
     fld = params.field
     key = fld.random_vector(params.ell, rng)
@@ -635,19 +634,19 @@ def _vault_trial(params: VaultParams, alpha, draw, rng):
     vault = lock(params, feats, key, rng)
     wit = draw(rng, feats)
     kappa = LinearizedPoly(fld, params.s, key)
-    if alpha is None:
-        basis, decoded = wit.elems, vault.table.__getitem__
+    if completed:
+        basis, decoded = feats.elems, witness_map_completed(vault, wit, feats, kappa)
     else:
-        basis, decoded = feats.elems, witness_map_completed(vault, wit, feats, kappa, alpha)
+        basis, decoded = wit.elems, vault.table.__getitem__
     diff = lambda x: fld.sub(kappa(x), decoded(x))
     return feats, wit, restricted_rank(fld, diff, basis), diff
 
 
-def _rank_bound_trial(params: VaultParams, alpha, draw, where: str):
+def _rank_bound_trial(params: VaultParams, completed: bool, draw, where: str):
     """Vault trial that asserts 2 d_r <= |A ^ W| and counts equality."""
 
     def trial(rng, i):
-        feats, wit, d_r, _ = _vault_trial(params, alpha, draw, rng)
+        feats, wit, d_r, _ = _vault_trial(params, completed, draw, rng)
         d_delta = set_difference(feats, wit)
         if 2 * d_r > d_delta:
             raise ClaimViolation(f"rank bound broken: 2*{d_r} > {d_delta} ({where} trial={i})")
@@ -717,7 +716,7 @@ def mc_overlap_tightness(
     )
     _check_overlap_shape(q, n, n, u)
     draw = lambda rng, feats: sample_witness_overlap(fld, feats, u, rng)
-    return _sampled(head, _rank_bound_trial(params, None, draw, f"q={q} n={n} u={u} seed={seed}"))
+    return _sampled(head, _rank_bound_trial(params, False, draw, f"q={q} n={n} u={u} seed={seed}"))
 
 
 def mc_subspace_tightness(
@@ -750,12 +749,11 @@ def mc_subspace_tightness(
         seed,
         start=start,
     )
-    alpha = find_normal_element(fld)
     draw = lambda rng, feats: sample_witness_shaped(fld, feats, u, v, rng)
     where = f"q={q} m={m} n={n} u={u} v={v} seed={seed}"
 
     def trial(rng, i):
-        feats, wit, d_r, diff = _vault_trial(params, alpha, draw, rng)
+        feats, wit, d_r, diff = _vault_trial(params, True, draw, rng)
         d_delta = set_difference(feats, wit)
         inter = subspace_intersection(fld, feats.elems, wit.elems)
         if len(inter) != v:
@@ -824,14 +822,13 @@ def mc_scheme_tightness(
         seed,
         start=start,
     )
-    alpha = find_normal_element(fld) if scheme == "generalized" else None
     if distribution == "uniform_u":
         _check_overlap_shape(q, m, n, 0)
         draw = lambda rng, feats: sample_witness_overlap(fld, feats, rng.randrange(n + 1), rng)
     else:
         draw = lambda rng, feats: sample_feature_set(fld, n, rng)
     where = f"scheme={scheme} q={q} m={m} n={n} seed={seed}"
-    return _sampled(head, _rank_bound_trial(params, alpha, draw, where))
+    return _sampled(head, _rank_bound_trial(params, scheme == "generalized", draw, where))
 
 
 def mc_decode_roundtrip(

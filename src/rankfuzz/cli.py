@@ -241,8 +241,16 @@ def _add_flags(p, *names) -> None:
         p.add_argument(option, dest=name, **kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with one error: line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # add_subparsers builds every subcommand parser from this same class
+    parser = _Parser(
         prog="rankfuzz",
         description="rank-metric fuzzy authentication: commitments, vaults, experiments",
     )

@@ -98,10 +98,6 @@ class InfeasibleShape(RankfuzzError, RuntimeError):
     """Requested random shape could not be sampled (impossible or retries exhausted)."""
 
 
-class NotNormal(RankfuzzError, ValueError):
-    """Element is not normal: its Frobenius orbit does not span the field."""
-
-
 class MalformedRecord(RankfuzzError, ValueError):
     """A record read from a file is not an object of the expected shape."""
 

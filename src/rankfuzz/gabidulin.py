@@ -76,12 +76,9 @@ class GabidulinCode:
     def generator_matrix(self) -> list[list[int]]:
         return moore_matrix(self.field, self.s, self.k, self.points)
 
-    def message_poly(self, message) -> LinearizedPoly:
-        msg = self.field.check_sized(message, self.k, "message")
-        return LinearizedPoly(self.field, self.s, msg)
-
     def encode(self, message) -> tuple[int, ...]:
-        poly = self.message_poly(message)
+        msg = self.field.check_sized(message, self.k, "message")
+        poly = LinearizedPoly(self.field, self.s, msg)
         return tuple(poly(g) for g in self.points)
 
     def decode(self, received):

@@ -8,7 +8,6 @@ zero failures outright.
 """
 
 import hashlib
-import random
 import time
 from fractions import Fraction
 

@@ -53,7 +53,6 @@ from rankfuzz.errors import (
     MalformedRecord,
     MismatchedField,
     NonPrimeQ,
-    NotNormal,
     ParamMismatch,
     TwistMismatch,
 )
@@ -283,14 +282,23 @@ def test_witness_map_completed_extends_over_feature_span():
     vault = lock(params, feats, key, rng)
     wit = sample_witness_shaped(fld, feats, 1, 2, rng)
     kappa = LinearizedPoly(fld, 1, key)
-    alpha = find_normal_element(fld)
-    lz = witness_map_completed(vault, wit, feats, kappa, alpha)
+    lz = witness_map_completed(vault, wit, feats, kappa)
     for x in wit.elems:
         assert x in lz and lz(x) == vault.table[x]
     for g in feats.elems:
         assert g in lz
+    # the i-th feature (1-based) that enlarges the span is shifted by the
+    # i-th conjugate of the field's smallest normal element
+    alpha = find_normal_element(fld)
+    grown = 0
+    for i, g in enumerate(feats.elems, start=1):
+        before = list(wit.elems) + list(feats.elems[: i - 1])
+        if element_rank(fld, before + [g]) > element_rank(fld, before):
+            grown += 1
+            assert lz(g) == fld.add(kappa(g), fld.frobenius(alpha, i))
+    assert grown == lz.dim - 4 > 0
     # witness equal to the features leaves nothing to complete
-    same = witness_map_completed(vault, feats, feats, kappa, alpha)
+    same = witness_map_completed(vault, feats, feats, kappa)
     assert same.dim == 4
     assert restricted_rank(fld, lambda x: fld.sub(kappa(x), same(x)), feats.elems) == 0
 
@@ -303,17 +311,14 @@ def test_witness_map_completed_validation():
     key = fld.random_vector(1, rng)
     vault = lock(params, feats, key, rng)
     kappa = LinearizedPoly(fld, 1, key)
-    alpha = find_normal_element(fld)
     with pytest.raises(ParamMismatch):
-        witness_map_completed(vault, feats.elems[:2], feats, kappa, alpha)
+        witness_map_completed(vault, feats.elems[:2], feats, kappa)
     with pytest.raises(TypeError):
-        witness_map_completed(vault, feats, feats, "nope", alpha)
+        witness_map_completed(vault, feats, feats, "nope")
     with pytest.raises(MismatchedField):
-        witness_map_completed(vault, feats, feats, LinearizedPoly(F16, 1, (1,)), alpha)
+        witness_map_completed(vault, feats, feats, LinearizedPoly(F16, 1, (1,)))
     with pytest.raises(TwistMismatch):
-        witness_map_completed(vault, feats, feats, LinearizedPoly(fld, 2, key), alpha)
-    with pytest.raises(NotNormal):
-        witness_map_completed(vault, feats, feats, kappa, 1)  # orbit of 1 is {1}
+        witness_map_completed(vault, feats, feats, LinearizedPoly(fld, 2, key))
 
 
 # ---------------------------------------------------------------------------

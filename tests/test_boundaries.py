@@ -26,7 +26,6 @@ from rankfuzz import (
     VaultParams,
     commit,
     ext_field,
-    find_normal_element,
     independence_probability,
     interpolate,
     load_commitment,
@@ -73,7 +72,7 @@ def _vault():
 
 def _completed(witness, features):
     kappa = LinearizedPoly(F16, 1, KEY)
-    return witness_map_completed(_vault(), witness, features, kappa, find_normal_element(F16))
+    return witness_map_completed(_vault(), witness, features, kappa)
 
 
 def _short_offset():

@@ -776,6 +776,28 @@ def test_sweep_of_non_integers_exits_2(capsys):
     assert err.endswith("error: argument --q-sweep: not a comma-separated integer list: 'a,b'\n")
 
 
+# every refusal argparse makes: one error: line, no usage block
+ARGPARSE_REFUSALS = {
+    "bad-int": "field-info --q x --m 3",
+    "missing-flag": "field-info --q 2",
+    "no-command": "",
+    "bad-choice": "field-info --q 2 --m 3 --format xml",
+    "unknown-claim": "simulate nope",
+    "extra-argument": "field-info --q 2 --m 3 extra",
+    "bad-sweep": "simulate thm3 --n 3 --ell 1 --q-sweep a,b",
+}
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_REFUSALS.values(), ids=ARGPARSE_REFUSALS.keys())
+def test_argparse_refusal_is_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_import_rankfuzz_loads_no_command_line():
     # the parser is built on the first main() call, never at import, so
     # neither argparse nor the cli module counts towards import time

@@ -21,7 +21,7 @@ from rankfuzz.commitment import (
     verify,
 )
 from rankfuzz.errors import LengthMismatch, MalformedRecord, ParamMismatch, load_json
-from rankfuzz.fields import ext_field, rank_distance
+from rankfuzz.fields import ext_field
 from rankfuzz.gabidulin import GabidulinCode, random_rank_error
 
 F256 = ext_field(2, 8)

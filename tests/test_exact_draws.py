@@ -18,7 +18,8 @@ span(W); a draw where they do not gives another rate.
 
 The map rank of kappa minus the interpolated witness map is also the
 oracle for the trial's own rank step, which at m = n reads d_r off the
-residuals kappa(w) - table[w] on the witness alone.
+residuals kappa(w) - table[w] on the witness alone.  The completed
+route, which thm5 takes even at m = n, must give the same d_r there.
 """
 
 from fractions import Fraction
@@ -40,7 +41,7 @@ from rankfuzz.analysis import (
     witness_map,
     witness_map_completed,
 )
-from rankfuzz.fields import element_rank, find_normal_element
+from rankfuzz.fields import element_rank
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import Vault, VaultParams, lock
 
@@ -78,9 +79,9 @@ def _map_rank(vault, wit, feats, kappa):
     return (kappa - witness_map(vault, wit)).map_rank()
 
 
-def _completed_rank(fld, alpha):
+def _completed_rank(fld):
     def rank(vault, wit, feats, kappa):
-        lz = witness_map_completed(vault, wit, feats, kappa, alpha)
+        lz = witness_map_completed(vault, wit, feats, kappa)
         return restricted_rank(fld, lambda x: fld.sub(kappa(x), lz(x)), feats.elems)
 
     return rank
@@ -122,7 +123,7 @@ def test_prop4_rate_is_exact_per_draw(q, m, n, u, v):
     params = VaultParams(q=q, m=m, n=n, ell=1)
     fld = params.field
     draw = lambda rng, feats: sample_witness_shaped(fld, feats, u, v, rng)
-    rank = _completed_rank(fld, find_normal_element(fld))
+    rank = _completed_rank(fld)
     formula = subspace_tightness_probability(q, m, n, u, v)
     for t in DRAWS:
         assert exact_tight_fraction(params, draw, rank, t) == formula, t
@@ -150,7 +151,7 @@ THM5 = [(2, 4, 2), (3, 3, 2), (2, 5, 2)]
 def test_thm5_uniform_w_rate_is_exact_when_witness_points_span_the_overlap(q, m, n):
     params = VaultParams(q=q, m=m, n=n, ell=1)
     fld = params.field
-    rank = _completed_rank(fld, find_normal_element(fld))
+    rank = _completed_rank(fld)
     drawn = []
     draw = _uniform_w(fld, n, drawn)
     exact, inexact = [], []
@@ -187,7 +188,9 @@ def test_vault_trial_rank_step_matches_the_interpolated_map_rank(q, n, s):
     draws = [overlap(u) for u in range(n + 1)] + [_uniform_w(fld, n, [])]
     for d, draw in enumerate(draws):
         for t in RANK_STEP_DRAWS:
-            feats, wit, d_r, _ = analysis._vault_trial(params, None, draw, trial_rng(d, t))
+            feats, wit, d_r, _ = analysis._vault_trial(params, False, draw, trial_rng(d, t))
+            # at m = n the witness spans the field, so completing it adds nothing
+            assert analysis._vault_trial(params, True, draw, trial_rng(d, t))[2] == d_r, (d, t)
             # replay the same draws, as exact_tight_fraction does
             rng = trial_rng(d, t)
             key = fld.random_vector(params.ell, rng)

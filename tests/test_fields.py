@@ -7,13 +7,11 @@ from fractions import Fraction
 import pytest
 
 from rankfuzz.errors import (
-    BadRange,
     DegreeOutOfRange,
     DivisionByZero,
     LengthMismatch,
     MismatchedField,
     NonPrimeQ,
-    NotNormal,
 )
 from rankfuzz.fields import (
     ExtField,

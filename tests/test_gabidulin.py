@@ -15,7 +15,6 @@ from rankfuzz.errors import (
     BadRange,
     DecodingFailure,
     DependentPoints,
-    InfeasibleShape,
     LengthMismatch,
     TooLarge,
 )

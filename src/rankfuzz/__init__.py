@@ -9,7 +9,6 @@ distance and probability guarantees the constructions rest on.
 
 from .errors import (
     BadDimensions,
-    BadDistance,
     BadRange,
     BadTwist,
     ClaimViolation,
@@ -43,13 +42,8 @@ from .fields import (
     modulus_string,
     rank_distance,
 )
-from .linpoly import LinearizedPoly, interpolate, moore_matrix
-from .gabidulin import (
-    GabidulinCode,
-    min_distance_exhaustive,
-    random_rank_error,
-    singleton_bound,
-)
+from .linpoly import LinearizedPoly, interpolate
+from .gabidulin import GabidulinCode, random_rank_error
 from .commitment import (
     Commitment,
     VerifyResult,

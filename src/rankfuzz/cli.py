@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="rank-metric fuzzy authentication: commitments, vaults, experiments",
     )
     # each prog= is the prefix argparse would otherwise format from a usage line
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    sub = parser.add_subparsers(required=True, prog=parser.prog)
 
     p = sub.add_parser("field-info", help="show parameters of F_{q^m}")
     _add_flags(p, "q", "m", "format")
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     vault = sub.add_parser("vault", help="feature-keyed key protection")
-    vsub = vault.add_subparsers(dest="vault_command", required=True, prog=vault.prog)
+    vsub = vault.add_subparsers(required=True, prog=vault.prog)
 
     p = vsub.add_parser("lock", help="hide a key among chaff points")
     p.add_argument("--features", required=True, help="hex vector file, n lines")
@@ -292,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_vault_unlock)
 
     sim = sub.add_parser("simulate", help="run a seeded experiment campaign")
-    ssub = sim.add_subparsers(dest="claim", required=True, prog=sim.prog)
+    ssub = sim.add_subparsers(required=True, prog=sim.prog)
     for claim, (_, trials, flags, help_text) in _CLAIMS.items():
         p = ssub.add_parser(claim, help=help_text)
         p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--out", default=None, help="report JSON path")
         p.add_argument("--strict", action="store_true", help="flagged verdicts exit 1")
         _add_flags(p, "seed", "format", *flags)
-        p.set_defaults(func=_cmd_simulate)
+        p.set_defaults(func=_cmd_simulate, claim=claim)
 
     return parser
 

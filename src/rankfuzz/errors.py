@@ -78,10 +78,6 @@ class BadDimensions(RankfuzzError, ValueError):
     """Code or scheme dimensions violate their constraints."""
 
 
-class BadDistance(RankfuzzError, ValueError):
-    """Distance argument outside 1..min(n, m)."""
-
-
 class BadRange(RankfuzzError, ValueError):
     """A numeric parameter is outside its allowed range."""
 

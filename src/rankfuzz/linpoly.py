@@ -5,11 +5,11 @@ the map a |-> sum_i f_i * a^(q^(s*i)), where the twist s satisfies
 gcd(s, m) = 1.  These maps are F_q-linear, and under composition they
 form a non-commutative ring.
 
-Coefficient lists may be longer than m: compositions and divisions run
-on the raw ledgers of the skew ring, and reduced() folds a ledger back
-to the canonical representative of the induced map (exponent k becomes
-k mod m, since a^(q^m) = a for every field element).  Evaluation always
-reduces exponents, so f(a) == f.reduced()(a) regardless.
+Coefficient lists may be longer than m: the decoder's compositions and
+divisions run on the raw ledgers of the skew ring and never fold a
+ledger back below degree m.  Evaluation reduces exponents (a^(q^m) = a
+for every field element), so a raw ledger and its fold mod m induce the
+same map.
 
 Every term is a coefficient times a Frobenius power, c * x^(q^(s*i)),
 and evaluation, composition and division compute it with the field's
@@ -30,7 +30,6 @@ from itertools import repeat, starmap, zip_longest
 from math import gcd
 
 from .errors import (
-    BadDimensions,
     BadTwist,
     DependentPoints,
     DivisionByZeroPoly,
@@ -120,14 +119,6 @@ class LinearizedPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LinearizedPoly is immutable")
 
-    @classmethod
-    def monomial(cls, field: ExtField, s: int, i: int) -> "LinearizedPoly":
-        return cls(field, s, (0,) * i + (1,))
-
-    @classmethod
-    def identity(cls, field: ExtField, s: int) -> "LinearizedPoly":
-        return cls(field, s, (1,))
-
     # -- basics -------------------------------------------------------------
 
     @property
@@ -178,62 +169,16 @@ class LinearizedPoly:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
         return list(linear_images(field, list(map(self, field._qpow_m))))
 
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        self._check_pair(other)
-        coeffs = _zip_raw(self.field.add, self.coeffs, other.coeffs)
-        return LinearizedPoly(self.field, self.s, coeffs)
-
-    def __neg__(self) -> "LinearizedPoly":
-        neg = self.field.neg
-        return LinearizedPoly(self.field, self.s, [neg(c) for c in self.coeffs])
-
-    def __sub__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        self._check_pair(other)
-        coeffs = _zip_raw(self.field.sub, self.coeffs, other.coeffs)
-        return LinearizedPoly(self.field, self.s, coeffs)
-
-    def reduced(self) -> "LinearizedPoly":
-        """Canonical representative of the induced map: exponent ledger
-        folded mod m."""
-        m = self.field.m
-        if len(self.coeffs) <= m:
-            return self
-        out = [0] * m
-        add = self.field.add
-        for i, c in enumerate(self.coeffs):
-            out[i % m] = add(out[i % m], c)
-        return LinearizedPoly(self.field, self.s, out)
-
-    # -- ring structure -----------------------------------------------------
-
-    def compose(self, other: "LinearizedPoly", reduce: bool = True) -> "LinearizedPoly":
-        """self o other, i.e. the map a |-> self(other(a)).
-
-        With reduce=True (default) the exponent ledger is folded mod m;
-        reduce=False keeps the raw skew-ring product.
-        """
-        self._check_pair(other)
-        raw = _compose_raw(self.field, self.s, self.coeffs, other.coeffs)
-        out = LinearizedPoly(self.field, self.s, raw)
-        return out.reduced() if reduce else out
-
-    def divmod_right(self, g: "LinearizedPoly"):
-        """(quotient, remainder) with self = quotient o g + remainder and
-        remainder of lower degree than g, on raw ledgers."""
-        return self._divmod(g, left=False)
+    # -- division -----------------------------------------------------------
 
     def divmod_left(self, g: "LinearizedPoly"):
-        """(quotient, remainder) with self = g o quotient + remainder."""
-        return self._divmod(g, left=True)
-
-    def _divmod(self, g: "LinearizedPoly", left: bool):
+        """(quotient, remainder) with self = g o quotient + remainder and
+        remainder of lower degree than g, on raw ledgers."""
         self._check_pair(g)
         if g.is_zero:
             raise DivisionByZeroPoly("division by the zero polynomial")
         field, s = self.field, self.s
-        quotient, remainder = _divmod(field, s, self.coeffs, g.coeffs, left)
+        quotient, remainder = _divmod(field, s, self.coeffs, g.coeffs, True)
         return LinearizedPoly(field, s, quotient), LinearizedPoly(field, s, remainder)
 
     # -- rank ---------------------------------------------------------------
@@ -241,21 +186,6 @@ class LinearizedPoly:
     def map_rank(self) -> int:
         """Rank over F_q of the induced linear map."""
         return element_rank(self.field, map(self, self.field._qpow_m))
-
-
-def moore_matrix(field: ExtField, s: int, k: int, points) -> list[list[int]]:
-    """k x n matrix with entry (i, j) = points_j^(q^(s*i))."""
-    _check_twist(field, s)
-    if k < 1:
-        raise BadDimensions(f"need at least one row, got k={k}")
-    pts = list(field.check_vector(points))
-    if not pts:
-        raise LengthMismatch("need at least one point")
-    rows = [pts]
-    frob, sm = field.frobenius, s % field.m
-    for _ in range(k - 1):
-        rows.append([frob(x, sm) for x in rows[-1]])
-    return rows
 
 
 def _newton(field: ExtField, s: int, xs, ys) -> tuple[list[int], list[int]]:

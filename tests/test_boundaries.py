@@ -32,11 +32,9 @@ from rankfuzz import (
     load_report,
     load_vault,
     lock,
-    moore_matrix,
     rank_distance,
     save_commitment,
     save_vault,
-    singleton_bound,
     unlock,
     verify,
 )
@@ -130,9 +128,6 @@ SIZED = {
         lambda: ext_field(2, 2).vec_from_bytes(bytes(3)),
         LengthMismatch, "byte length is not a multiple of m",
     ),
-    "moore-points": (
-        lambda: moore_matrix(F16, 1, 2, ()), LengthMismatch, "need at least one point",
-    ),
     "interpolate-points": (
         lambda: interpolate(F16, 1, (), ()), LengthMismatch, "need at least one point",
     ),
@@ -155,13 +150,6 @@ def test_sized_boundary_names_the_short_input(call, exc, message):
 REFUSALS = {
     "independence-n": (
         lambda: independence_probability(2, 2, 5), BadRange, "need 0 <= n <= q^m, got n=5",
-    ),
-    "moore-rows": (
-        lambda: moore_matrix(F16, 1, 0, BASIS), BadDimensions, "need at least one row, got k=0",
-    ),
-    "singleton-n": (
-        lambda: singleton_bound(2, 4, 0, 1),
-        BadDimensions, "need n >= 1 and m >= 1, got n=0, m=4",
     ),
     "feature-set-field": (
         lambda: _as_feature_set(PARAMS, FeatureSet(ext_field(2, 8), BASIS), "witness"),

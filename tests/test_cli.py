@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -785,6 +786,9 @@ ARGPARSE_REFUSALS = {
     "unknown-claim": "simulate nope",
     "extra-argument": "field-info --q 2 --m 3 extra",
     "bad-sweep": "simulate thm3 --n 3 --ell 1 --q-sweep a,b",
+    "no-vault-command": "vault",
+    "unknown-vault-command": "vault open",
+    "no-claim": "simulate",
 }
 
 
@@ -796,6 +800,8 @@ def test_argparse_refusal_is_one_error_line(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    # it names what the user types, never the parser's internal names
+    assert not re.search(r"\b(command|vault_command|claim)\b", err), err
 
 
 def test_import_rankfuzz_loads_no_command_line():

@@ -16,10 +16,12 @@ the completed scheme it is Prop. 4's formula at the drawn (u, v) exactly
 when the witness points lying in span(A) span all of span(A) inter
 span(W); a draw where they do not gives another rate.
 
-The map rank of kappa minus the interpolated witness map is also the
-oracle for the trial's own rank step, which at m = n reads d_r off the
-residuals kappa(w) - table[w] on the witness alone.  The completed
-route, which thm5 takes even at m = n, must give the same d_r there.
+The rank of kappa minus the interpolated witness map, read off the
+images of the power basis, is also the oracle for the trial's own rank
+step, which at m = n reads d_r off the residuals kappa(w) - table[w] on
+the witness alone.  The completed route, which thm5 takes even at m = n,
+must give the same d_r there, and at every Prop. 4 shape, m > n
+included, it must give the d_r of the features as the basis.
 """
 
 from fractions import Fraction
@@ -53,12 +55,7 @@ def exact_tight_fraction(params: VaultParams, draw, rank, t: int) -> Fraction:
     draw of trial t.  draw(rng, feats) is the witness sampler; rank(vault,
     wit, feats, kappa) is d_r.  Asserts 2 d_r <= |A ^ W| on every table."""
     fld = params.field
-    rng = trial_rng(7, t)
-    key = fld.random_vector(params.ell, rng)
-    feats = sample_feature_set(fld, params.n, rng)
-    vault = lock(params, feats, key, rng)
-    wit = draw(rng, feats)
-    kappa = LinearizedPoly(fld, params.s, key)
+    feats, vault, wit, kappa = replay_trial(params, draw, trial_rng(7, t))
     d_delta = set_difference(feats, wit)
     chaff_at = [x for x in wit.elems if x not in feats.as_set()]
     assert d_delta == 2 * len(chaff_at)
@@ -75,8 +72,20 @@ def exact_tight_fraction(params: VaultParams, draw, rank, t: int) -> Fraction:
     return Fraction(tight, total)
 
 
+def replay_trial(params: VaultParams, draw, rng):
+    """(features, vault, witness, kappa), drawn in the order
+    analysis._vault_trial draws them from the same generator."""
+    fld = params.field
+    key = fld.random_vector(params.ell, rng)
+    feats = sample_feature_set(fld, params.n, rng)
+    vault = lock(params, feats, key, rng)
+    return feats, vault, draw(rng, feats), LinearizedPoly(fld, params.s, key)
+
+
 def _map_rank(vault, wit, feats, kappa):
-    return (kappa - witness_map(vault, wit)).map_rank()
+    fld = vault.params.field
+    lw = witness_map(vault, wit)
+    return element_rank(fld, [fld.sub(kappa(b), lw(b)) for b in fld._qpow_m])
 
 
 def _completed_rank(fld):
@@ -127,6 +136,25 @@ def test_prop4_rate_is_exact_per_draw(q, m, n, u, v):
     formula = subspace_tightness_probability(q, m, n, u, v)
     for t in DRAWS:
         assert exact_tight_fraction(params, draw, rank, t) == formula, t
+
+
+# The witness as the basis gives another d_r only where the chaff
+# residuals are dependent, at these shapes on about one draw in ten at
+# u = 0: draws 5, 15 and 17 are the first at (2,4,2,0,0), (2,4,2,0,1)
+# and (3,3,2,0,1).
+COMPLETED_DRAWS = range(24)
+
+
+@pytest.mark.parametrize("q,m,n,u,v", PROP4, ids=["-".join(map(str, s)) for s in PROP4])
+def test_completed_vault_trial_reads_d_r_on_the_features(q, m, n, u, v):
+    params = VaultParams(q=q, m=m, n=n, ell=1)
+    fld = params.field
+    draw = lambda rng, feats: sample_witness_shaped(fld, feats, u, v, rng)
+    for t in COMPLETED_DRAWS:
+        feats, wit, d_r, _ = analysis._vault_trial(params, True, draw, trial_rng(7, t))
+        again, vault, wit_again, kappa = replay_trial(params, draw, trial_rng(7, t))
+        assert (again.elems, wit_again.elems) == (feats.elems, wit.elems)
+        assert d_r == _completed_rank(fld)(vault, wit, feats, kappa), t
 
 
 UNIFORM_W_DRAWS = range(6)
@@ -192,9 +220,6 @@ def test_vault_trial_rank_step_matches_the_interpolated_map_rank(q, n, s):
             # at m = n the witness spans the field, so completing it adds nothing
             assert analysis._vault_trial(params, True, draw, trial_rng(d, t))[2] == d_r, (d, t)
             # replay the same draws, as exact_tight_fraction does
-            rng = trial_rng(d, t)
-            key = fld.random_vector(params.ell, rng)
-            assert sample_feature_set(fld, n, rng).elems == feats.elems
-            vault = lock(params, feats, key, rng)
-            assert draw(rng, feats).elems == wit.elems
-            assert d_r == _map_rank(vault, wit, feats, LinearizedPoly(fld, s, key)), (d, t)
+            again, vault, wit_again, kappa = replay_trial(params, draw, trial_rng(d, t))
+            assert (again.elems, wit_again.elems) == (feats.elems, wit.elems)
+            assert d_r == _map_rank(vault, wit, feats, kappa), (d, t)

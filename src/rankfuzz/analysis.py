@@ -593,7 +593,7 @@ def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int,
     common = list(rng.sample(feats, u))
     # one span: common and in_span, then all of feats and outside
     span = FqSpan(field.q, m, common)
-    combination = lambda: fq_combination(field, [rng.randrange(field.q) for _ in range(n)], feats)
+    combination = lambda: fq_combination(field, field.digits(field.random_int(n, rng)), feats)
     in_span = _grow(span, [], v - u, combination, _BUDGET_SPENT, taken)
     span.extend(feats)
     outside = _grow(span, [], n - v, lambda: field.random_element(rng), _BUDGET_SPENT)

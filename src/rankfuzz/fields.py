@@ -31,11 +31,19 @@ interpolation in linpoly alone reads the tables directly
 operator.xor.
 Larger fields (up to the supported m <= 64) have no tables, whose size
 and build time grow with q^m, and compute in the polynomial basis: for
-q = 2 by carry-less shift-and-xor multiplication and an extended
-Euclid inverse, for odd q digit by digit with a Fermat inverse.  There
-the Frobenius a -> a^(q^i) is applied as the F_q-linear map it is,
-built per exponent from the images of the basis on first use, and
-twist_mul is mul(c, frobenius(x, e)).
+odd q digit by digit with a Fermat inverse, for q = 2 with an extended
+Euclid inverse and a multiply that _gf2_mul binds once per field, which
+the table build below the limit uses too.  It takes the carry-less
+product by the 4-way interleaved integer multiply of BearSSL's GHASH
+(16 int products of masked operands, taken in four multiplies), and
+folds the bits at x^m and above back through one table per byte.
+There the Frobenius a -> a^(q^i) is applied as the F_q-linear map it
+is, built per exponent from the images of the basis on first use, at
+q = 2 as byte tables read by a closure too, and twist_mul is
+mul(c, frobenius(x, e)).
+Sampling draws base-q digits from rng.getrandbits, exactly as one
+rng.randrange(q) per digit would (random_int), so seeded draws keep
+their values.
 Arithmetic methods assume canonical ints and do not re-validate their
 inputs on every call; use check() / check_vector() at API boundaries, and
 check_sized() where a vector must have a fixed number of elements.
@@ -214,6 +222,122 @@ def canonical_modulus(q: int, m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# q = 2 arithmetic on bit patterns: the product for the table build and
+# above the table limit, and the Frobenius above it.  Each factory returns
+# a closure with its constants in default arguments, built once per field.
+
+
+def _byte_tables(images) -> list[list[int]]:
+    """The F_2-linear map taking bit j to images[j], as one table per byte
+    of its input: table k holds the image of every byte value at bits
+    8k .. 8k+7, built by doubling over them.  There are at least four
+    tables, those past the images just [0], so a reader of inputs below
+    2^32 reads four, unrolled."""
+    out = []
+    for k in range(0, max(len(images), 32), 8):
+        table = [0]
+        for b in images[k : k + 8]:
+            table += [t ^ b for t in table]
+        out.append(table)
+    return out
+
+
+def _clmul4(m: int):
+    """Carry-less product of two ints below 2^m, by the 4-way interleaved
+    integer multiply of BearSSL's constant-time GHASH.  Each operand
+    splits into four parts, a_j its bits at positions j mod 4.  The
+    integer product a_j * b_l holds, at each position of the residue class
+    j + l, the count of the carry-less terms landing there.  That count is
+    at most the 15 bits a part holds, so no carry reaches the next
+    position of the class, and its low bit is the count mod 2.  The 16
+    products, xored by class and masked to it, give the product.
+
+    They are taken in four multiplies, on slots of w = 2m bits, one
+    product wide: d holds b_(s mod 4) in slot s for s < 8, so a_j times d
+    shifted down by 4 - j slots holds a_j * b_(c - j mod 4), a product of
+    class c, in slot c for every c < 4.  Past m = 60 a part of b may hold
+    16 bits, so b is taken in two 32-bit halves, whose parts hold 8."""
+    w = 2 * m
+    p0, p1, p2, p3 = parts = [sum(1 << i for i in range(j, w, 4)) for j in range(4)]
+    copies = sum(1 << w * s for s in range(8))  # b * copies is b in every slot
+    spread = sum(parts[s % 4] << w * s for s in range(8))
+    keep = sum(parts[c] << w * c for c in range(4))
+
+    def clmul(a, b, p0=p0, p1=p1, p2=p2, p3=p3, copies=copies, spread=spread,
+              keep=keep, w=w, w2=2 * w, w3=3 * w, slot=(1 << w) - 1):
+        d = b * copies & spread
+        x = (a & p0) * d ^ (a & p1) * (d >> w3) ^ (a & p2) * (d >> w2) ^ (a & p3) * (d >> w)
+        x &= keep
+        x ^= x >> w2
+        return (x ^ x >> w) & slot
+
+    if m <= 60:
+        return clmul
+    return lambda a, b: clmul(a, b & 0xFFFFFFFF) ^ clmul(a, b >> 32) << 32
+
+
+def _gf2_mul(m: int, poly: int):
+    """The product of F_{2^m}, poly the modulus as a bit pattern with its
+    x^m term: the carry-less product, then its bits at x^m and above folded
+    back through the _byte_tables of the reductions of x^m .. x^(2m-2).
+    Up to m = 33 those are four tables, read unrolled."""
+    images, r = [], poly ^ 1 << m
+    for _ in range(m - 1):
+        images.append(r)
+        r <<= 1
+        if r >> m:
+            r ^= poly
+    t0, t1, t2, t3, *wide = tables = _byte_tables(images)
+    low, clmul = (1 << m) - 1, _clmul4(m)
+    if not wide:
+
+        def mul(a, b, m=m, low=low, t0=t0, t1=t1, t2=t2, t3=t3, clmul=clmul):
+            r = clmul(a, b)
+            h = r >> m
+            return r & low ^ t0[h & 255] ^ t1[h >> 8 & 255] ^ t2[h >> 16 & 255] ^ t3[h >> 24]
+
+        return mul
+
+    def wide_mul(a, b, m=m, low=low, tables=tables, clmul=clmul):
+        r = clmul(a, b)
+        h, r = r >> m, r & low
+        for table in tables:
+            r ^= table[h & 255]
+            h >>= 8
+        return r
+
+    return wide_mul
+
+
+def _gf2_frobenius(m: int, maps: list, build):
+    """a -> a^(2^i) above the table limit: the _byte_tables of the map for
+    exponent i, maps[i], or build(i) on first use.  Up to m = 32 they are
+    four tables, read unrolled."""
+    if m <= 32:
+
+        def frobenius(a, i=1, maps=maps, build=build, m=m):
+            i %= m
+            if not i:
+                return a
+            t0, t1, t2, t3 = maps[i] or build(i)
+            return t0[a & 255] ^ t1[a >> 8 & 255] ^ t2[a >> 16 & 255] ^ t3[a >> 24]
+
+        return frobenius
+
+    def wide_frobenius(a, i=1, maps=maps, build=build, m=m):
+        i %= m
+        if not i:
+            return a
+        r = 0
+        for table in maps[i] or build(i):
+            r ^= table[a & 255]
+            a >>= 8
+        return r
+
+    return wide_frobenius
+
+
+# ---------------------------------------------------------------------------
 
 
 class ExtField:
@@ -234,6 +358,10 @@ class ExtField:
         self.order = q**m
         self.modulus = canonical_modulus(q, m)
         self._qpow_m = [q**i for i in range(m)]
+        # random_int: a top byte t of a word is the try t >> (8 - k)
+        k = q.bit_length()
+        tops = bytes(t >> (8 - k) for t in range(256))
+        self._tries = (tops, bytes(t for t in range(256) if tops[t] >= q))
         # reductions of x^(m+j) for j = 0..m-2, as digit lists
         self._red = []
         rem = [(-c) % q for c in self.modulus[:m]]  # x^m = -(low part)
@@ -249,12 +377,11 @@ class ExtField:
         if q == 2:
             self.add = self.sub = operator.xor
             self.neg = lambda a: a
-            # the modulus as a bit pattern, its x^m term included, and the
-            # exponents of its lower terms, which x^m folds back onto
+            # the modulus as a bit pattern, its x^m term included
             self._poly = sum(1 << i for i, c in enumerate(self.modulus) if c)
-            self._fold = tuple(i for i in range(m) if self.modulus[i])
-            self._nibble_shifts = range(4 * ((m - 1) // 4), -1, -4)
-        self._mul_poly = self._mul_gf2 if q == 2 else self._mul_basic
+            self._mul_poly = _gf2_mul(m, self._poly)
+        else:
+            self._mul_poly = self._mul_basic
         self._normal = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()  # mul, inv, frobenius, twist_mul; add, sub, neg at odd q
@@ -263,7 +390,8 @@ class ExtField:
         self._frob_maps = [None] * m  # built per exponent on first use
         self.mul, self.twist_mul = self._mul_poly, self._twist_mul_calls
         if q == 2:
-            self.inv, self.frobenius = self._inv_gf2, self._frobenius_gf2
+            self.inv = self._inv_gf2
+            self.frobenius = _gf2_frobenius(m, self._frob_maps, self._frob_map)
         else:
             self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
             self.inv, self.frobenius = self._inv_fermat, self._frobenius_fq
@@ -411,27 +539,6 @@ class ExtField:
                     low[i] = (low[i] + c * red[i]) % q
         return sum(map(operator.mul, low, self._qpow_m))
 
-    def _mul_gf2(self, a: int, b: int) -> int:
-        """Product for q = 2: carry-less shift-and-xor over 4-bit windows of
-        b, then the bits at x^m and above folded through the modulus."""
-        a2, a4, a8 = a << 1, a << 2, a << 3
-        a3, a12 = a2 ^ a, a8 ^ a4
-        window = (
-            0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
-            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3,
-        )
-        r = 0
-        for shift in self._nibble_shifts:
-            r = (r << 4) ^ window[(b >> shift) & 15]
-        m = self.m
-        high = r >> m
-        while high:
-            r ^= high << m
-            for e in self._fold:
-                r ^= high << e
-            high = r >> m
-        return r
-
     def _inv_gf2(self, a: int) -> int:
         """Inverse for q = 2 by binary extended Euclid against the full
         modulus; u = g1 * a and v = g2 * a hold modulo it throughout."""
@@ -469,35 +576,19 @@ class ExtField:
     def _frob_map(self, i: int):
         """The F_q-linear map a -> a^(q^i), built from the images of the
         power basis, which are the powers of x^(q^i).  For q = 2 it is
-        stored as one table per byte of the input, built by doubling; for
-        odd q as the rows of its m x m matrix."""
+        stored as _byte_tables of those images; for odd q as the rows of
+        its m x m matrix."""
         mul, m = self._mul_poly, self.m
         images = [1]
         step = self.pow_(self.q, self.q**i)  # the element x is the int q
         for _ in range(m - 1):
             images.append(mul(images[-1], step))
         if self.q == 2:
-            out = []
-            for k in range(0, m, 8):
-                table = [0]
-                for b in images[k : k + 8]:
-                    table += [t ^ b for t in table]
-                out.append(table)
+            out = _byte_tables(images)
         else:
             out = tuple(zip(*(self.digits(b) for b in images)))
         self._frob_maps[i] = out
         return out
-
-    def _frobenius_gf2(self, a: int, i: int = 1) -> int:
-        i %= self.m
-        if not i:
-            return a
-        tables = self._frob_maps[i] or self._frob_map(i)
-        r = 0
-        for table in tables:
-            r ^= table[a & 255]
-            a >>= 8
-        return r
 
     def _frobenius_fq(self, a: int, i: int = 1) -> int:
         i %= self.m
@@ -598,15 +689,43 @@ class ExtField:
 
     # -- sampling -----------------------------------------------------------
 
-    def random_element(self, rng) -> int:
-        """Uniform element, one base-q digit at a time (no rejection)."""
-        v = 0
-        for p in self._qpow_m:
-            v += rng.randrange(self.q) * p
+    def random_int(self, count: int, rng) -> int:
+        """Uniform int below q^count, its base-q digits drawn low first, each
+        as rng.randrange(q) draws it: a try is the top k = q.bit_length()
+        bits of the next 32-bit word of a random.Random, and a try of q or
+        more is dropped.  At q <= 36, while 16 or more digits are missing,
+        one rng.getrandbits(32 * c), c the digits missing, gives the next c
+        words, and one translate of their top bytes reads every try and
+        drops the rejected ones.  After that each try is one
+        rng.getrandbits(k).  No word is taken past the last one randrange
+        would take, so the digits and the generator state left are those
+        of count randrange(q) calls."""
+        q, (tops, rejected), block = self.q, self._tries, b""
+        while q <= 36 and (c := count - len(block)) >= 16:
+            words = rng.getrandbits(32 * c).to_bytes(4 * c, "little")
+            block += words[3::4].translate(tops, rejected)
+        v = int(block.translate(_BASE36)[::-1], q) if block else 0
+        draw, k, p = rng.getrandbits, q.bit_length(), q ** len(block)
+        for _ in range(count - len(block)):
+            while (r := draw(k)) >= q:
+                pass
+            v += r * p
+            p *= q
         return v
 
+    def random_element(self, rng) -> int:
+        """Uniform element, the random_int of its m digits."""
+        return self.random_int(self.m, rng)
+
     def random_vector(self, n: int, rng) -> tuple[int, ...]:
-        return tuple(self.random_element(rng) for _ in range(n))
+        """n uniform elements, read low first off one random_int of n * m
+        digits: the values and the generator state of n random_element
+        calls."""
+        v, out = self.random_int(n * self.m, rng), []
+        for _ in range(n):
+            v, a = divmod(v, self.order)
+            out.append(a)
+        return tuple(out)
 
 
 @functools.lru_cache(maxsize=None, typed=True)

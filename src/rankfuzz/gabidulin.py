@@ -145,7 +145,7 @@ def random_rank_error(field: ExtField, n: int, rank: int, rng):
     q = field.q
     powers = [q**i for i in range(n)]
     scalar = lambda: field.random_element(rng)
-    row = lambda: sum(rng.randrange(q) * p for p in powers)
+    row = lambda: field.random_int(n, rng)
     mults = _grow(FqSpan(q, field.m), [], rank, scalar, "could not sample independent multipliers")
     rows = _grow(FqSpan(q, n), [], rank, row, "could not sample independent support rows")
     return tuple(fq_combination(field, [r // p % q for r in rows], mults) for p in powers)

@@ -1,8 +1,8 @@
 """Oracles several test modules share, written from the definitions.
 
 No library code runs these: the Moore matrix of a point set, a code's
-minimum rank distance by enumerating every codeword, and the rank-metric
-Singleton bound.
+minimum rank distance by enumerating every codeword, the rank-metric
+Singleton bound, and a field element drawn one randrange per digit.
 """
 
 import itertools
@@ -25,3 +25,8 @@ def singleton_bound(q: int, m: int, n: int, d: int) -> int:
     """Largest possible cardinality of a length-n code over F_{q^m} with
     minimum rank distance d."""
     return min(q ** (m * (n - d + 1)), q ** (n * (m - d + 1)))
+
+
+def random_element_by_digits(field, rng) -> int:
+    """Uniform element, one rng.randrange(q) per base-q digit, low first."""
+    return sum(rng.randrange(field.q) * field.q**i for i in range(field.m))

@@ -750,13 +750,14 @@ def test_span_draws_match_pinned_digest():
 
 
 class ScriptedRng:
-    """randrange returns the scripted values, then 0 forever."""
+    """getrandbits returns the scripted words, then 0 forever.  Each digit
+    a field draws is one word below q, so the words are the digits."""
 
-    def __init__(self, values):
-        self.values = iter(values)
+    def __init__(self, words):
+        self.words = iter(words)
 
-    def randrange(self, stop):
-        return next(self.values, 0)
+    def getrandbits(self, k):
+        return next(self.words, 0)
 
 
 def test_span_draws_raise_their_message_when_the_budget_runs_out(monkeypatch):

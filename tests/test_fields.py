@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankfuzz import fields
 from rankfuzz.errors import (
     DegreeOutOfRange,
     DivisionByZero,
@@ -33,6 +34,8 @@ from rankfuzz.fields import (
     solve_ext,
     _rref_ext,
 )
+
+from oracles import random_element_by_digits
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +313,22 @@ def test_tables_match_the_multiply_walk(q, m):
 
 @pytest.mark.parametrize("q,m", [(2, 12), (3, 6)])
 def test_table_build_multiplies_once_per_basis_element_not_per_element(q, m, monkeypatch):
+    # counts the product the build calls: the closure fields._gf2_mul
+    # makes at q = 2, ExtField._mul_basic at odd q
     calls = []
-    for name in ("_mul_gf2", "_mul_basic"):
-        product = getattr(ExtField, name)
 
-        def counted(self, a, b, product=product):
-            calls.append((a, b))
-            return product(self, a, b)
+    def counted(product):
+        def count(*args):
+            calls.append(args[-2:])
+            return product(*args)
 
-        monkeypatch.setattr(ExtField, name, counted)
+        return count
+
+    make = fields._gf2_mul
+    monkeypatch.setattr(fields, "_gf2_mul", lambda m, poly: counted(make(m, poly)))
+    monkeypatch.setattr(ExtField, "_mul_basic", counted(ExtField._mul_basic))
     F = ExtField(q, m)
+    assert calls  # a count of a product the build never calls proves nothing
     n = F.order - 1
     g = F._logs[0][1]
     # each candidate below g takes at most one power per prime factor of
@@ -374,6 +383,30 @@ def test_binary_mul_and_inverse_agree_with_convolution(m):
         assert F.mul(a, b) == F._mul_basic(a, b)
         if a:
             assert F._mul_basic(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("m", [*range(17, 34), 48, 60, 64])
+def test_binary_product_matches_convolution_above_the_table_limit(m):
+    # every fold table width, both sides of m = 33 (four tables read
+    # unrolled) and of m = 60 (past it the interleaved multiply takes b
+    # in halves); x^(m-1) times all-ones has every bit of the high part
+    # set, so every fold byte reads its last entry
+    F = ext_field(2, m)
+    ones, top = F.order - 1, 1 << (m - 1)
+    assert sum(top << i for i in range(m)) >> m == (1 << (m - 1)) - 1
+    rng = random.Random(m)
+    pairs = [(ones, ones), (top, ones), (top, top), (ones, 1), (0, ones)]
+    pairs += [(rng.getrandbits(m) | top, rng.getrandbits(m)) for _ in range(30)]
+    for a, b in pairs:
+        assert F.mul(a, b) == F.mul(b, a) == F._mul_basic(a, b), (a, b)
+
+
+def test_binary_product_exhaustive_small_fields():
+    # the q = 2 product the table build multiplies with, on every pair
+    for m in range(1, 7):
+        F = ExtField(2, m)
+        for a, b in itertools.product(F.elements(), repeat=2):
+            assert F._mul_poly(a, b) == F._mul_basic(a, b), (m, a, b)
 
 
 def test_euclid_inverse_exhaustive_small_fields():
@@ -548,6 +581,29 @@ def test_element_out_of_range_rejected():
     for bad in (-1, 8, 2**40):
         with pytest.raises(MismatchedField):
             F.check(bad)
+
+
+# ---------------------------------------------------------------------------
+# Sampling.
+
+# each q on both sides of the table limit
+DRAW_FIELDS = [(2, 8), (3, 5), (5, 3), (7, 3), (13, 2), (251, 2)]
+DRAW_FIELDS += [(2, 32), (3, 11), (5, 7), (7, 6), (13, 5), (251, 3)]
+
+
+@pytest.mark.parametrize("q,m", DRAW_FIELDS, ids=[f"{q}-{m}" for q, m in DRAW_FIELDS])
+def test_draws_match_one_randrange_per_digit(q, m):
+    # seeded files stay byte-identical only while every draw takes the
+    # values and leaves the generator state of randrange(q) per digit
+    F = ext_field(q, m)
+    for n in range(1, 9):
+        got, want = random.Random(n), random.Random(n)
+        assert F.random_element(got) == random_element_by_digits(F, want)
+        assert got.getstate() == want.getstate()
+        vec = F.random_vector(n, got)
+        assert vec == tuple(random_element_by_digits(F, want) for _ in range(n))
+        assert got.getstate() == want.getstate()
+        assert all(0 <= a < F.order for a in vec)
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,10 @@ class TrialReport:
             raise BadRange("need at least one trial")
         if not 0 <= self.successes <= self.trials:
             raise BadRange("successes must lie in [0, trials]")
-        if self.formula is not None and not 0 <= self.formula <= 1:
+        # compared as ints, which is much cheaper than as Fractions; a
+        # Fraction's denominator is positive
+        f = self.formula
+        if f is not None and not 0 <= f.numerator <= f.denominator:
             raise BadRange(f"formula must lie in [0, 1], got {self.formula}")
 
     @property

@@ -26,8 +26,8 @@ multiplies only m times: the exp walk reads the image table of
 a -> a * g, which image_lanes makes from the images of the basis as 32-bit
 lanes at every q, and linear_images unpacks.  It takes about 0.05 s at
 q^m = 3^10, 0.03 s at 251^2 and 0.02 s at 2^16 on a 2-core Xeon.  Newton
-interpolation in linpoly alone reads the tables directly
-(ExtField._logs, None above the limit).  At q = 2, add and sub are
+interpolation and batch evaluation in linpoly alone read the tables
+directly (ExtField._logs, None above the limit).  At q = 2, add and sub are
 operator.xor.
 Larger fields (up to the supported m <= 64) have no tables, whose size
 and build time grow with q^m, and compute in the polynomial basis: for

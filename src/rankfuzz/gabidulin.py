@@ -32,6 +32,7 @@ from .linpoly import (
     _check_twist,
     _compose_raw,
     _divmod,
+    _eval_raw,
     _newton,
     _trim,
     _zip_raw,
@@ -69,8 +70,7 @@ class GabidulinCode:
 
     def encode(self, message) -> tuple[int, ...]:
         msg = self.field.check_sized(message, self.k, "message")
-        poly = LinearizedPoly(self.field, self.s, msg)
-        return tuple(poly(g) for g in self.points)
+        return tuple(_eval_raw(self.field, self.s, msg, self.points))
 
     def decode(self, received):
         """Recover (message, error_rank) from a word within rank distance t

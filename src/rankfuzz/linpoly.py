@@ -12,12 +12,17 @@ for every field element), so a raw ledger and its fold mod m induce the
 same map.
 
 Every term is a coefficient times a Frobenius power, c * x^(q^(s*i)),
-and evaluation, composition and division compute it with the field's
-twist_mul: one exp/log lookup in a table-backed field (q^m <= 2^16), a
-multiply and a Frobenius above.  Newton interpolation alone keeps two
-bodies: in a table-backed field it reads the log tables (field._logs)
-itself, reusing one log per point over all its terms, and above the
-limit it reuses each point's Frobenius powers over both its sums.  The
+and composition and division compute it with the field's twist_mul: one
+exp/log lookup in a table-backed field (q^m <= 2^16), a multiply and a
+Frobenius above.  Batch evaluation (encode, the vault's images,
+evaluate_all, map_rank) goes through _eval_raw, which reads each
+coefficient's log once per call in a table-backed field and calls mul
+and frobenius with no twist_mul frame above the limit; the one-point
+__call__ keeps twist_mul.  Newton interpolation keeps two bodies: in a
+table-backed field it reads the log tables (field._logs) itself,
+reusing one log per point over all its terms, and above the limit it
+reuses each point's Frobenius powers over both its sums and keeps M's
+ledger below its implicit leading 1, so no product is by 0 or 1.  The
 decoder's Euclid loop uses the raw-ledger functions below directly,
 with no LinearizedPoly per step.  evaluate_all takes the image of every
 element from fields.linear_images, given the images of the basis.
@@ -72,6 +77,27 @@ def _compose_raw(field: ExtField, s: int, f, g) -> list[int]:
             terms = map(tm, repeat(fi), g, repeat(s * i))
             out[i : i + len(g)] = map(add, out[i : i + len(g)], terms)
     return out
+
+
+def _eval_raw(field: ExtField, s: int, coeffs, xs) -> list[int]:
+    """Values at each x of xs of the ledger coeffs: the sum over nonzero
+    c_i of c_i * x^(q^(s*i)), and 0 at x = 0.  A table-backed field reads
+    each coefficient's log once per call; above the limit each term is
+    mul(c_i, frobenius(x, s*i)), read from the field at call time."""
+    add = field.add
+    logs = field._logs
+    if logs:
+        exp, log, n, fe = logs
+        m = field.m
+        terms = [(log[c], fe[s * i % m]) for i, c in enumerate(coeffs) if c]
+        out = []
+        for x in xs:
+            lx = log[x]
+            out.append(reduce(add, [exp[(lc + lx * t) % n] for lc, t in terms], 0) if x else 0)
+        return out
+    mul, frob = field.mul, field.frobenius
+    terms = [(c, s * i) for i, c in enumerate(coeffs) if c]
+    return [reduce(add, [mul(c, frob(x, e)) for c, e in terms], 0) if x else 0 for x in xs]
 
 
 def _divmod(field: ExtField, s: int, f, g, left: bool) -> tuple[list[int], list[int]]:
@@ -167,7 +193,7 @@ class LinearizedPoly:
         field = self.field
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
-        return list(linear_images(field, list(map(self, field._qpow_m))))
+        return list(linear_images(field, _eval_raw(field, self.s, self.coeffs, field._qpow_m)))
 
     # -- division -----------------------------------------------------------
 
@@ -185,7 +211,8 @@ class LinearizedPoly:
 
     def map_rank(self) -> int:
         """Rank over F_q of the induced linear map."""
-        return element_rank(self.field, map(self, self.field._qpow_m))
+        field = self.field
+        return element_rank(field, _eval_raw(field, self.s, self.coeffs, field._qpow_m))
 
 
 def _newton(field: ExtField, s: int, xs, ys) -> tuple[list[int], list[int]]:
@@ -226,24 +253,26 @@ def _newton(field: ExtField, s: int, xs, ys) -> tuple[list[int], list[int]]:
                 for u, v in zip([0] + mm, mm + [0])
             ]
         return p, mm
+    # above the limit M is kept as low, its ledger below the implicit
+    # leading 1, so point i costs 4i + 2 products, 2i + 1 Frobenius maps
+    # and one inverse
     mul, inv, frob = field.mul, field.inv, field.frobenius
+    low: list[int] = []
     for x, y in zip(xs, ys):
         powers = [x]
         for _ in p:
             powers.append(frob(powers[-1], sm))
-        c = px = 0
-        for mj, pw in zip(mm, powers):
-            c = add(c, mul(mj, pw))
-        for pj, pw in zip(p, powers):
-            px = add(px, mul(pj, pw))
+        c = reduce(add, map(mul, low, powers), powers[-1])
         if c == 0:
             raise DependentPoints("interpolation points are dependent over F_q")
+        px = reduce(add, map(mul, p, powers), 0)
         ic = inv(c)
         d = mul(sub(y, px), ic)
-        p = [add(pj, mul(d, mj)) for pj, mj in zip(p + [0], mm)]
+        p = [*map(add, p, map(mul, repeat(d), low)), d]
         a = mul(frob(c, sm), ic)  # c^(q^s - 1)
-        mm = [sub(frob(prev, sm), mul(a, mj)) for prev, mj in zip([0] + mm, mm + [0])]
-    return p, mm
+        # (x^[s] - a x) o M: coefficient k is M_(k-1)^(q^s) - a M_k
+        low = list(map(sub, [0, *[frob(v, sm) for v in low]], [*map(mul, repeat(a), low), a]))
+    return p, low + [1]
 
 
 def interpolate(field: ExtField, s: int, xs, ys) -> LinearizedPoly:

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .fields import ExtField, ext_field, image_lanes, is_independent
 from .gabidulin import GabidulinCode
-from .linpoly import LinearizedPoly, _check_twist
+from .linpoly import _check_twist, _eval_raw
 
 _TABLE_GUARD = 1 << 20
 _BLOCK_WORDS = 1 << 16  # 32-bit words per chaff draw
@@ -216,14 +216,16 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
 
     The table is computed as one packed integer of 32-bit lanes, lane x
     for element x: the chaff draws with a zero lane spliced in at each
-    feature, and kappa's image of every element from image_lanes."""
+    feature, and kappa's image of every element from image_lanes.
+    kappa's values at the basis and at the features take one
+    linpoly._eval_raw pass over the key each."""
     fld = params.field
     fs = _as_feature_set(params, features, "features")
     key = fld.check_sized(key, params.ell, "key")
     order = fld.order
     authentic = sorted(fs.elems)
-    kappa = LinearizedPoly(fld, params.s, key)
-    images = image_lanes(fld, list(map(kappa, fld._qpow_m)))
+    # kappa at the basis, which image_lanes spreads to every element
+    images = image_lanes(fld, _eval_raw(fld, params.s, key, fld._qpow_m))
     # chaff r for x is uniform over everything except kappa(x): the draws
     # go to the other elements in ascending order, and r >= kappa(x) moves
     # up by one, which is bit k of r + 2^k - kappa(x), as r, kappa(x) < 2^k
@@ -235,8 +237,8 @@ def lock(params: VaultParams, features, key, rng) -> Vault:
     chaff = d + ((d + _lane_ones(order, k) - images) >> k & _lane_ones(order))
     table = _lanes(chaff, order)
     # the placeholder lanes at the features take kappa(x)
-    for x in authentic:
-        table[x] = kappa(x)
+    for x, kx in zip(authentic, _eval_raw(fld, params.s, key, authentic)):
+        table[x] = kx
     return Vault(params, memoryview(table).toreadonly(), codeword_digest(fld, key))
 
 

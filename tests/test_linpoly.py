@@ -2,6 +2,8 @@
 the decoder composes and divides, interpolation, and induced-map ranks."""
 
 import random
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -17,10 +19,12 @@ from rankfuzz.errors import (
     TwistMismatch,
 )
 from rankfuzz.fields import element_rank, ext_field, image_lanes, linear_images, solve_ext
+from rankfuzz.gabidulin import GabidulinCode
 from rankfuzz.linpoly import (
     LinearizedPoly,
     _compose_raw,
     _divmod,
+    _eval_raw,
     _newton,
     _zip_raw,
     interpolate,
@@ -541,6 +545,85 @@ def test_newton_log_form_matches_pointwise_reference(field, s):
     for dependent in ([0], [a, 0], [a, b, field.add(a, b)][: field.m + 1]):
         with pytest.raises(DependentPoints):
             _newton(field, s, dependent, [1] * len(dependent))
+
+
+EVAL_RAW_CASES = [
+    pytest.param(ext_field(q, m), s, id=f"q{q}-m{m}-s{s}")
+    for q, m, twists in [
+        (2, 8, (1, 3)), (3, 5, (1, 2)), (2, 17, (1, 5)), (3, 11, (2,)), (2, 32, (1, 3))
+    ]
+    for s in twists
+]
+
+
+@pytest.mark.parametrize("field,s", EVAL_RAW_CASES)
+def test_eval_raw_matches_pointwise_reference(field, s):
+    """The batch evaluator reads logs in a table-backed field and calls
+    mul and frobenius above the limit; both equal the definition at every
+    point, the zero point included, on ledgers with zeros inside and at
+    the end, raw ledgers longer than m, and the empty ledger."""
+    rng = random.Random(f"eval-raw:{field.q}:{field.m}:{s}")
+    xs = [0, 1, *field.random_vector(6, rng)]
+    a, b = field.random_vector(2, rng)
+    ledgers = [[], [0], [a], [a, 0, b], [0, a, 0, 0], [a, 0, b, 0, 0]]
+    ledgers += [sparse_ledger(field, rng.randrange(2 * field.m + 3), rng) for _ in range(6)]
+    for coeffs in ledgers:
+        assert _eval_raw(field, s, coeffs, xs) == [ref_eval(field, s, coeffs, x) for x in xs]
+
+
+@contextmanager
+def counted(field):
+    """Counts of the calls to the field's mul, frobenius and inv inside the
+    block, through wrappers set on the instance, as the benchmark's tracer
+    sets them."""
+    counts = Counter()
+    bound = {name: vars(field)[name] for name in ("mul", "frobenius", "inv")}
+
+    def wrap(name, op):
+        def counting(*args):
+            counts[name] += 1
+            return op(*args)
+
+        return counting
+
+    for name, op in bound.items():
+        setattr(field, name, wrap(name, op))
+    try:
+        yield counts
+    finally:
+        for name, op in bound.items():
+            setattr(field, name, op)
+
+
+@pytest.mark.parametrize(
+    "field,s",
+    [pytest.param(ext_field(q, m), s, id=f"q{q}-m{m}-s{s}")
+     for q, m, twists in [(2, 17, (1, 5)), (2, 32, (1, 3)), (3, 11, (1, 2))]
+     for s in twists],
+)
+def test_big_field_codec_makes_no_wasted_products(field, s):
+    """Above the table limit Newton's point i costs 4i + 2 products, 2i + 1
+    Frobenius maps and one inverse, as M's ledger keeps its leading 1
+    implicit: 2n^2, n^2 and n over n points.  encode makes one product and
+    one Frobenius map per point and nonzero message coefficient."""
+    rng = random.Random(f"op-counts:{field.q}:{field.m}:{s}")
+    for n in (1, 2, 5, 8):
+        while True:
+            xs = field.random_vector(n, rng)
+            if element_rank(field, xs) == n:
+                break
+        ys = field.random_vector(n, rng)
+        with counted(field) as counts:
+            _newton(field, s, xs, ys)
+        assert counts == {"mul": 2 * n * n, "frobenius": n * n, "inv": n}
+        code = GabidulinCode(field, n, n, s, xs)
+        message = list(ys)
+        message[1::2] = [0] * (n // 2)  # zeros inside, and last when n is even
+        message[0] = message[0] or 1
+        weight = sum(map(bool, message))
+        with counted(field) as counts:
+            code.encode(message)
+        assert counts == {"mul": n * weight, "frobenius": n * weight}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from rankfuzz.errors import (
     TooLarge,
     BadTwist,
 )
-from rankfuzz.fields import element_rank, ext_field, is_prime
+from rankfuzz.fields import element_rank, ext_field, is_prime, linear_images
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import (
     _LANE,
@@ -387,9 +387,15 @@ def _lock_by_definition(params, features, key, rng):
     elsewhere a chaff value uniform over everything except kappa(x)."""
     fld = params.field
     kappa = LinearizedPoly(fld, params.s, key)
+    if fld._logs:
+        values = map(kappa, fld.elements())
+    else:
+        # every element of (3, 11) pointwise takes tens of seconds, so above
+        # the table limit kappa's pointwise values at the basis are spread by
+        # linear_images, which test_linear_images_match_pointwise checks there
+        values = linear_images(fld, list(map(kappa, fld._qpow_m)))
     table = []
-    for x in fld.elements():
-        kx = kappa(x)
+    for x, kx in zip(fld.elements(), values):
         if x in features:
             table.append(kx)
         else:
@@ -399,11 +405,12 @@ def _lock_by_definition(params, features, key, rng):
 
 
 # the shapes span rejection rates from none (q = 2) to 39% at (5, 4)
-# and 33% at (7, 3), single blocks and (2, 16)
+# and 33% at (7, 3), single blocks and (2, 16); (2, 17) and (3, 11) lie
+# above the table limit, where lock's evaluations call mul and frobenius
 @pytest.mark.parametrize(
     "q, m, n",
     [(2, 2, 2), (2, 8, 8), (2, 10, 8), (2, 16, 16), (3, 4, 4), (3, 5, 4), (5, 4, 4),
-     (7, 3, 3), (13, 2, 2), (3, 10, 6), (251, 2, 2)],
+     (7, 3, 3), (13, 2, 2), (3, 10, 6), (251, 2, 2), (2, 17, 8), (3, 11, 6)],
 )
 def test_lock_matches_definition(q, m, n):
     fld = ext_field(q, m)

@@ -24,7 +24,7 @@ for e in range(code.t + 2):
     touched = sum(1 for c in err if c)
     received = tuple(F.add(a, b) for a, b in zip(word, err))
     try:
-        got, found = code.decode(received)
+        got, found, _ = code.decode(received)
         outcome = "exact recovery" if got == msg else "WRONG MESSAGE"
         print(f"rank-{e} error on {touched} positions: {outcome} (error rank seen: {found})")
     except DecodingFailure:
@@ -33,6 +33,6 @@ for e in range(code.t + 2):
 # a rank-1 error may hit every single position and still be fixable:
 offset = 0xA5
 flood = tuple(F.add(c, offset) for c in word)
-got, found = code.decode(flood)
+got, found, _ = code.decode(flood)
 print(f"\nsame offset added to all 8 positions: rank {found} error,", end=" ")
 print("exact recovery" if got == msg else "WRONG")

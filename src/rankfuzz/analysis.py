@@ -285,8 +285,8 @@ class TrialReport:
         # compared as ints, which is much cheaper than as Fractions; a
         # Fraction's denominator is positive
         f = self.formula
-        if f is not None and not 0 <= f.numerator <= f.denominator:
-            raise BadRange(f"formula must lie in [0, 1], got {self.formula}")
+        if f is not None and not (isinstance(f, Fraction) and 0 <= f.numerator <= f.denominator):
+            raise BadRange(f"formula must lie in [0, 1] as a Fraction, or be None; got {f!r}")
 
     @property
     def estimate(self) -> float:
@@ -425,6 +425,8 @@ class SweepReport:
     def __post_init__(self):
         if len(self.points) < 2:
             raise BadRange("a sweep needs at least two points")
+        if not all(isinstance(r, TrialReport) for r in self.points):
+            raise ParamMismatch("sweep points must be TrialReports")
         if self.seed is not None and type(self.seed) is not int:
             raise BadRange("seed must be an int or None")
 
@@ -862,7 +864,7 @@ def mc_decode_roundtrip(
         err = random_rank_error(fld, n, e, rng)
         word = tuple(fld.add(a, b) for a, b in zip(code.encode(msg), err))
         try:
-            got, got_rank = code.decode(word)
+            got, got_rank, _ = code.decode(word)
         except DecodingFailure:
             return False
         return got == msg and got_rank == e

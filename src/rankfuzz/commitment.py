@@ -119,7 +119,7 @@ def verify(code: GabidulinCode, witness, com: Commitment) -> VerifyResult:
     sub = field.sub
     shifted = tuple(sub(x, y) for x, y in zip(b2, com.offset))
     try:
-        _, _, recovered = code._decode(shifted)
+        _, _, recovered = code.decode(shifted)
     except DecodingFailure:
         return VerifyResult(False, "decoding_failure", None)
     if not hmac.compare_digest(codeword_digest(field, recovered), com.digest):

@@ -53,7 +53,8 @@ from __future__ import annotations
 
 import functools
 import operator
-import struct
+import sys
+from array import array
 
 from .errors import (
     DegreeOutOfRange,
@@ -65,6 +66,7 @@ from .errors import (
 )
 
 _TABLE_LIMIT = 1 << 16
+_LANE = "I"  # array typecode of an unsigned 32-bit lane
 
 # byte d -> the character int() reads as the digit d, for bases up to 36
 _BASE36 = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
@@ -424,31 +426,14 @@ class ExtField:
             out.append(r)
         return tuple(out)
 
-    def to_bytes(self, a: int) -> bytes:
-        if self.q == 2:  # the digits are the bits, low first
-            return f"{a:0{self.m}b}"[::-1].encode().translate(_BITS)
-        return bytes(self.digits(a))
-
     def to_hex(self, a: int) -> str:
-        return self.to_bytes(a).hex()
+        return self.vec_to_bytes((a,)).hex()
 
     def vec_to_bytes(self, vec) -> bytes:
+        """The digit bytes of the elements, m per element, low digit first."""
         if self.q == 2:  # the digits are the bits, low first
             return "".join([f"{a:0{self.m}b}"[::-1] for a in vec]).encode().translate(_BITS)
-        return b"".join(self.to_bytes(a) for a in vec)
-
-    def vec_from_bytes(self, data: bytes) -> tuple[int, ...]:
-        """Elements from their digit bytes, m per element, low digit first."""
-        return self._values(self._check_digits(data))
-
-    def _check_digits(self, data: bytes) -> bytes:
-        """data, refused unless it holds m digits per element, each below q."""
-        q = self.q
-        if len(data) % self.m:
-            raise LengthMismatch("byte length is not a multiple of m")
-        if data.translate(None, bytes(range(q))):
-            raise MismatchedField(f"digit {max(data)!r} out of range for q={q}")
-        return data
+        return b"".join(bytes(self.digits(a)) for a in vec)
 
     def _values(self, data: bytes) -> tuple[int, ...]:
         q, m = self.q, self.m
@@ -478,7 +463,9 @@ class ExtField:
         # fromhex skips whitespace, so a padded name still parses
         if len(data) != m * len(texts) or set(map(len, texts)) - {2 * m}:
             raise LengthMismatch(f"element names must be exactly {2 * m} hex digits")
-        return self._check_digits(data)
+        if data.translate(None, bytes(range(self.q))):
+            raise MismatchedField(f"digit {max(data)!r} out of range for q={self.q}")
+        return data
 
     def vec_from_hex(self, texts: list[str]) -> tuple[int, ...]:
         """Elements from their names, checked as digits_from_hex checks them."""
@@ -781,10 +768,17 @@ def image_lanes(field: ExtField, images) -> int:
     return out
 
 
-def linear_images(field: ExtField, images) -> tuple[int, ...]:
-    """image_lanes as a tuple, indexed by element."""
-    order = field.order
-    return struct.unpack(f"<{order}I", image_lanes(field, images).to_bytes(4 * order, "little"))
+def _lanes(value: int, count: int) -> array:
+    """The count 32-bit little-endian lanes of value, as a lane array."""
+    out = array(_LANE, value.to_bytes(4 * count, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def linear_images(field: ExtField, images) -> array:
+    """image_lanes as a lane array, indexed by element."""
+    return _lanes(image_lanes(field, images), field.order)
 
 
 # ---------------------------------------------------------------------------

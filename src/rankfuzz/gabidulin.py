@@ -73,8 +73,8 @@ class GabidulinCode:
         return tuple(_eval_raw(self.field, self.s, msg, self.points))
 
     def decode(self, received):
-        """Recover (message, error_rank) from a word within rank distance t
-        of a codeword; raise DecodingFailure otherwise.
+        """Recover (message, error_rank, codeword) from a word within rank
+        distance t of a codeword; raise DecodingFailure otherwise.
 
         Gao-style decoding: Newton interpolation gives R, of degree < n
         through (points_i, received_i), and M_G, the subspace polynomial
@@ -88,14 +88,9 @@ class GabidulinCode:
         the benchmark's tracer (perfbench/tracer.py) times that method by
         name, and its linpoly.divmod_left metric would otherwise read 0.
         The final re-encode keeps only a codeword within rank t, and at
-        most one lies there.
+        most one lies there; it is returned too, as commitment.verify
+        hashes it.
         """
-        message, err, _ = self._decode(received)
-        return message, err
-
-    def _decode(self, received):
-        """(message, error_rank, codeword): decode() together with the
-        codeword its rank check re-encoded."""
         field = self.field
         received = field.check_sized(received, self.n, "received")
         t, k, s = self.t, self.k, self.s

@@ -193,7 +193,7 @@ class LinearizedPoly:
         field = self.field
         if field.order > _EVAL_ALL_LIMIT:
             raise TooLarge(f"field too large to enumerate ({field.order} elements)")
-        return list(linear_images(field, _eval_raw(field, self.s, self.coeffs, field._qpow_m)))
+        return linear_images(field, _eval_raw(field, self.s, self.coeffs, field._qpow_m)).tolist()
 
     # -- division -----------------------------------------------------------
 

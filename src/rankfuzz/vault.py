@@ -35,7 +35,6 @@ confirms it.
 from __future__ import annotations
 
 import hmac
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -56,13 +55,12 @@ from .errors import (
     check_record,
     load_json,
 )
-from .fields import ExtField, ext_field, image_lanes, is_independent
+from .fields import ExtField, _lanes, ext_field, image_lanes, is_independent
 from .gabidulin import GabidulinCode
 from .linpoly import _check_twist, _eval_raw
 
 _TABLE_GUARD = 1 << 20
 _BLOCK_WORDS = 1 << 16  # 32-bit words per chaff draw
-_LANE = "I"  # array typecode of an unsigned 32-bit lane
 _ROWS = 4096  # points rows per write in save_vault
 
 
@@ -121,9 +119,6 @@ class FeatureSet:
     def __iter__(self):
         return iter(self.elems)
 
-    def __contains__(self, x):
-        return x in self.elems
-
     def __repr__(self):
         shown = ", ".join(self.field.to_hex(x) for x in self.elems)
         return f"FeatureSet([{shown}])"
@@ -160,14 +155,6 @@ def _as_feature_set(params: VaultParams, elems, what: str) -> FeatureSet:
     if len(fs.elems) != params.n:
         raise ParamMismatch(f"{what}: {len(fs.elems)} elements, expected {params.n}")
     return fs
-
-
-def _lanes(value: int, count: int) -> array:
-    """The count 32-bit little-endian lanes of value, as a lane array."""
-    out = array(_LANE, value.to_bytes(4 * count, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -250,7 +237,7 @@ def unlock(vault: Vault, witness) -> UnlockResult:
     code = GabidulinCode(fld, params.n, params.ell, params.s, ws.elems)
     received = tuple(vault.table[x] for x in ws.elems)
     try:
-        message, _ = code.decode(received)
+        message, _, _ = code.decode(received)
     except DecodingFailure:
         return UnlockResult(None, "decoding_failure")
     if not hmac.compare_digest(codeword_digest(fld, message), vault.key_digest):
@@ -344,7 +331,7 @@ def vault_from_dict(data: dict) -> Vault:
     if len(set(xs)) != fld.order:
         x = next(x for x, c in Counter(xs).items() if c > 1)
         raise DuplicateFeatures(f"table lists {fld.to_hex(x)} twice")
-    table = array(_LANE, bytes(4 * fld.order))
+    table = _lanes(0, fld.order)
     for x, y in zip(xs, _column(fld, list(map(itemgetter(1), entries)))):
         table[x] = y
     table = memoryview(table).toreadonly()

@@ -2,7 +2,8 @@
 
 No library code runs these: the Moore matrix of a point set, a code's
 minimum rank distance by enumerating every codeword, the rank-metric
-Singleton bound, and a field element drawn one randrange per digit.
+Singleton bound, the count of vectors of each rank, and a field element
+drawn one randrange per digit.
 """
 
 import itertools
@@ -25,6 +26,18 @@ def singleton_bound(q: int, m: int, n: int, d: int) -> int:
     """Largest possible cardinality of a length-n code over F_{q^m} with
     minimum rank distance d."""
     return min(q ** (m * (n - d + 1)), q ** (n * (m - d + 1)))
+
+
+def rank_r_words(q: int, m: int, n: int, r: int) -> int:
+    """Vectors of F_{q^m}^n of rank r: one of the [n choose r]_q
+    r-dimensional subspaces of F_q^n as row space, times the
+    prod_{i<r} (q^m - q^i) m x r matrices of rank r over a basis of it."""
+    count = 1
+    for i in range(r):
+        count = count * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    for i in range(r):
+        count *= q**m - q**i
+    return count
 
 
 def random_element_by_digits(field, rng) -> int:

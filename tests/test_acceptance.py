@@ -82,7 +82,7 @@ def test_criterion_02_decoder_recovers_every_error_within_radius():
                     word = tuple(
                         fld.add(a, b) for a, b in zip(code.encode(msg), err)
                     )
-                    got, got_rank = code.decode(word)
+                    got, got_rank, _ = code.decode(word)
                     assert got == msg and got_rank == e, (q, s, e, i)
     assert time.monotonic() - t0 < 60.0
 

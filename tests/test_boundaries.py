@@ -124,10 +124,6 @@ SIZED = {
     "rank-distance": (
         lambda: rank_distance(F16, BASIS, SHORT), LengthMismatch, "vectors differ in length",
     ),
-    "element-bytes": (
-        lambda: ext_field(2, 2).vec_from_bytes(bytes(3)),
-        LengthMismatch, "byte length is not a multiple of m",
-    ),
     "interpolate-points": (
         lambda: interpolate(F16, 1, (), ()), LengthMismatch, "need at least one point",
     ),
@@ -158,6 +154,22 @@ REFUSALS = {
     "feature-set-elems": (
         lambda: setattr(FeatureSet(F16, BASIS), "elems", SHORT),
         AttributeError, "FeatureSet is immutable",
+    ),
+    "report-formula-float": (
+        lambda: TrialReport("c", {}, 2, 1, 0.5),
+        BadRange, "formula must lie in [0, 1] as a Fraction, or be None; got 0.5",
+    ),
+    "report-formula-str": (
+        lambda: TrialReport("c", {}, 2, 1, "1/2"),
+        BadRange, "formula must lie in [0, 1] as a Fraction, or be None; got '1/2'",
+    ),
+    "report-formula-int": (
+        lambda: TrialReport("c", {}, 2, 1, 1),
+        BadRange, "formula must lie in [0, 1] as a Fraction, or be None; got 1",
+    ),
+    "sweep-points": (
+        lambda: SweepReport("c", {}, (TrialReport("c", {}, 2, 1), {"trials": 2})),
+        ParamMismatch, "sweep points must be TrialReports",
     ),
 }
 
@@ -243,6 +255,7 @@ BOOLS = {
     "report-successes": (lambda: TrialReport("c", {}, 2, True), BadRange),
     "report-start": (lambda: TrialReport("c", {}, 2, 1, start=True), BadRange),
     "report-seed": (lambda: TrialReport("c", {}, 2, 1, seed=False), BadRange),
+    "report-formula": (lambda: TrialReport("c", {}, 2, 1, True), BadRange),
     "sweep-seed": (lambda: SweepReport("c", {}, (_REPORT, _REPORT), seed=True), BadRange),
     "element": (lambda: F16.check(True), MismatchedField),
     "feature-set": (lambda: FeatureSet(F16, (True, 2, 4, 8)), MismatchedField),

@@ -20,7 +20,7 @@ from rankfuzz.fields import element_rank, ext_field, kernel_ext, rank_distance
 from rankfuzz.gabidulin import GabidulinCode, random_rank_error
 from rankfuzz.linpoly import LinearizedPoly
 
-from oracles import min_distance_exhaustive, moore_matrix, singleton_bound
+from oracles import min_distance_exhaustive, moore_matrix, rank_r_words, singleton_bound
 
 F16 = ext_field(2, 4)
 F256 = ext_field(2, 8)
@@ -197,7 +197,7 @@ def test_decode_roundtrip_within_radius(q, m, n, k, s):
         msg = field.random_vector(k, rng)
         e = rng.randrange(code.t + 1)
         err = random_rank_error(field, n, e, rng)
-        got, got_rank = code.decode(add_vec(field, code.encode(msg), err))
+        got, got_rank, _ = code.decode(add_vec(field, code.encode(msg), err))
         assert got == msg
         assert got_rank == e
 
@@ -207,7 +207,7 @@ def test_decode_clean_word_any_shape():
     for n, k in [(1, 1), (2, 1), (3, 3), (8, 7)]:
         code = GabidulinCode(F256, n, k, 1, basis_points(F256, n))
         msg = F256.random_vector(k, rng)
-        got, r = code.decode(code.encode(msg))
+        got, r, _ = code.decode(code.encode(msg))
         assert got == msg and r == 0
 
 
@@ -236,11 +236,11 @@ def test_decode_never_returns_wrong_message_within_radius():
     for _ in range(300):
         w = F16.random_vector(4, rng)
         try:
-            msg, r = code.decode(w)
+            msg, r, cw = code.decode(w)
         except DecodingFailure:
             continue
         successes += 1
-        cw = code.encode(msg)
+        assert cw == code.encode(msg)
         assert rank_distance(F16, w, cw) == r
         assert r <= code.t
     assert successes > 10
@@ -257,7 +257,7 @@ def test_decode_all_twists_agree_on_clean_words():
     for s in (1, 2, 3, 4):
         code = GabidulinCode(F243, 5, 3, s, basis_points(F243, 5))
         msg = F243.random_vector(3, rng)
-        got, r = code.decode(code.encode(msg))
+        got, r, _ = code.decode(code.encode(msg))
         assert got == msg and r == 0
 
 
@@ -265,7 +265,7 @@ def kernel_decode(code, received):
     """Dense reconstruction decoder, the oracle for decode: a kernel
     vector (L, V) with deg L <= t, deg V <= t + k - 1 and
     L(received_i) = V(points_i), then the exact left division V = L o f.
-    Returns (message, rank), or None where it refuses."""
+    Returns (message, rank, codeword), or None where it refuses."""
     field, t, k, s = code.field, code.t, code.k, code.s
     lam = moore_matrix(field, s, t + 1, received)
     val = moore_matrix(field, s, t + k, code.points)
@@ -281,8 +281,9 @@ def kernel_decode(code, received):
     if not remainder.is_zero or quotient.degree >= k:
         return None
     message = quotient.coeffs + (0,) * (k - len(quotient.coeffs))
-    err = rank_distance(field, received, code.encode(message))
-    return None if err > t else (message, err)
+    codeword = code.encode(message)
+    err = rank_distance(field, received, codeword)
+    return None if err > t else (message, err, codeword)
 
 
 @pytest.mark.parametrize(
@@ -341,18 +342,6 @@ def test_decoding_failure_names_its_check():
     assert failures > 150
 
 
-def rank_r_words(q: int, m: int, n: int, r: int) -> int:
-    """Vectors of F_{q^m}^n of rank r: one of the [n choose r]_q
-    r-dimensional subspaces of F_q^n as row space, times the
-    prod_{i<r} (q^m - q^i) m x r matrices of rank r over a basis of it."""
-    count = 1
-    for i in range(r):
-        count = count * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
-    for i in range(r):
-        count *= q**m - q**i
-    return count
-
-
 # (q, m, n, k) -> refusals by check: (remainder, quotient_degree)
 BALL_REFUSALS = {(2, 3, 3, 1): (56, 56), (2, 4, 3, 1): (2160, 240), (3, 3, 3, 1): (9828, 702)}
 
@@ -368,7 +357,7 @@ def test_decoder_ball_is_exact_on_every_word(shape):
     decoded, refused = Counter(), Counter()
     for word in itertools.product(range(F.order), repeat=n):
         try:
-            message, rank = code.decode(word)
+            message, rank, _ = code.decode(word)
         except DecodingFailure as exc:
             refused[exc.check] += 1
             continue
@@ -415,7 +404,7 @@ def decode_outcomes_digest(q, m, n, k, s, words_per_rank=25):
             err = random_rank_error(field, n, rank, rng)
             word = add_vec(field, code.encode(field.random_vector(k, rng)), err)
             try:
-                message, got = code.decode(word)
+                message, got, _ = code.decode(word)
             except DecodingFailure as exc:
                 outcomes.append([exc.check, exc.stop_degree, exc.quotient_degree, exc.rank, exc.t])
             else:

@@ -8,13 +8,14 @@ next traced benchmark run.
 
 import importlib
 import importlib.util
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import rankfuzz.cli  # noqa: F401  (the tracer wraps rankfuzz.cli.main)
-from rankfuzz import analysis
+from rankfuzz import analysis, commit, verify
 from rankfuzz.fields import ext_field
 from rankfuzz.gabidulin import GabidulinCode
 from rankfuzz.linpoly import LinearizedPoly
@@ -103,9 +104,31 @@ def test_big_field_codec_reaches_the_wrapped_field_operations(tracer):
             word = code.encode(message)
         encoded = Counter(t.counts)
         with t.operation(1, "decode"):
-            assert code.decode(word) == (message, 0)
+            assert code.decode(word) == (message, 0, word)
     finally:
         t.remove()
     for name in ("fields.mul", "fields.frobenius"):
         assert 0 < encoded[name] < t.counts[name], name
     assert encoded["fields.inv"] < t.counts["fields.inv"]
+
+
+def test_verify_decodes_through_the_wrapped_decode(monkeypatch):
+    # The tracer replaces GabidulinCode.decode on the class; a verify that
+    # decoded through any other entry would be booked under
+    # commitment.verify alone, and gabidulin.decode.calls would miss it.
+    field = ext_field(2, 8)
+    code = GabidulinCode(field, 8, 4, 1, [2**i for i in range(8)])
+    rng = random.Random(29)
+    witness = field.random_vector(8, rng)
+    com = commit(code, witness, rng)
+    decode, calls = GabidulinCode.decode, Counter()
+
+    def counted(self, received):
+        calls["decode"] += 1
+        return decode(self, received)
+
+    monkeypatch.setattr(GabidulinCode, "decode", counted)
+    assert verify(code, witness, com).accepted
+    assert calls["decode"] == 1
+    assert verify(code, field.random_vector(8, rng), com).reason == "decoding_failure"
+    assert calls["decode"] == 2

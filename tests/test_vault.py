@@ -1,9 +1,14 @@
 """Key vaults: locking, chaff structure, unlocking, serialization."""
 
+import dataclasses
+import itertools
 import json
+import math
 import random
 import struct
 from array import array
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -20,10 +25,9 @@ from rankfuzz.errors import (
     TooLarge,
     BadTwist,
 )
-from rankfuzz.fields import element_rank, ext_field, is_prime, linear_images
+from rankfuzz.fields import _LANE, element_rank, ext_field, is_prime, linear_images
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import (
-    _LANE,
     _ROWS,
     _TABLE_GUARD,
     _column,
@@ -37,6 +41,8 @@ from rankfuzz.vault import (
     vault_from_dict,
     vault_to_dict,
 )
+
+from oracles import rank_r_words
 
 F256 = ext_field(2, 8)
 P256 = VaultParams(q=2, m=8, n=8, ell=2)
@@ -173,6 +179,59 @@ def test_unlock_success_tracks_difference_map_rank():
             assert res and res.key == key
             agree += 1
     assert agree > 30  # the deciding case actually occurred
+
+
+def _unlock_rate(q, m, n, ell, u):
+    """P(unlock) for an independent witness sharing u features: the k =
+    n - u chaff residuals, independent and uniform over the nonzero
+    elements, have rank <= t, by inclusion-exclusion over the zero ones.
+    rank_r_words(q, k, m, r) = [m choose r]_q * prod_{i<r} (q^k - q^i)
+    counts the k x m matrices over F_q of rank r."""
+    k, t = n - u, (n - ell) // 2
+    hits = sum(
+        (-1) ** j * math.comb(k, j) * sum(rank_r_words(q, k - j, m, r) for r in range(t + 1))
+        for j in range(k + 1)
+    )
+    return Fraction(hits, (q**m - 1) ** k)
+
+
+# (q, m, n, ell, u) -> unlocked, decoding_failure and digest_mismatch
+# tables among every chaff value at the witness points outside the features
+UNLOCK_SPLITS = {
+    (2, 3, 3, 1, 0): (7, 70, 266),
+    (2, 4, 4, 2, 1): (15, 390, 2970),
+    (3, 3, 3, 1, 1): (52, 390, 234),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNLOCK_SPLITS), ids=lambda s: "-".join(map(str, s)))
+def test_unlock_rate_past_the_radius_is_exact(shape):
+    # Past the radius the key digest, not the decoder, refuses most tables:
+    # the decoder returns a wrong key within rank t of the received word.
+    q, m, n, ell, u = shape
+    params = VaultParams(q=q, m=m, n=n, ell=ell)
+    fld = params.field
+    rng = random.Random(f"unlock-rate:{shape}")
+    feats = sample_feature_set(fld, n, rng)
+    wit = sample_witness_overlap(fld, feats, u, rng)
+    key = fld.random_vector(ell, rng)
+    vault = lock(params, feats, key, rng)
+    kappa = LinearizedPoly(fld, 1, key)
+    chaff_at = [x for x in wit.elems if x not in feats.elems]
+    table = array(_LANE, vault.table)
+    tried = dataclasses.replace(vault, table=memoryview(table).toreadonly())
+    outcomes = Counter()
+    chaff = [[y for y in fld.elements() if y != kappa(x)] for x in chaff_at]
+    for values in itertools.product(*chaff):
+        for x, y in zip(chaff_at, values):
+            table[x] = y
+        res = unlock(tried, wit)
+        assert res.key in (None, key)
+        outcomes[res.reason] += 1
+    split = outcomes[None], outcomes["decoding_failure"], outcomes["digest_mismatch"]
+    assert sum(split) == (fld.order - 1) ** (n - u)
+    assert Fraction(split[0], sum(split)) == _unlock_rate(*shape)
+    assert split == UNLOCK_SPLITS[shape]
 
 
 def test_unlock_witness_validation():
@@ -327,7 +386,7 @@ def test_column_parse_matches_vec_from_bytes(q, m):
     # every element, q^m - 1 included, upper-case names as well
     fld = ext_field(q, m)
     names = [fld.to_hex(x) for x in range(fld.order)]
-    expected = list(fld.vec_from_bytes(b"".join(map(fld.to_bytes, range(fld.order)))))
+    expected = list(fld.vec_from_hex(names))
     assert expected == list(range(fld.order))
     col = _column(fld, names)
     assert type(col) is array and col.typecode == _LANE and col.tolist() == expected

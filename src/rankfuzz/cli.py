@@ -67,8 +67,7 @@ def _read_hex_vector(field: ExtField, path: str, expect: int) -> tuple:
 
 def _write_hex_vector(field: ExtField, vec, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for v in vec:
-            fh.write(field.to_hex(v) + "\n")
+        fh.writelines(name + "\n" for name in field.vec_to_hex(vec))
 
 
 def _emit(args, record, *lines) -> None:
@@ -118,7 +117,7 @@ def _cmd_verify(args) -> int:
     res = check_witness(code, witness, com)
     outcome = {"accepted": bool(res), "reason": res.reason}
     if res:
-        outcome["codeword"] = [code.field.to_hex(c) for c in res.codeword]
+        outcome["codeword"] = code.field.vec_to_hex(res.codeword)
     if args.out:
         save_json(outcome, args.out)
     _emit(args, outcome, "accepted" if res else "rejected", *outcome.get("codeword", ()))

@@ -139,8 +139,8 @@ def commitment_to_dict(com: Commitment) -> dict:
         "n": com.n,
         "k": com.k,
         "s": com.s,
-        "points": [field.to_hex(x) for x in com.points],
-        "offset": [field.to_hex(x) for x in com.offset],
+        "points": field.vec_to_hex(com.points),
+        "offset": field.vec_to_hex(com.offset),
         "digest": com.digest.hex(),
     }
 

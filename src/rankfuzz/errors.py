@@ -135,8 +135,9 @@ def load_json(path):
     Nesting too deep for the parser is a MalformedRecord naming the path.
 
     The cyclic collector is paused while the parser allocates, since a
-    vault's tens of thousands of small lists would set it off repeatedly,
-    and left as it was found."""
+    vault file that load_vault cannot read as rows (any layout but the
+    canonical one) parses to tens of thousands of small lists, which
+    would set it off repeatedly; it is left as it was found."""
     enabled = gc.isenabled()
     gc.disable()
     try:

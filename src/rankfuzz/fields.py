@@ -427,7 +427,13 @@ class ExtField:
         return tuple(out)
 
     def to_hex(self, a: int) -> str:
-        return self.vec_to_bytes((a,)).hex()
+        return self.vec_to_hex((a,))[0]
+
+    def vec_to_hex(self, vec) -> list[str]:
+        """The names of the elements: the hex of each one's m digit bytes,
+        low digit first, from one hex pass over vec_to_bytes."""
+        text, width = self.vec_to_bytes(vec).hex(), 2 * self.m
+        return [text[i : i + width] for i in range(0, len(text), width)]
 
     def vec_to_bytes(self, vec) -> bytes:
         """The digit bytes of the elements, m per element, low digit first."""

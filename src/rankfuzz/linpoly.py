@@ -170,7 +170,8 @@ class LinearizedPoly:
     def __repr__(self):
         if self.is_zero:
             return f"LinearizedPoly(s={self.s}, 0)"
-        terms = ", ".join(f"({i}, {self.field.to_hex(c)})" for i, c in enumerate(self.coeffs) if c)
+        names = self.field.vec_to_hex(self.coeffs)
+        terms = ", ".join(f"({i}, {h})" for i, (c, h) in enumerate(zip(self.coeffs, names)) if c)
         return f"LinearizedPoly(s={self.s}, [{terms}])"
 
     def _check_pair(self, other: "LinearizedPoly"):

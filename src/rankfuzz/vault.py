@@ -20,9 +20,13 @@ read-only view of the lanes.  Rejected tries are marked with a
 accepted tries stay below _TABLE_GUARD <= 2^24 (see _randbelow_many).
 The JSON file names every element once, by doubling over the base-q
 digits, and writes the points array in canonical order, _ROWS rows per
-join.  Reading it back parses each column of names into 32-bit lanes by
-Horner's rule over its digit columns, a few bytes and big-integer
-passes per digit, as the table is built.
+join.  load_vault reads a file with exactly those bytes as fixed-width
+rows, _ROWS at a time, with no JSON object per entry: a few translate
+passes check the row template and give the digit bytes, the x column
+must be the canonical one, and the y names are parsed into 32-bit lanes
+by Horner's rule over their digit columns, a few bytes and big-integer
+passes per digit.  Any other file goes through load_json and
+vault_from_dict, which give the same vault or the same refusal.
 
 Unlocking with a witness set W reads the table at W and decodes the
 values as a Gabidulin code on the points W.  Entries shared with A are
@@ -35,6 +39,7 @@ confirms it.
 from __future__ import annotations
 
 import hmac
+import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -55,7 +60,7 @@ from .errors import (
     check_record,
     load_json,
 )
-from .fields import ExtField, _lanes, ext_field, image_lanes, is_independent
+from .fields import _LANE, ExtField, _lanes, ext_field, image_lanes, is_independent
 from .gabidulin import GabidulinCode
 from .linpoly import _check_twist, _eval_raw
 
@@ -120,7 +125,7 @@ class FeatureSet:
         return iter(self.elems)
 
     def __repr__(self):
-        shown = ", ".join(self.field.to_hex(x) for x in self.elems)
+        shown = ", ".join(self.field.vec_to_hex(self.elems))
         return f"FeatureSet([{shown}])"
 
     def as_set(self) -> frozenset:
@@ -249,23 +254,47 @@ def unlock(vault: Vault, witness) -> UnlockResult:
 # JSON form
 
 
-def _names_and_order(fld: ExtField) -> tuple[list[str], list[int]]:
-    """The name of every element, indexed by element, and the elements
-    in the byte order of their names.
-
-    names[x] == fld.to_hex(x), the hex of the base-q digits lowest first,
-    made by doubling over the digits.  The fixed-width tokens sort as the
-    digits do, so in name order digit 0 varies slowest and digit m-1
-    fastest, which is how the order is built."""
+def _names(fld: ExtField) -> list[str]:
+    """The name of every element, indexed by element: names[x] ==
+    fld.to_hex(x), the hex of the base-q digits lowest first, made by
+    doubling over the digits."""
     digits = [f"{d:02x}" for d in range(fld.q)]
     names = [""]
     for _ in range(fld.m):
         names = [h + d for d in digits for h in names]
-    order = [0]
-    for i in reversed(range(fld.m)):
-        step = fld.q**i
-        order = [s + x for s in range(0, fld.q * step, step) for x in order]
-    return names, order
+    return names
+
+
+def _reversal(q: int, k: int) -> list[int]:
+    """The digit reversal of k base-q digits: out[r] has the digits of r
+    in the opposite order.  It is its own inverse.
+
+    The fixed-width names sort as their digits do, lowest digit first, so
+    _reversal(q, m) lists the elements in the byte order of their names:
+    row r of a vault file holds element _reversal(q, m)[r]."""
+    out = [0]
+    for _ in range(k):
+        out = [d + q * x for d in range(q) for x in out]
+    return out
+
+
+def _table_from_rows(fld: ExtField, rows: array) -> array:
+    """The lane array whose entry x is rows[_reversal(q, m)[x]], by slices.
+
+    With m split as a + b digits, A = q^a and B = q^b, row hi * B + lo
+    goes to element reversal_b(lo) * A + reversal_a(hi): the B strided
+    slices rows[lo::B] are written as blocks in reversed order, and A
+    strided copies then reverse the position within every block at once."""
+    q, m = fld.q, fld.m
+    a = m // 2
+    A, B = q**a, q ** (m - a)
+    blocks = _lanes(0, fld.order)
+    for lo, r in enumerate(_reversal(q, m - a)):
+        blocks[r * A : r * A + A] = rows[lo::B]
+    out = _lanes(0, fld.order)
+    for hi, r in enumerate(_reversal(q, a)):
+        out[r::A] = blocks[hi::A]
+    return out
 
 
 def _record(vault: Vault, points: list) -> dict:
@@ -281,9 +310,9 @@ def _record(vault: Vault, points: list) -> dict:
 
 
 def vault_to_dict(vault: Vault) -> dict:
-    names, order = _names_and_order(vault.params.field)
-    table = vault.table
-    return _record(vault, [[names[x], names[table[x]]] for x in order])
+    fld = vault.params.field
+    names, table = _names(fld), vault.table
+    return _record(vault, [[names[x], names[table[x]]] for x in _reversal(fld.q, fld.m)])
 
 
 _SCHEMA = {
@@ -296,23 +325,37 @@ _SCHEMA = {
     "key_digest": str,
 }
 
+# The fixed text of the points array as canonical_json lays it out, which
+# save_vault writes and _read_rows checks: rows of an x and a y name.
+_OPEN = '"points": [\n    [\n      "'  # opens the array and its first row
+_MID = '",\n      "'  # between the x and the y name of a row
+_BETWEEN = '"\n    ],\n    [\n      "'  # closes a row, opens the next
+_CLOSE = '"\n    ]\n  ]'  # closes the last row and the array
+# the characters of a name go to 0x80, which no ASCII file holds
+_NAME_MASK = bytes.maketrans(b"0123456789abcdef", b"\x80" * 16)
 
-def _column(fld: ExtField, texts: list[str]) -> array:
-    """fld.vec_from_hex(texts) as a lane array, with the same checks.
+
+def _horner(fld: ExtField, data: bytes, start: int, stride: int) -> int:
+    """The elements whose m digit bytes, lowest first, begin at data[start],
+    data[start + stride], ..., as one integer of 32-bit lanes.
 
     The value is built by Horner's rule over the digit columns, highest
-    digit first: one strided copy spreads digit j of every name into the
-    low byte of its lane, and one big-integer pass multiplies the lanes
-    so far by q and adds the digits.  No lane carries into the next, as
-    every value is below q^m <= _TABLE_GUARD."""
-    data = fld.digits_from_hex(texts)
-    q, m = fld.q, fld.m
-    digits = bytearray(4 * len(texts))
+    digit first: one strided copy spreads digit j of every element into
+    the low byte of its lane, and one big-integer pass multiplies the
+    lanes so far by q and adds the digits.  No lane carries into the next,
+    as every value is below q^m <= _TABLE_GUARD."""
+    q = fld.q
+    digits = bytearray(4 * (len(data) // stride))
     value = 0
-    for j in reversed(range(m)):
-        digits[::4] = data[j::m]
+    for j in reversed(range(start, start + fld.m)):
+        digits[::4] = data[j::stride]
         value = value * q + int.from_bytes(digits, "little")
-    return _lanes(value, len(texts))
+    return value
+
+
+def _column(fld: ExtField, texts: list[str]) -> array:
+    """fld.vec_from_hex(texts) as a lane array, with the same checks."""
+    return _lanes(_horner(fld, fld.digits_from_hex(texts), 0, fld.m), len(texts))
 
 
 def vault_from_dict(data: dict) -> Vault:
@@ -344,14 +387,13 @@ def save_vault(vault: Vault, path):
     objects.  A chunk's x and y names are gathered by itemgetter and
     slotted between the fixed separators of a row template, and the
     chunk goes out as one join."""
-    names, order = _names_and_order(vault.params.field)
-    table = vault.table
+    fld = vault.params.field
+    names, order, table = _names(fld), _reversal(fld.q, fld.m), vault.table
     head, tail = canonical_json(_record(vault, [])).split('"points": []')
     # row i of a chunk is rows[4i : 4i + 4]: the text before its x name,
     # the x name, the text between the names and the y name
-    between = '"\n    ],\n    [\n      "'  # closes a row, opens the next
-    rows = [between, "", '",\n      "', ""] * _ROWS
-    rows[0] = head + '"points": [\n    [\n      "'
+    rows = [_BETWEEN, "", _MID, ""] * _ROWS
+    rows[0] = head + _OPEN
     with open(path, "w", encoding="ascii") as fh:
         for i in range(0, len(order), _ROWS):
             # itemgetter of one index returns the item, not a tuple, but no
@@ -361,9 +403,77 @@ def save_vault(vault: Vault, path):
             rows[1::4] = itemgetter(*xs)(names)
             rows[3::4] = itemgetter(*itemgetter(*xs)(table))(names)
             fh.write("".join(rows))
-            rows[0] = between
-        fh.write('"\n    ]\n  ]' + tail + "\n")
+            rows[0] = _BETWEEN
+        fh.write(_CLOSE + tail + "\n")
+
+
+def _read_rows(path) -> Vault | None:
+    """The vault in a file with exactly the bytes save_vault writes, read
+    as fixed-width rows of bytes; None for a file with any other bytes.
+
+    The text around the points array must parse as a vault record with
+    no points and be that record's canonical JSON.  The array is checked
+    _ROWS rows at a time: one translate of the name characters must give
+    the row template, and with the separators deleted each row is 2m
+    digit bytes.  Row r names as x the element whose digits, lowest
+    first, are those of r, highest first (_reversal); the x digits must
+    be these, column by column, and all digits must be below q.  The y
+    values are read by _horner, as vault_from_dict reads them, and the
+    table is the y column put in element order.  A file that passes is
+    the canonical JSON of a record that vault_from_dict accepts up to its
+    key digest, and gives the same vault or the same refusal."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    begin, stop = data.find(_OPEN.encode()), data.rfind(b"]") + 1
+    if begin < 0 or not data.isascii():
+        return None
+    outer = data[:begin] + b'"points": []' + data[stop:]
+    try:
+        record = json.loads(outer)
+        check_record(record, "vault", _SCHEMA)
+        params = VaultParams(
+            q=record["q"], m=record["m"], n=record["n"], ell=record["ell"], s=record["s"]
+        )
+    except (ValueError, RecursionError):  # the JSON path gives the refusal
+        return None
+    fld = params.field
+    q, m, order = fld.q, fld.m, fld.order
+    name = b"\x80" * 2 * m
+    row = name + _MID.encode() + name + _BETWEEN.encode()
+    begin += len(_OPEN)
+    end = begin + order * len(row) - len(_BETWEEN)
+    if canonical_json(record).encode() + b"\n" != outer or data[end:stop] != _CLOSE.encode():
+        return None
+    rows = row * _ROWS
+    separators = (_MID + _BETWEEN).encode()
+    # x digit p of row r, the digits of r highest first, is each digit in
+    # turn repeated q^(m-1-p) times, period q^(m-p); written out a chunk
+    # past its period, the column holds any chunk's rows as one slice
+    periods = [q ** (m - p) for p in range(m)]
+    columns = [
+        b"".join(bytes([d]) * (period // q) for d in range(q)) * (2 + _ROWS // period)
+        for period in periods
+    ]
+    y = array(_LANE)
+    for i in range(0, order, _ROWS):
+        chunk = data[begin + i * len(row) : min(begin + (i + _ROWS) * len(row), end)]
+        if chunk.translate(_NAME_MASK) != rows[: len(chunk)]:
+            return None
+        digits = bytes.fromhex(chunk.translate(None, separators).decode())
+        count = len(digits) // (2 * m)
+        if any(
+            digits[p :: 2 * m] != column[i % period : i % period + count]
+            for p, period, column in zip(range(m), periods, columns)
+        ) or digits.translate(None, bytes(range(q))):
+            return None
+        y += _lanes(_horner(fld, digits, m, 2 * m), count)
+    table = memoryview(_table_from_rows(fld, y)).toreadonly()
+    return Vault(params, table, digest_from_hex(record["key_digest"], "key digest"))
 
 
 def load_vault(path) -> Vault:
-    return vault_from_dict(load_json(path))
+    """The vault save_vault wrote to path, read by _read_rows; any other
+    JSON file of a vault record is read by load_json and vault_from_dict.
+    Both give the same vault, or the same refusal, for every file."""
+    vault = _read_rows(path)
+    return vault_from_dict(load_json(path)) if vault is None else vault

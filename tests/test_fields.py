@@ -535,7 +535,10 @@ def test_hex_codec_matches_digits(q, m, count):
         h = F.to_hex(a)
         assert h == bytes(F.digits(a)).hex()
         assert F.vec_from_hex([h]) == (a,)
-    assert F.vec_from_hex([F.to_hex(a) for a in elems]) == tuple(elems)
+    names = F.vec_to_hex(elems)
+    assert names == [F.to_hex(a) for a in elems]
+    assert F.vec_from_hex(names) == tuple(elems)
+    assert F.vec_to_hex(()) == []
 
 
 @pytest.mark.parametrize(

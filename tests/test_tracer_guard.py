@@ -87,13 +87,13 @@ def test_campaigns_reach_the_wrapped_names(tracer):
 
 
 def test_big_field_codec_reaches_the_wrapped_field_operations(tracer):
-    # Above the table limit twist_mul reads the field's mul and frobenius
-    # at each call; had it kept the unwrapped ones, the benchmark's
-    # fields.mul and fields.frobenius counts would miss every evaluation
-    # at q^m = 2^32, and an encode is nothing else.  The decode's
-    # interpolation also inverts, through the field's inv.  At q = 2 mul
-    # and frobenius are closures bound on the instance, and the wrappers
-    # replace them there.
+    # Above the table limit linpoly._eval_raw and twist_mul read the
+    # field's mul and frobenius at each call; had they kept the unwrapped
+    # ones, the benchmark's fields.mul and fields.frobenius counts would
+    # miss every evaluation at q^m = 2^32, and an encode is one _eval_raw
+    # pass of such products.  The decode's interpolation also inverts,
+    # through the field's inv.  At q = 2 mul and frobenius are closures
+    # bound on the instance, and the wrappers replace them there.
     field = ext_field(2, 32)
     code = GabidulinCode(field, 8, 4, 1, [2**i for i in range(8)])
     message = (3, 5, 7, 11)

@@ -24,6 +24,7 @@ from rankfuzz.errors import (
     ParamMismatch,
     TooLarge,
     BadTwist,
+    load_json,
 )
 from rankfuzz.fields import _LANE, element_rank, ext_field, is_prime, linear_images
 from rankfuzz.linpoly import LinearizedPoly
@@ -353,15 +354,21 @@ def test_vault_dict_accepts_any_order_and_upper_case():
     assert vault_from_dict(d).table == v.table
 
 
+def _no_json(path):
+    raise AssertionError(f"{path} was parsed as JSON")
+
+
 # save_vault writes the points array in chunks of _ROWS rows; its bytes
-# must be those of the canonical JSON dump of the dict form.  (3,8) has
-# 6,561 rows, one full chunk and a part; (2,16) has 16 full chunks.
+# must be those of the canonical JSON dump of the dict form, and
+# load_vault reads them back as rows of bytes, in chunks of _ROWS rows,
+# without the JSON parser.  (3,8) has 6,561 rows, one full chunk and a
+# part; (2,16) has 16 full chunks.
 @pytest.mark.parametrize(
     "q, m, n",
     [(2, 8, 8), (3, 5, 4), (37, 2, 2), (2, 16, 8), (3, 8, 8), (251, 2, 2)],
     ids=["2-8", "3-5", "37-2", "2-16", "3-8", "251-2"],
 )
-def test_save_vault_bytes_match_json_dump(tmp_path, q, m, n):
+def test_save_vault_bytes_match_json_dump(tmp_path, monkeypatch, q, m, n):
     fld = ext_field(q, m)
     rng = random.Random(q * m)
     v = lock(VaultParams(q=q, m=m, n=n, ell=1), sample_feature_set(fld, n, rng), [7], rng)
@@ -369,6 +376,74 @@ def test_save_vault_bytes_match_json_dump(tmp_path, q, m, n):
     save_vault(v, path)
     expected = json.dumps(vault_to_dict(v), indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode("ascii")
+    monkeypatch.setattr("rankfuzz.vault.load_json", _no_json)
+    back = load_vault(path)
+    assert back == v and _is_lane_view(back.table)
+
+
+def _edit_record(edit):
+    def apply(text, fld):
+        d = json.loads(text)
+        edit(d, d["points"], fld)
+        return (json.dumps(d, indent=2, sort_keys=True) + "\n").encode()
+    return apply
+
+
+def _set_y(points, i, name):
+    points[i][1] = name
+
+
+# Each edit of a canonical vault file, checked against json.loads as the
+# reference.  Edits through _edit_record keep the canonical layout, so the
+# row reader gets as far as the edited row; the others change the layout.
+_FILE_EDITS = {
+    "none": lambda text, fld: text,
+    "y_not_hex": _edit_record(lambda d, p, fld: _set_y(p, 9, p[9][1][:-1] + "g")),
+    "y_digit_q": _edit_record(lambda d, p, fld: _set_y(p, 9, p[9][1][:-2] + f"{fld.q:02x}")),
+    "y_digit_255": _edit_record(lambda d, p, fld: _set_y(p, -1, "ff" + p[-1][1][2:])),
+    "rows_swapped": _edit_record(lambda d, p, fld: p.insert(3, p.pop(4))),
+    "x_repeated": _edit_record(lambda d, p, fld: p[7].__setitem__(0, p[6][0])),
+    "upper_case": _edit_record(
+        lambda d, p, fld: p.__setitem__(slice(None), [[x.upper(), y.upper()] for x, y in p])
+    ),
+    "short_digest": _edit_record(lambda d, p, fld: d.update(key_digest=d["key_digest"][2:])),
+    "head_spaced": lambda text, fld: text.replace(b'"ell": ', b'"ell":  '),
+    "crlf": lambda text, fld: text.replace(b"\n", b"\r\n"),
+    "compact": lambda text, fld: json.dumps(json.loads(text)).encode(),
+    "space_dropped": lambda text, fld: text.replace(b'\n      "', b'\n     "', 1),
+    "comma_dropped": lambda text, fld: text.replace(b'"\n    ],', b'"\n    ]', 1),
+    "truncated": lambda text, fld: text[: len(text) // 2],
+    "non_ascii_head": lambda text, fld: text.replace(b'"ell"', b'"\xe9ll"'),
+}
+
+
+@pytest.mark.parametrize("edit", list(_FILE_EDITS))
+@pytest.mark.parametrize("q, m", [(2, 8), (13, 2)], ids=["2-8", "13-2"])
+def test_load_vault_matches_json_reference_on_edited_files(tmp_path, monkeypatch, q, m, edit):
+    # load_vault returns what vault_from_dict(json.loads(text)) returns,
+    # or raises the same exception type with the same message; only the
+    # bytes save_vault writes skip the JSON parser
+    fld = ext_field(q, m)
+    rng = random.Random(q + m)
+    v = lock(VaultParams(q=q, m=m, n=2, ell=1), sample_feature_set(fld, 2, rng), [5], rng)
+    path = tmp_path / "v.json"
+    save_vault(v, path)
+    text = path.read_bytes()
+    path.write_bytes(_FILE_EDITS[edit](text, fld))
+
+    def outcome(read):
+        try:
+            return read()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(lambda: vault_from_dict(json.loads(path.read_bytes().decode("ascii"))))
+    parsed = []
+    monkeypatch.setattr("rankfuzz.vault.load_json", lambda p: parsed.append(p) or load_json(p))
+    assert outcome(lambda: load_vault(path)) == expected
+    assert bool(parsed) == (path.read_bytes() != text and edit != "short_digest")
+    assert (expected == v) == (edit in ("none", "rows_swapped", "upper_case", "head_spaced",
+                                        "crlf", "compact", "space_dropped"))
 
 
 def test_no_table_leaves_a_one_row_chunk():

@@ -23,15 +23,24 @@ decodes against, as the rank of its residuals on a basis: the witness
 for the basic scheme (prop2, thm3), the features for the completed one
 (prop4, thm5).  prop2, thm3 and thm5 assert
 2 d_r <= |A ^ W| on it; prop4 asserts its whole chain of distances.
+
+Each claim is one row of CLAIMS: its campaign, default trial count,
+parameter names, help line and exact rate (for the thm3 and thm5
+sweeps, the shape of each point instead).  The campaigns build their
+reports from it, the command line its simulate subcommands, and
+load_report refuses a file that is not what the claim's campaign
+writes.  No rate builds a field: q^m comes from field_order.
 """
 
 import hashlib
 import math
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     BadDimensions,
@@ -44,12 +53,21 @@ from .errors import (
     MalformedRecord,
     MismatchedField,
     ParamMismatch,
+    RankfuzzError,
     TwistMismatch,
     check_record,
     load_json,
     save_json,
 )
-from .fields import ExtField, FqSpan, element_rank, ext_field, find_normal_element, fq_combination
+from .fields import (
+    ExtField,
+    FqSpan,
+    element_rank,
+    ext_field,
+    field_order,
+    find_normal_element,
+    fq_combination,
+)
 from .gabidulin import _MAX_TRIES, GabidulinCode, _grow, random_rank_error
 from .linpoly import LinearizedPoly, interpolate
 from .vault import FeatureSet, Vault, VaultParams, _as_feature_set, lock
@@ -220,14 +238,15 @@ def independence_probability(q: int, m: int, n: int) -> Fraction:
 
     Counts ordered draws without repetition: the i-th element must avoid
     the span of the first i (q^i elements) given it avoids the i chosen
-    ones, giving the product of (q^m - q^i)/(q^m - i).
+    ones, giving the product of (q^m - q^i)/(q^m - i).  Its factor at
+    i = m is 0, so the product stops there.
     """
-    fld_order = ext_field(q, m).order
-    if not 0 <= n <= fld_order:
+    order = field_order(q, m)
+    if not 0 <= n <= order:
         raise BadRange(f"need 0 <= n <= q^m, got n={n}")
     out = Fraction(1)
-    for i in range(n):
-        out *= Fraction(fld_order - q**i, fld_order - i)
+    for i in range(min(n, m + 1)):
+        out *= Fraction(order - q**i, order - i)
     return out
 
 
@@ -241,13 +260,92 @@ def overlap_tightness_probability(q: int, n: int, u: int) -> Fraction:
 
 def subspace_tightness_probability(q: int, m: int, n: int, u: int, v: int) -> Fraction:
     """Equality chance at set overlap u and span overlap v, any m >= n."""
-    order = ext_field(q, m).order
+    order = field_order(q, m)
     if not (0 <= u <= v <= n <= m):
         raise BadRange(f"need 0 <= u <= v <= n <= m, got u={u} v={v} n={n} m={m}")
     out = Fraction(1)
     for i in range(n - v, n - u):
         out *= Fraction(order - q**i, order - 1)
     return out
+
+
+def _lemma2_rate(q: int, m: int, n: int) -> Fraction:
+    """Lemma 2's rate, at the campaign's bound on n."""
+    if not 1 <= n <= m:
+        raise BadDimensions(f"need 1 <= n <= m, got n={n}")
+    return independence_probability(q, m, n)
+
+
+# ---------------------------------------------------------------------------
+# Claims.
+
+
+class Claim(NamedTuple):
+    """One simulate claim.
+
+    campaign names the function of this module that runs it, looked up
+    by name when it runs.  params are its parameter names, in the order
+    the command line lists them: the campaign's keywords, the flags and
+    the keys of the report's params all at once.  rate maps those params
+    to the claim's exact rate.  A sweep has no rate: scheme is the
+    mc_scheme_tightness scheme its points run, and shapes maps its
+    params to the (q, m) of each point."""
+
+    campaign: str
+    trials: int
+    params: tuple
+    help: str
+    rate: Callable | None = None
+    scheme: str | None = None
+    shapes: Callable | None = None
+
+
+CLAIMS = {
+    "lemma2": Claim(
+        "mc_independence", 10**4, ("q", "m", "n"),
+        "independence rate of uniform element subsets",
+        rate=_lemma2_rate,
+    ),
+    "prop2": Claim(
+        "mc_overlap_tightness", 10**4, ("q", "n", "u", "ell", "s"),
+        "tightness rate at fixed set overlap, m = n",
+        rate=lambda q, n, u, **_: overlap_tightness_probability(q, n, u),
+    ),
+    "prop4": Claim(
+        "mc_subspace_tightness", 10**4, ("q", "m", "n", "u", "v", "ell", "s"),
+        "tightness rate at fixed set and span overlap",
+        rate=lambda q, m, n, u, v, **_: subspace_tightness_probability(q, m, n, u, v),
+    ),
+    "thm3": Claim(
+        "sweep_basic_tightness", 10**4, ("n", "ell", "s", "q_values", "distribution"),
+        "failure trend of the m = n scheme as q grows",
+        scheme="basic",
+        shapes=lambda q_values, n, **_: [(q, n) for q in q_values],
+    ),
+    "thm5": Claim(
+        "sweep_generalized_tightness", 10**4, ("q", "n", "ell", "s", "m_values", "distribution"),
+        "failure trend of the completed scheme as m grows",
+        scheme="generalized",
+        shapes=lambda q, m_values, **_: [(q, m) for m in m_values],
+    ),
+    "roundtrip": Claim(
+        "mc_decode_roundtrip", 10**3, ("q", "m", "n", "k", "s"),
+        "decode success rate within half distance",
+        rate=lambda **_: Fraction(1),
+    ),
+}
+# the claim of each campaign and of each sweep point's scheme
+_CLAIM_OF = {row.campaign: claim for claim, row in CLAIMS.items()}
+_SCHEMES = {row.scheme: claim for claim, row in CLAIMS.items() if row.scheme}
+# the type of every param that is not an int
+_PARAM_TYPES = {"q_values": list, "m_values": list, "scheme": str, "distribution": str}
+
+
+def _point(args: dict, scheme: str, q: int, m: int) -> dict:
+    """The params of the sweep point at (q, m): mc_scheme_tightness's
+    keywords, the others read from args by name."""
+    n, ell, s, distribution = args["n"], args["ell"], args["s"], args["distribution"]
+    return dict(q=q, m=m, n=n, ell=ell, s=s, scheme=scheme, distribution=distribution)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +607,54 @@ def save_report(report, path) -> None:
     save_json(report.to_dict(), path)
 
 
+def _check_params(params: dict, what: str, schema: dict) -> None:
+    """check_record, and a list must hold ints only."""
+    check_record(params, what, schema)
+    for name, value in params.items():
+        if type(value) is list and any(type(x) is not int for x in value):
+            raise MalformedRecord(f"{what}: {name} must be a list of ints, got {value!r}")
+
+
+def _check_claim(report) -> None:
+    """Refuse a report its claim's campaign does not write: an unknown
+    claim, params whose keys or value types are not the claim's, a
+    formula that is not the claim's rate at the params, and a sweep
+    point whose claim or params are not those the sweep runs at its
+    value.  No field is built."""
+    claim, row = report.claim, CLAIMS.get(report.claim)
+    if row is None:
+        raise MalformedRecord(f"report: unknown claim {claim!r}")
+    if isinstance(report, SweepReport) != (row.scheme is not None):
+        raise MalformedRecord(f"report: a {claim} report is {'' if row.scheme else 'not '}a sweep")
+    schema = {name: _PARAM_TYPES.get(name, int) for name in row.params}
+    _check_params(report.params, f"report: {claim} params", schema)
+    if row.scheme is None:
+        try:
+            rate = row.rate(**report.params)
+        except RankfuzzError as exc:
+            raise MalformedRecord(f"report: {claim} params have no rate: {exc}") from None
+        if report.formula != rate:
+            raise MalformedRecord(f"report: formula {report.formula} is not {claim}'s rate {rate}")
+        return
+    shapes = row.shapes(**report.params)
+    if len(report.points) != len(shapes):
+        raise MalformedRecord(f"sweep report: {len(report.points)} points for {len(shapes)} values")
+    for i, (point, (q, m)) in enumerate(zip(report.points, shapes)):
+        what = f"sweep report: point {i}"
+        if point.claim != claim:
+            raise MalformedRecord(f"{what} has claim {point.claim!r}, not {claim!r}")
+        expected = _point(report.params, row.scheme, q, m)
+        _check_params(point.params, f"{what} params", {k: type(v) for k, v in expected.items()})
+        if point.params != expected or point.formula is not None:
+            raise MalformedRecord(f"{what} is not the {claim} point at q={q} m={m}")
+
+
 def load_report(path):
-    return report_from_dict(load_json(path))
+    """The report in a file save_report wrote, refused unless it is what
+    its claim's campaign writes (_check_claim)."""
+    report = report_from_dict(load_json(path))
+    _check_claim(report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +753,19 @@ def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int,
 # Campaigns.
 
 
+def _head(campaign: str, args: dict) -> TrialReport:
+    """The report the named campaign fills in, from its arguments args:
+    its claim, the claim's params read from args by name, the claim's
+    rate there, and the trial range.  Building it refuses a trial count
+    below 1."""
+    claim = _CLAIM_OF[campaign]
+    row = CLAIMS[claim]
+    params = {name: args[name] for name in row.params}
+    return TrialReport(
+        claim, params, args["trials"], 0, row.rate(**params), args["seed"], start=args["start"]
+    )
+
+
 def _sampled(head: TrialReport, trial) -> TrialReport:
     """head with the successes of trial(trial_rng(seed, i), i) -> bool over
     the trials it names, start .. start + trials - 1.  Building head has
@@ -675,19 +832,15 @@ def mc_independence(
     into an exact rational identity.
     """
     fld = ext_field(q, m)
-    if not 1 <= n <= m:
-        raise BadDimensions(f"need 1 <= n <= m, got n={n}")
-    formula = independence_probability(q, m, n)
-    params = {"q": q, "m": m, "n": n}
-    # refuses a trial count below 1 in either mode
-    head = TrialReport("lemma2", params, trials, 0, formula, seed, start=start)
+    # refuses n outside 1..m, and a trial count below 1 in either mode
+    head = _head("mc_independence", locals())
     if fld.order <= _EXHAUSTIVE_ORDER and math.comb(fld.order, n) <= _EXHAUSTIVE_SUBSETS:
         total = 0
         succ = 0
         for subset in combinations(range(fld.order), n):
             total += 1
             succ += element_rank(fld, subset) == n
-        return TrialReport("lemma2", params, total, succ, formula, seed, "exhaustive")
+        return TrialReport(head.claim, head.params, total, succ, head.formula, seed, "exhaustive")
     return _sampled(head, lambda rng, i: element_rank(fld, _distinct_elements(fld, n, rng)) == n)
 
 
@@ -710,15 +863,7 @@ def mc_overlap_tightness(
     """
     params = VaultParams(q=q, m=n, n=n, ell=ell, s=s)
     fld = params.field
-    head = TrialReport(
-        "prop2",
-        {"q": q, "n": n, "u": u, "ell": ell, "s": s},
-        trials,
-        0,
-        overlap_tightness_probability(q, n, u),
-        seed,
-        start=start,
-    )
+    head = _head("mc_overlap_tightness", locals())
     _check_overlap_shape(q, n, n, u)
     draw = lambda rng, feats: sample_witness_overlap(fld, feats, u, rng)
     return _sampled(head, _rank_bound_trial(params, False, draw, f"q={q} n={n} u={u} seed={seed}"))
@@ -745,15 +890,7 @@ def mc_subspace_tightness(
     params = VaultParams(q=q, m=m, n=n, ell=ell, s=s)
     fld = params.field
     _check_witness_shape(q, m, n, u, v)
-    head = TrialReport(
-        "prop4",
-        {"q": q, "m": m, "n": n, "u": u, "v": v, "ell": ell, "s": s},
-        trials,
-        0,
-        subspace_tightness_probability(q, m, n, u, v),
-        seed,
-        start=start,
-    )
+    head = _head("mc_subspace_tightness", locals())
     draw = lambda rng, feats: sample_witness_shaped(fld, feats, u, v, rng)
     where = f"q={q} m={m} n={n} u={u} v={v} seed={seed}"
 
@@ -802,7 +939,7 @@ def mc_scheme_tightness(
     mix itself shifts with the field and can mask the trend at small q.
     No formula applies pointwise; a sweep judges the failure trend.
     """
-    if scheme not in ("basic", "generalized"):
+    if scheme not in _SCHEMES:
         raise BadRange(f"unknown scheme {scheme!r}")
     if distribution not in ("uniform_w", "uniform_u"):
         raise BadRange(f"unknown distribution {distribution!r}")
@@ -810,23 +947,8 @@ def mc_scheme_tightness(
         raise DimensionMismatch("the basic scheme needs m = n")
     params = VaultParams(q=q, m=m, n=n, ell=ell, s=s)
     fld = params.field
-    head = TrialReport(
-        "thm3" if scheme == "basic" else "thm5",
-        {
-            "q": q,
-            "m": m,
-            "n": n,
-            "ell": ell,
-            "s": s,
-            "scheme": scheme,
-            "distribution": distribution,
-        },
-        trials,
-        0,
-        None,
-        seed,
-        start=start,
-    )
+    claim = _SCHEMES[scheme]
+    head = TrialReport(claim, _point(locals(), scheme, q, m), trials, 0, None, seed, start=start)
     if distribution == "uniform_u":
         _check_overlap_shape(q, m, n, 0)
         draw = lambda rng, feats: sample_witness_overlap(fld, feats, rng.randrange(n + 1), rng)
@@ -853,8 +975,7 @@ def mc_decode_roundtrip(
     fails the report.
     """
     fld = ext_field(q, m)
-    params = {"q": q, "m": m, "n": n, "k": k, "s": s}
-    head = TrialReport("roundtrip", params, trials, 0, Fraction(1), seed, start=start)
+    head = _head("mc_decode_roundtrip", locals())
 
     def trial(rng, i):
         pts = sample_feature_set(fld, n, rng)
@@ -872,26 +993,30 @@ def mc_decode_roundtrip(
     return _sampled(head, trial)
 
 
-def _sweep(claim: str, scheme: str, params: dict, point, values, trials, seed, distribution):
-    """One mc_scheme_tightness campaign per value, at VaultParams point(v).
+def _sweep(campaign: str, args: dict, values: list) -> SweepReport:
+    """One mc_scheme_tightness campaign per value of the sweep the named
+    campaign runs, at the (q, m) its claim's row gives for each value,
+    the other params read from the campaign's arguments args.
 
     Two or more increasing values are needed.  Every point is checked
-    before the first campaign runs: by point, and under uniform_u, which
-    draws u = 0 too, for a witness sharing none of the features.
+    before the first campaign runs: as VaultParams, and under uniform_u,
+    which draws u = 0 too, for a witness sharing none of the features.
     """
     if len(values) < 2:
         raise BadRange("a sweep needs at least two points")
-    shapes = [point(v) for v in values]
-    if distribution == "uniform_u":
-        for p in shapes:
-            _check_overlap_shape(p.q, p.m, p.n, 0)
+    claim = _CLAIM_OF[campaign]
+    row = CLAIMS[claim]
+    params = {name: args[name] for name in row.params}
+    points = [_point(params, row.scheme, q, m) for q, m in row.shapes(**params)]
+    for p in points:
+        VaultParams(q=p["q"], m=p["m"], n=p["n"], ell=p["ell"], s=p["s"])
+    if params["distribution"] == "uniform_u":
+        for p in points:
+            _check_overlap_shape(p["q"], p["m"], p["n"], 0)
     if any(a >= b for a, b in zip(values, values[1:])):
         raise BadRange(f"sweep values must increase, got {values}")
-    points = tuple(
-        mc_scheme_tightness(scheme, p.q, p.m, p.n, p.ell, p.s, trials, seed, distribution)
-        for p in shapes
-    )
-    return SweepReport(claim, dict(params, distribution=distribution), points, seed)
+    runs = tuple(mc_scheme_tightness(**p, trials=args["trials"], seed=args["seed"]) for p in points)
+    return SweepReport(claim, params, runs, args["seed"])
 
 
 def sweep_basic_tightness(
@@ -905,9 +1030,7 @@ def sweep_basic_tightness(
 ) -> SweepReport:
     """Failure-rate trend of the basic scheme as the field grows."""
     q_values = list(q_values)
-    params = {"q_values": q_values, "n": n, "ell": ell, "s": s}
-    point = lambda q: VaultParams(q=q, m=n, n=n, ell=ell, s=s)
-    return _sweep("thm3", "basic", params, point, q_values, trials, seed, distribution)
+    return _sweep("sweep_basic_tightness", locals(), q_values)
 
 
 def sweep_generalized_tightness(
@@ -922,6 +1045,4 @@ def sweep_generalized_tightness(
 ) -> SweepReport:
     """Failure-rate trend of the generalized scheme as the extension grows."""
     m_values = list(m_values)
-    params = {"q": q, "m_values": m_values, "n": n, "ell": ell, "s": s}
-    point = lambda m: VaultParams(q=q, m=m, n=n, ell=ell, s=s)
-    return _sweep("thm5", "generalized", params, point, m_values, trials, seed, distribution)
+    return _sweep("sweep_generalized_tightness", locals(), m_values)

@@ -16,13 +16,16 @@ reproduces output files byte for byte.  Every command prints through
 _emit: its record as errors.canonical_json under --format json, else
 its text lines.
 
-Each flag that several commands take is declared once, in _FLAGS, and
-each simulate claim once, in _CLAIMS, with the campaign it calls and
-the flags it passes to it by keyword.  A claim's parameters are checked
-before its first trial: a sweep refuses values that do not increase,
-and a witness shape that cannot be drawn, such as u = 0 at q = 2 and
-m = n = 2, is refused with its reason.  main() parses with one parser,
-built on its first call and kept for the life of the process.
+Each flag that several commands take is declared once, in _FLAGS.  The
+simulate subcommands come from analysis.CLAIMS, the one claim table:
+its rows give each claim's help line, default trial count and
+parameters, which are its flags, and name the campaign, looked up in
+analysis when the command runs and called with the parameters by
+keyword.  A claim's parameters are checked before its first trial: a
+sweep refuses values that do not increase, and a witness shape that
+cannot be drawn, such as u = 0 at q = 2 and m = n = 2, is refused with
+its reason.  main() parses with one parser, built on its first call
+and kept for the life of the process.
 
 Exit codes: 0 success or accept; 1 protocol reject, failed verdict, or
 a broken always-true guarantee; 2 usage, parameter, or input errors.
@@ -33,15 +36,8 @@ import functools
 import random
 import sys
 
-from .analysis import (
-    mc_decode_roundtrip,
-    mc_independence,
-    mc_overlap_tightness,
-    mc_subspace_tightness,
-    save_report,
-    sweep_basic_tightness,
-    sweep_generalized_tightness,
-)
+from . import analysis
+from .analysis import CLAIMS, save_report
 from .commitment import (
     code_from_commitment,
     commit as build_commitment,
@@ -178,9 +174,9 @@ def _finish_simulate(report, args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    campaign, _, flags, _ = _CLAIMS[args.claim]
-    kwargs = {name: getattr(args, name) for name in flags}
-    report = campaign(**kwargs, trials=args.trials, seed=args.seed)
+    row = CLAIMS[args.claim]
+    kwargs = {name: getattr(args, name) for name in row.params}
+    report = getattr(analysis, row.campaign)(**kwargs, trials=args.trials, seed=args.seed)
     return _finish_simulate(report, args)
 
 
@@ -214,23 +210,6 @@ _FLAGS = {
     ),
     "seed": ("--seed", dict(type=int, default=0, help="deterministic randomness seed")),
     "format": ("--format", dict(choices=("text", "json"), default="text", help="stdout style")),
-}
-
-# Each simulate claim: campaign, default trial count, the _FLAGS it passes
-# to the campaign by name, and help line.
-_CLAIMS = {
-    "lemma2": (mc_independence, 10**4, ("q", "m", "n"),
-               "independence rate of uniform element subsets"),
-    "prop2": (mc_overlap_tightness, 10**4, ("q", "n", "u", "ell", "s"),
-              "tightness rate at fixed set overlap, m = n"),
-    "prop4": (mc_subspace_tightness, 10**4, ("q", "m", "n", "u", "v", "ell", "s"),
-              "tightness rate at fixed set and span overlap"),
-    "thm3": (sweep_basic_tightness, 10**4, ("n", "ell", "s", "q_values", "distribution"),
-             "failure trend of the m = n scheme as q grows"),
-    "thm5": (sweep_generalized_tightness, 10**4, ("q", "n", "ell", "s", "m_values", "distribution"),
-             "failure trend of the completed scheme as m grows"),
-    "roundtrip": (mc_decode_roundtrip, 10**3, ("q", "m", "n", "k", "s"),
-                  "decode success rate within half distance"),
 }
 
 
@@ -292,12 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a seeded experiment campaign")
     ssub = sim.add_subparsers(required=True, prog=sim.prog)
-    for claim, (_, trials, flags, help_text) in _CLAIMS.items():
-        p = ssub.add_parser(claim, help=help_text)
-        p.add_argument("--trials", type=int, default=trials)
+    for claim, row in CLAIMS.items():
+        p = ssub.add_parser(claim, help=row.help)
+        p.add_argument("--trials", type=int, default=row.trials)
         p.add_argument("--out", default=None, help="report JSON path")
         p.add_argument("--strict", action="store_true", help="flagged verdicts exit 1")
-        _add_flags(p, "seed", "format", *flags)
+        _add_flags(p, "seed", "format", *row.params)
         p.set_defaults(func=_cmd_simulate, claim=claim)
 
     return parser

@@ -82,6 +82,18 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _prime_divisors(n) == [n]
 
 
+def field_order(q: int, m: int) -> int:
+    """q^m, after the checks of q and m that ExtField makes, so that a
+    formula in q^m refuses what ext_field(q, m) refuses without building
+    the field."""
+    # bound before primality, whose trial division is slow for huge q
+    if type(q) is not int or q > _MAX_PRIME or not is_prime(q):
+        raise NonPrimeQ(f"q must be a prime <= {_MAX_PRIME}, got {q!r}")
+    if type(m) is not int or m < 1 or m > _MAX_DEGREE:
+        raise DegreeOutOfRange(f"m must be in 1..{_MAX_DEGREE}, got {m!r}")
+    return q**m
+
+
 # ---------------------------------------------------------------------------
 # Dense polynomials over F_q, little-endian coefficient lists.  Only what
 # the modulus search needs lives here.
@@ -350,14 +362,9 @@ class ExtField:
     """
 
     def __init__(self, q: int, m: int):
-        # bound before primality, whose trial division is slow for huge q
-        if type(q) is not int or q > _MAX_PRIME or not is_prime(q):
-            raise NonPrimeQ(f"q must be a prime <= {_MAX_PRIME}, got {q!r}")
-        if type(m) is not int or m < 1 or m > _MAX_DEGREE:
-            raise DegreeOutOfRange(f"m must be in 1..{_MAX_DEGREE}, got {m!r}")
+        self.order = field_order(q, m)
         self.q = q
         self.m = m
-        self.order = q**m
         self.modulus = canonical_modulus(q, m)
         self._qpow_m = [q**i for i in range(m)]
         # random_int: a top byte t of a word is the try t >> (8 - k)

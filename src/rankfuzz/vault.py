@@ -309,12 +309,6 @@ def _record(vault: Vault, points: list) -> dict:
     }
 
 
-def vault_to_dict(vault: Vault) -> dict:
-    fld = vault.params.field
-    names, table = _names(fld), vault.table
-    return _record(vault, [[names[x], names[table[x]]] for x in _reversal(fld.q, fld.m)])
-
-
 _SCHEMA = {
     "q": int,
     "m": int,
@@ -382,11 +376,12 @@ def vault_from_dict(data: dict) -> Vault:
 
 
 def save_vault(vault: Vault, path):
-    """Write the bytes save_json(vault_to_dict(vault), path) would, with
-    the points array written _ROWS rows at a time rather than built as
-    objects.  A chunk's x and y names are gathered by itemgetter and
-    slotted between the fixed separators of a row template, and the
-    chunk goes out as one join."""
+    """Write the canonical JSON of the vault's record: its parameters,
+    one [x, y] row of element names per table entry, sorted by x name,
+    and its key digest.  The points array is written _ROWS rows at a
+    time rather than built as objects.  A chunk's x and y names are
+    gathered by itemgetter and slotted between the fixed separators of
+    a row template, and the chunk goes out as one join."""
     fld = vault.params.field
     names, order, table = _names(fld), _reversal(fld.q, fld.m), vault.table
     head, tail = canonical_json(_record(vault, [])).split('"points": []')

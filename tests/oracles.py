@@ -2,8 +2,9 @@
 
 No library code runs these: the Moore matrix of a point set, a code's
 minimum rank distance by enumerating every codeword, the rank-metric
-Singleton bound, the count of vectors of each rank, and a field element
-drawn one randrange per digit.
+Singleton bound, the count of vectors of each rank, a field element
+drawn one randrange per digit, and the record of a vault, which
+save_vault writes as canonical JSON.
 """
 
 import itertools
@@ -43,3 +44,19 @@ def rank_r_words(q: int, m: int, n: int, r: int) -> int:
 def random_element_by_digits(field, rng) -> int:
     """Uniform element, one rng.randrange(q) per base-q digit, low first."""
     return sum(rng.randrange(field.q) * field.q**i for i in range(field.m))
+
+
+def vault_to_dict(vault) -> dict:
+    """A vault's record: its parameters, one [x, y] row of to_hex names
+    per element x, y = table[x], sorted by x name, and its key digest."""
+    p, fld = vault.params, vault.params.field
+    rows = sorted([fld.to_hex(x), fld.to_hex(vault.table[x])] for x in range(fld.order))
+    return {
+        "q": p.q,
+        "m": p.m,
+        "n": p.n,
+        "ell": p.ell,
+        "s": p.s,
+        "points": rows,
+        "key_digest": vault.key_digest.hex(),
+    }

@@ -1,6 +1,7 @@
 """Distances, reconstructed maps, exact formulas, and the trial harness."""
 
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -12,6 +13,7 @@ import pytest
 
 from rankfuzz import analysis, gabidulin
 from rankfuzz.analysis import (
+    CLAIMS,
     SubspaceMap,
     SweepReport,
     TrialReport,
@@ -47,6 +49,7 @@ from rankfuzz.errors import (
     BadRange,
     ClaimViolation,
     DecodingFailure,
+    DegreeOutOfRange,
     DependentRestriction,
     DimensionMismatch,
     InfeasibleShape,
@@ -56,7 +59,7 @@ from rankfuzz.errors import (
     ParamMismatch,
     TwistMismatch,
 )
-from rankfuzz.fields import element_rank, ext_field, find_normal_element
+from rankfuzz.fields import ExtField, element_rank, ext_field, find_normal_element
 from rankfuzz.gabidulin import GabidulinCode, random_rank_error
 from rankfuzz.linpoly import LinearizedPoly
 from rankfuzz.vault import FeatureSet, VaultParams, lock
@@ -363,6 +366,55 @@ def test_subspace_tightness_probability_values():
         subspace_tightness_probability(2, 4, 5, 1, 2)  # n > m
 
 
+def test_rates_and_report_checks_build_no_field(tmp_path):
+    record = mc_overlap_tightness(q=2, n=4, u=2, ell=1, trials=3, seed=1).to_dict()
+    record["params"].update(q=241, n=61, u=60)
+    before = ext_field.cache_info()
+    # first at cached shapes, so a rate that asks for the field fails here
+    # rather than stall on (241, 61), which takes minutes to build
+    independence_probability(2, 4, 3)
+    subspace_tightness_probability(2, 4, 3, 1, 2)
+    assert ext_field.cache_info() == before
+    assert independence_probability(241, 61, 62) == 0
+    assert independence_probability(241, 61, 3) > 0
+    assert subspace_tightness_probability(241, 61, 5, 1, 3) > 0
+    path = tmp_path / "r.json"
+    rate = overlap_tightness_probability(241, 61, 60)
+    for formula in (Fraction(1, 2), rate):
+        record["formula"] = {"numerator": formula.numerator, "denominator": formula.denominator}
+        path.write_text(json.dumps(record), encoding="ascii")
+        if formula == rate:
+            assert load_report(path).formula == rate
+        else:
+            with pytest.raises(MalformedRecord, match="is not prop2's rate"):
+                load_report(path)
+    assert ext_field.cache_info() == before
+
+
+def test_rates_check_q_and_m_as_the_field_does():
+    for q, m in [(4, 2), (True, 2), (2, True), (2, 0), (2, 65), (257, 2), (2.0, 2)]:
+        with pytest.raises((NonPrimeQ, DegreeOutOfRange)) as built:
+            ExtField(q, m)
+        for rate in (
+            lambda: independence_probability(q, m, 1),
+            lambda: subspace_tightness_probability(q, m, 1, 0, 1),
+            lambda: overlap_tightness_probability(q, m, 0),
+        ):
+            with pytest.raises(type(built.value)) as info:
+                rate()
+            assert str(info.value) == str(built.value)
+
+
+def test_claim_rows_name_their_campaigns_parameters():
+    # a row's params are its campaign's keywords but the trial range, and
+    # its trial count is the campaign's default
+    for claim, row in CLAIMS.items():
+        signature = inspect.signature(getattr(analysis, row.campaign)).parameters
+        assert set(row.params) == signature.keys() - {"trials", "seed", "start"}, claim
+        assert row.trials == signature["trials"].default, claim
+        assert (row.rate is None) == (row.scheme is not None) == (row.shapes is not None), claim
+
+
 # ---------------------------------------------------------------------------
 # Trial bookkeeping.
 
@@ -579,9 +631,13 @@ def test_report_file_roundtrip(tmp_path):
     assert back == r
     save_report(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    sw = SweepReport("thm3", {"n": 3}, _synthetic_points([0.7, 0.8]), seed=4)
+    sw = sweep_basic_tightness([2, 3], 3, 1, trials=5, seed=4)
     save_report(sw, p1)
     assert load_report(p1) == sw
+    # a sweep no campaign runs is refused at the file boundary
+    save_report(SweepReport("thm3", {"n": 3}, _synthetic_points([0.7, 0.8]), seed=4), p1)
+    with pytest.raises(MalformedRecord, match="thm3 params: missing keys"):
+        load_report(p1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ refused with a message naming the short input, every other refusal keeps
 its type and message, every integer a record stores and every field
 element refuses a bool, and every file the library writes loads back."""
 
+import functools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from rankfuzz import (
     GabidulinCode,
     LengthMismatch,
     LinearizedPoly,
+    MalformedRecord,
     MismatchedField,
     NonPrimeQ,
     ParamMismatch,
@@ -39,9 +43,13 @@ from rankfuzz import (
     verify,
 )
 from rankfuzz.analysis import (
+    mc_decode_roundtrip,
+    mc_independence,
     mc_overlap_tightness,
+    mc_subspace_tightness,
     save_report,
     sweep_basic_tightness,
+    sweep_generalized_tightness,
     witness_map,
     witness_map_completed,
 )
@@ -142,6 +150,35 @@ def test_sized_boundary_names_the_short_input(call, exc, message):
     assert str(info.value) == message
 
 
+@functools.cache
+def _prop2():
+    return mc_overlap_tightness(q=2, n=4, u=2, ell=1, trials=20, seed=6).to_dict()
+
+
+@functools.cache
+def _thm3():
+    return sweep_basic_tightness(q_values=[2, 3], n=3, ell=1, trials=5, seed=6).to_dict()
+
+
+def _load_edited(record, **edits):
+    """load_report of a report file whose record has the given top-level
+    values, params and points replaced wholesale."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.json"
+        save_json(dict(record, **edits), path)
+        return load_report(path)
+
+
+def _prop2_params(**edits):
+    return _load_edited(_prop2(), params=dict(_prop2()["params"], **edits))
+
+
+def _thm3_point(i, **edits):
+    points = [dict(p) for p in _thm3()["points"]]
+    points[i].update(edits)
+    return _load_edited(_thm3(), points=points)
+
+
 # Each other refusal at a library boundary, as SIZED.
 REFUSALS = {
     "independence-n": (
@@ -170,6 +207,66 @@ REFUSALS = {
     "sweep-points": (
         lambda: SweepReport("c", {}, (TrialReport("c", {}, 2, 1), {"trials": 2})),
         ParamMismatch, "sweep points must be TrialReports",
+    ),
+    # load_report refuses a report its claim's campaign would not write
+    "report-q-97": (
+        lambda: _load_edited(
+            _prop2(), params=dict(_prop2()["params"], q=97),
+            formula={"numerator": _prop2()["successes"], "denominator": _prop2()["trials"]},
+        ),
+        MalformedRecord, "report: formula 1 is not prop2's rate 922179/922180",
+    ),
+    "report-bogus-claim": (
+        lambda: _load_edited(_prop2(), claim="bogus", params={"zzz": 1}),
+        MalformedRecord, "report: unknown claim 'bogus'",
+    ),
+    "report-param-keys": (
+        lambda: _load_edited(_prop2(), params={"zzz": 1}),
+        MalformedRecord, "report: prop2 params: missing keys ['ell', 'n', 'q', 's', 'u']",
+    ),
+    "report-param-bool": (
+        lambda: _prop2_params(u=True),
+        MalformedRecord, "report: prop2 params: u must be int, got True",
+    ),
+    "report-param-str": (
+        lambda: _prop2_params(q="2"),
+        MalformedRecord, "report: prop2 params: q must be int, got '2'",
+    ),
+    "report-no-rate": (
+        lambda: _prop2_params(q=4),
+        MalformedRecord, "report: prop2 params have no rate: q must be a prime <= 251, got 4",
+    ),
+    "report-no-formula": (
+        lambda: _load_edited(_prop2(), formula=None),
+        MalformedRecord, "report: formula None is not prop2's rate 14/15",
+    ),
+    "report-trial-thm3": (
+        lambda: _load_edited(_prop2(), claim="thm3"),
+        MalformedRecord, "report: a thm3 report is a sweep",
+    ),
+    "report-sweep-prop2": (
+        lambda: _load_edited(_thm3(), claim="prop2"),
+        MalformedRecord, "report: a prop2 report is not a sweep",
+    ),
+    "report-sweep-bool-value": (
+        lambda: _load_edited(_thm3(), params=dict(_thm3()["params"], q_values=[2, True])),
+        MalformedRecord, "report: thm3 params: q_values must be a list of ints, got [2, True]",
+    ),
+    "report-sweep-values": (
+        lambda: _load_edited(_thm3(), params=dict(_thm3()["params"], q_values=[2, 3, 5])),
+        MalformedRecord, "sweep report: 2 points for 3 values",
+    ),
+    "report-point-claim": (
+        lambda: _thm3_point(1, claim="thm5"),
+        MalformedRecord, "sweep report: point 1 has claim 'thm5', not 'thm3'",
+    ),
+    "report-point-param": (
+        lambda: _thm3_point(0, params=dict(_thm3()["points"][0]["params"], q=5)),
+        MalformedRecord, "sweep report: point 0 is not the thm3 point at q=2 m=3",
+    ),
+    "report-point-bool": (
+        lambda: _thm3_point(0, params=dict(_thm3()["points"][0]["params"], ell=True)),
+        MalformedRecord, "sweep report: point 0 params: ell must be int, got True",
     ),
 }
 
@@ -317,7 +414,18 @@ def test_vault_file_loads_back(tmp_path, q, m, s):
 def test_report_files_load_back(tmp_path, seed):
     trial = mc_overlap_tightness(q=2, n=4, u=3, ell=2, trials=5, seed=seed, start=7)
     sweep = sweep_basic_tightness(q_values=[2, 3], n=4, ell=1, trials=5, seed=seed)
-    for report in (trial, sweep):
+    # one report of every other claim, lemma2 both enumerated and sampled
+    others = (
+        mc_independence(q=2, m=3, n=2, seed=seed),
+        mc_independence(q=2, m=8, n=4, trials=5, seed=seed, start=3),
+        mc_subspace_tightness(q=2, m=6, n=3, u=1, v=2, ell=1, trials=5, seed=seed),
+        sweep_generalized_tightness(
+            q=2, m_values=[3, 4], n=3, ell=1, trials=5, seed=seed, distribution="uniform_w"
+        ),
+        mc_decode_roundtrip(q=3, m=4, n=4, k=2, s=3, trials=5, seed=seed),
+    )
+    assert [r.mode for r in others[:2]] == ["exhaustive", "sampled"]
+    for report in (trial, sweep, *others):
         again = _roundtrip(tmp_path, report, save_report, load_report)
         assert again.to_dict() == report.to_dict()
 

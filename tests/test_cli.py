@@ -441,6 +441,23 @@ def test_simulate_roundtrip_runs(capsys):
     assert "verdict: within_3sigma" in capsys.readouterr().out
 
 
+def test_simulate_calls_the_campaign_the_module_holds_now(monkeypatch, capsys):
+    # the claim table names each campaign, so a wrapper installed on the
+    # analysis module after the parser was built, as the benchmark's
+    # tracer installs its spans, is the one a simulate command calls
+    cli._parser()
+    calls = []
+    campaign = analysis.mc_decode_roundtrip
+
+    def counted(**kwargs):
+        calls.append(kwargs)
+        return campaign(**kwargs)
+
+    monkeypatch.setattr(analysis, "mc_decode_roundtrip", counted)
+    assert main("simulate roundtrip --q 2 --m 4 --n 4 --k 2 --trials 5".split()) == 0
+    assert calls == [{"q": 2, "m": 4, "n": 4, "k": 2, "s": 1, "trials": 5, "seed": 0}]
+
+
 def test_runs_without_numpy():
     # a None entry in sys.modules makes every import of numpy fail
     code = (
@@ -742,6 +759,19 @@ def test_help_through_main_is_a_fresh_parsers_help(path, capsys):
             main([*path, "-h"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == _subparser(build_parser(), path).format_help()
+
+
+# Every command path's -h text, hashed into one digest at 80 columns:
+# FLAG_CONTRACT pins the options but not their help lines.
+HELP_DIGEST = "629a846ed66951ca071f61537cc4ac3bb210c0dc4b43e33964cd7c549af28d79"
+
+
+def test_every_command_paths_help_text_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for path in FLAG_CONTRACT:
+        digest.update(repr((path, _subparser(build_parser(), path).format_help())).encode())
+    assert digest.hexdigest() == HELP_DIGEST
 
 
 # argparse accepts any unique prefix of a long option, so these

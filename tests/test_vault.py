@@ -40,10 +40,9 @@ from rankfuzz.vault import (
     save_vault,
     unlock,
     vault_from_dict,
-    vault_to_dict,
 )
 
-from oracles import rank_r_words
+from oracles import rank_r_words, vault_to_dict
 
 F256 = ext_field(2, 8)
 P256 = VaultParams(q=2, m=8, n=8, ell=2)

@@ -25,11 +25,13 @@ for the basic scheme (prop2, thm3), the features for the completed one
 2 d_r <= |A ^ W| on it; prop4 asserts its whole chain of distances.
 
 Each claim is one row of CLAIMS: its campaign, default trial count,
-parameter names, help line and exact rate (for the thm3 and thm5
-sweeps, the shape of each point instead).  The campaigns build their
-reports from it, the command line its simulate subcommands, and
-load_report refuses a file that is not what the claim's campaign
-writes.  No rate builds a field: q^m comes from field_order.
+parameter names, help line and plan.  The plan makes every check the
+campaign makes before its first trial and gives the exact rate, or the
+params of each point of the thm3 and thm5 sweeps.  The campaigns build
+their reports from it, the command line its simulate subcommands, and
+load_report runs it to refuse a file the claim's campaign would not
+write.  No plan builds a field: q^m comes from field_order, and
+VaultParams and the code's shape are checked without one.
 """
 
 import hashlib
@@ -68,7 +70,7 @@ from .fields import (
     find_normal_element,
     fq_combination,
 )
-from .gabidulin import _MAX_TRIES, GabidulinCode, _grow, random_rank_error
+from .gabidulin import _MAX_TRIES, GabidulinCode, _check_code_shape, _grow, random_rank_error
 from .linpoly import LinearizedPoly, interpolate
 from .vault import FeatureSet, Vault, VaultParams, _as_feature_set, lock
 
@@ -269,13 +271,6 @@ def subspace_tightness_probability(q: int, m: int, n: int, u: int, v: int) -> Fr
     return out
 
 
-def _lemma2_rate(q: int, m: int, n: int) -> Fraction:
-    """Lemma 2's rate, at the campaign's bound on n."""
-    if not 1 <= n <= m:
-        raise BadDimensions(f"need 1 <= n <= m, got n={n}")
-    return independence_probability(q, m, n)
-
-
 # ---------------------------------------------------------------------------
 # Claims.
 
@@ -286,52 +281,102 @@ class Claim(NamedTuple):
     campaign names the function of this module that runs it, looked up
     by name when it runs.  params are its parameter names, in the order
     the command line lists them: the campaign's keywords, the flags and
-    the keys of the report's params all at once.  rate maps those params
-    to the claim's exact rate.  A sweep has no rate: scheme is the
-    mc_scheme_tightness scheme its points run, and shapes maps its
-    params to the (q, m) of each point."""
+    the keys of the report's params all at once.  plan maps them to the
+    exact rate, or a sweep's to its points' params, after every check the
+    campaign makes before its first trial.  A sweep's points run the
+    mc_scheme_tightness scheme named by scheme."""
 
     campaign: str
     trials: int
     params: tuple
     help: str
-    rate: Callable | None = None
+    plan: Callable
     scheme: str | None = None
-    shapes: Callable | None = None
+
+
+def _plan_lemma2(q: int, m: int, n: int) -> Fraction:
+    field_order(q, m)
+    _check_size(m, n)
+    return independence_probability(q, m, n)
+
+
+def _plan_prop2(q: int, n: int, u: int, ell: int, s: int) -> Fraction:
+    VaultParams(q=q, m=n, n=n, ell=ell, s=s)
+    _check_overlap_shape(q, n, n, u)
+    return overlap_tightness_probability(q, n, u)
+
+
+def _plan_prop4(q: int, m: int, n: int, u: int, v: int, ell: int, s: int) -> Fraction:
+    VaultParams(q=q, m=m, n=n, ell=ell, s=s)
+    _check_witness_shape(q, m, n, u, v)
+    return subspace_tightness_probability(q, m, n, u, v)
+
+
+def _plan_roundtrip(q: int, m: int, n: int, k: int, s: int) -> Fraction:
+    field_order(q, m)
+    _check_size(m, n)
+    _check_code_shape(m, n, k, s)
+    return Fraction(1)
+
+
+def _plan_point(scheme: str, q: int, m: int, n: int, ell: int, s: int, distribution: str) -> dict:
+    """mc_scheme_tightness's checks, and the params of its report."""
+    if scheme not in _SCHEMES:
+        raise BadRange(f"unknown scheme {scheme!r}")
+    if distribution not in ("uniform_w", "uniform_u"):
+        raise BadRange(f"unknown distribution {distribution!r}")
+    if scheme == "basic" and m != n:
+        raise DimensionMismatch("the basic scheme needs m = n")
+    VaultParams(q=q, m=m, n=n, ell=ell, s=s)
+    # uniform_u draws u = 0 too, a witness sharing none of the features
+    if distribution == "uniform_u":
+        _check_overlap_shape(q, m, n, 0)
+    return dict(q=q, m=m, n=n, ell=ell, s=s, scheme=scheme, distribution=distribution)
+
+
+def _plan_sweep(scheme: str, values: list, shape: Callable, common: dict) -> list:
+    """The params of each point of a sweep along two or more increasing
+    values, at the (q, m) shape of each value, the others common to all."""
+    if len(values) < 2:
+        raise BadRange("a sweep needs at least two points")
+    points = [_plan_point(scheme, *shape(value), **common) for value in values]
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise BadRange(f"sweep values must increase, got {values}")
+    return points
 
 
 CLAIMS = {
     "lemma2": Claim(
         "mc_independence", 10**4, ("q", "m", "n"),
         "independence rate of uniform element subsets",
-        rate=_lemma2_rate,
+        _plan_lemma2,
     ),
     "prop2": Claim(
         "mc_overlap_tightness", 10**4, ("q", "n", "u", "ell", "s"),
         "tightness rate at fixed set overlap, m = n",
-        rate=lambda q, n, u, **_: overlap_tightness_probability(q, n, u),
+        _plan_prop2,
     ),
     "prop4": Claim(
         "mc_subspace_tightness", 10**4, ("q", "m", "n", "u", "v", "ell", "s"),
         "tightness rate at fixed set and span overlap",
-        rate=lambda q, m, n, u, v, **_: subspace_tightness_probability(q, m, n, u, v),
+        _plan_prop4,
     ),
     "thm3": Claim(
         "sweep_basic_tightness", 10**4, ("n", "ell", "s", "q_values", "distribution"),
         "failure trend of the m = n scheme as q grows",
+        lambda q_values, **p: _plan_sweep("basic", q_values, lambda q: (q, p["n"]), p),
         scheme="basic",
-        shapes=lambda q_values, n, **_: [(q, n) for q in q_values],
     ),
     "thm5": Claim(
         "sweep_generalized_tightness", 10**4, ("q", "n", "ell", "s", "m_values", "distribution"),
         "failure trend of the completed scheme as m grows",
+        lambda q, m_values, **p: _plan_sweep("generalized", m_values, lambda m: (q, m), p),
         scheme="generalized",
-        shapes=lambda q, m_values, **_: [(q, m) for m in m_values],
     ),
     "roundtrip": Claim(
         "mc_decode_roundtrip", 10**3, ("q", "m", "n", "k", "s"),
         "decode success rate within half distance",
-        rate=lambda **_: Fraction(1),
+        _plan_roundtrip,
     ),
 }
 # the claim of each campaign and of each sweep point's scheme
@@ -339,13 +384,6 @@ _CLAIM_OF = {row.campaign: claim for claim, row in CLAIMS.items()}
 _SCHEMES = {row.scheme: claim for claim, row in CLAIMS.items() if row.scheme}
 # the type of every param that is not an int
 _PARAM_TYPES = {"q_values": list, "m_values": list, "scheme": str, "distribution": str}
-
-
-def _point(args: dict, scheme: str, q: int, m: int) -> dict:
-    """The params of the sweep point at (q, m): mc_scheme_tightness's
-    keywords, the others read from args by name."""
-    n, ell, s, distribution = args["n"], args["ell"], args["s"], args["distribution"]
-    return dict(q=q, m=m, n=n, ell=ell, s=s, scheme=scheme, distribution=distribution)
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +655,10 @@ def _check_params(params: dict, what: str, schema: dict) -> None:
 
 def _check_claim(report) -> None:
     """Refuse a report its claim's campaign does not write: an unknown
-    claim, params whose keys or value types are not the claim's, a
-    formula that is not the claim's rate at the params, and a sweep
-    point whose claim or params are not those the sweep runs at its
-    value.  No field is built."""
+    claim, params whose keys or value types are not the claim's, params
+    the claim's plan refuses, a formula that is not the plan's rate, and
+    a sweep point whose claim or params are not the plan's.  No field is
+    built."""
     claim, row = report.claim, CLAIMS.get(report.claim)
     if row is None:
         raise MalformedRecord(f"report: unknown claim {claim!r}")
@@ -628,25 +666,25 @@ def _check_claim(report) -> None:
         raise MalformedRecord(f"report: a {claim} report is {'' if row.scheme else 'not '}a sweep")
     schema = {name: _PARAM_TYPES.get(name, int) for name in row.params}
     _check_params(report.params, f"report: {claim} params", schema)
+    try:
+        plan = row.plan(**report.params)
+    except RankfuzzError as exc:
+        has = "points" if row.scheme else "rate"
+        raise MalformedRecord(f"report: {claim} params have no {has}: {exc}") from None
     if row.scheme is None:
-        try:
-            rate = row.rate(**report.params)
-        except RankfuzzError as exc:
-            raise MalformedRecord(f"report: {claim} params have no rate: {exc}") from None
-        if report.formula != rate:
-            raise MalformedRecord(f"report: formula {report.formula} is not {claim}'s rate {rate}")
+        if report.formula != plan:
+            raise MalformedRecord(f"report: formula {report.formula} is not {claim}'s rate {plan}")
         return
-    shapes = row.shapes(**report.params)
-    if len(report.points) != len(shapes):
-        raise MalformedRecord(f"sweep report: {len(report.points)} points for {len(shapes)} values")
-    for i, (point, (q, m)) in enumerate(zip(report.points, shapes)):
+    if len(report.points) != len(plan):
+        raise MalformedRecord(f"sweep report: {len(report.points)} points for {len(plan)} values")
+    for i, (point, expected) in enumerate(zip(report.points, plan)):
         what = f"sweep report: point {i}"
         if point.claim != claim:
             raise MalformedRecord(f"{what} has claim {point.claim!r}, not {claim!r}")
-        expected = _point(report.params, row.scheme, q, m)
         _check_params(point.params, f"{what} params", {k: type(v) for k, v in expected.items()})
         if point.params != expected or point.formula is not None:
-            raise MalformedRecord(f"{what} is not the {claim} point at q={q} m={m}")
+            at = f"q={expected['q']} m={expected['m']}"
+            raise MalformedRecord(f"{what} is not the {claim} point at {at}")
 
 
 def load_report(path):
@@ -676,10 +714,15 @@ def _distinct_elements(field: ExtField, n: int, rng) -> list[int]:
     return out
 
 
+def _check_size(m: int, n: int) -> None:
+    """Refuse a feature set of n elements of F_{q^m} unless 1 <= n <= m."""
+    if not 1 <= n <= m:
+        raise BadDimensions(f"need 1 <= n <= m, got n={n}")
+
+
 def sample_feature_set(field: ExtField, n: int, rng) -> FeatureSet:
     """Uniform independent n-subset of the field, by rejection."""
-    if not 1 <= n <= field.m:
-        raise BadDimensions(f"need 1 <= n <= m, got n={n}")
+    _check_size(field.m, n)
     for _ in range(_MAX_TRIES):
         subset = _distinct_elements(field, n, rng)
         if element_rank(field, subset) == n:
@@ -755,15 +798,12 @@ def sample_witness_shaped(field: ExtField, features: FeatureSet, u: int, v: int,
 
 def _head(campaign: str, args: dict) -> TrialReport:
     """The report the named campaign fills in, from its arguments args:
-    its claim, the claim's params read from args by name, the claim's
-    rate there, and the trial range.  Building it refuses a trial count
-    below 1."""
+    its claim, the claim's params read from args by name, their planned
+    rate and the trial range.  Building it refuses a trial count below 1."""
     claim = _CLAIM_OF[campaign]
-    row = CLAIMS[claim]
-    params = {name: args[name] for name in row.params}
-    return TrialReport(
-        claim, params, args["trials"], 0, row.rate(**params), args["seed"], start=args["start"]
-    )
+    params = {name: args[name] for name in CLAIMS[claim].params}
+    formula = CLAIMS[claim].plan(**params)
+    return TrialReport(claim, params, args["trials"], 0, formula, args["seed"], start=args["start"])
 
 
 def _sampled(head: TrialReport, trial) -> TrialReport:
@@ -831,9 +871,9 @@ def mc_independence(
     completely instead of sampled, which turns the statistical comparison
     into an exact rational identity.
     """
-    fld = ext_field(q, m)
-    # refuses n outside 1..m, and a trial count below 1 in either mode
+    # refuses a trial count below 1 in either mode
     head = _head("mc_independence", locals())
+    fld = ext_field(q, m)
     if fld.order <= _EXHAUSTIVE_ORDER and math.comb(fld.order, n) <= _EXHAUSTIVE_SUBSETS:
         total = 0
         succ = 0
@@ -861,10 +901,9 @@ def mc_overlap_tightness(
     symmetric difference 2(n - u).  The one-sided bound is
     asserted outright on every trial; only equality is counted.
     """
+    head = _head("mc_overlap_tightness", locals())
     params = VaultParams(q=q, m=n, n=n, ell=ell, s=s)
     fld = params.field
-    head = _head("mc_overlap_tightness", locals())
-    _check_overlap_shape(q, n, n, u)
     draw = lambda rng, feats: sample_witness_overlap(fld, feats, u, rng)
     return _sampled(head, _rank_bound_trial(params, False, draw, f"q={q} n={n} u={u} seed={seed}"))
 
@@ -887,10 +926,9 @@ def mc_subspace_tightness(
     full inequality chain through the subspace distance is asserted on
     every trial; the counted event is tightness at the upper end.
     """
+    head = _head("mc_subspace_tightness", locals())
     params = VaultParams(q=q, m=m, n=n, ell=ell, s=s)
     fld = params.field
-    _check_witness_shape(q, m, n, u, v)
-    head = _head("mc_subspace_tightness", locals())
     draw = lambda rng, feats: sample_witness_shaped(fld, feats, u, v, rng)
     where = f"q={q} m={m} n={n} u={u} v={v} seed={seed}"
 
@@ -939,18 +977,11 @@ def mc_scheme_tightness(
     mix itself shifts with the field and can mask the trend at small q.
     No formula applies pointwise; a sweep judges the failure trend.
     """
-    if scheme not in _SCHEMES:
-        raise BadRange(f"unknown scheme {scheme!r}")
-    if distribution not in ("uniform_w", "uniform_u"):
-        raise BadRange(f"unknown distribution {distribution!r}")
-    if scheme == "basic" and m != n:
-        raise DimensionMismatch("the basic scheme needs m = n")
+    point = _plan_point(scheme, q, m, n, ell, s, distribution)
+    head = TrialReport(_SCHEMES[scheme], point, trials, 0, None, seed, start=start)
     params = VaultParams(q=q, m=m, n=n, ell=ell, s=s)
     fld = params.field
-    claim = _SCHEMES[scheme]
-    head = TrialReport(claim, _point(locals(), scheme, q, m), trials, 0, None, seed, start=start)
     if distribution == "uniform_u":
-        _check_overlap_shape(q, m, n, 0)
         draw = lambda rng, feats: sample_witness_overlap(fld, feats, rng.randrange(n + 1), rng)
     else:
         draw = lambda rng, feats: sample_feature_set(fld, n, rng)
@@ -974,8 +1005,8 @@ def mc_decode_roundtrip(
     every trial; the claimed rate is exactly 1, so a single failure
     fails the report.
     """
-    fld = ext_field(q, m)
     head = _head("mc_decode_roundtrip", locals())
+    fld = ext_field(q, m)
 
     def trial(rng, i):
         pts = sample_feature_set(fld, n, rng)
@@ -993,28 +1024,12 @@ def mc_decode_roundtrip(
     return _sampled(head, trial)
 
 
-def _sweep(campaign: str, args: dict, values: list) -> SweepReport:
-    """One mc_scheme_tightness campaign per value of the sweep the named
-    campaign runs, at the (q, m) its claim's row gives for each value,
-    the other params read from the campaign's arguments args.
-
-    Two or more increasing values are needed.  Every point is checked
-    before the first campaign runs: as VaultParams, and under uniform_u,
-    which draws u = 0 too, for a witness sharing none of the features.
-    """
-    if len(values) < 2:
-        raise BadRange("a sweep needs at least two points")
+def _sweep(campaign: str, args: dict) -> SweepReport:
+    """One mc_scheme_tightness campaign per point that the claim's plan
+    gives for the named campaign's arguments args, all checked first."""
     claim = _CLAIM_OF[campaign]
-    row = CLAIMS[claim]
-    params = {name: args[name] for name in row.params}
-    points = [_point(params, row.scheme, q, m) for q, m in row.shapes(**params)]
-    for p in points:
-        VaultParams(q=p["q"], m=p["m"], n=p["n"], ell=p["ell"], s=p["s"])
-    if params["distribution"] == "uniform_u":
-        for p in points:
-            _check_overlap_shape(p["q"], p["m"], p["n"], 0)
-    if any(a >= b for a, b in zip(values, values[1:])):
-        raise BadRange(f"sweep values must increase, got {values}")
+    params = {name: args[name] for name in CLAIMS[claim].params}
+    points = CLAIMS[claim].plan(**params)
     runs = tuple(mc_scheme_tightness(**p, trials=args["trials"], seed=args["seed"]) for p in points)
     return SweepReport(claim, params, runs, args["seed"])
 
@@ -1030,7 +1045,7 @@ def sweep_basic_tightness(
 ) -> SweepReport:
     """Failure-rate trend of the basic scheme as the field grows."""
     q_values = list(q_values)
-    return _sweep("sweep_basic_tightness", locals(), q_values)
+    return _sweep("sweep_basic_tightness", locals())
 
 
 def sweep_generalized_tightness(
@@ -1045,4 +1060,4 @@ def sweep_generalized_tightness(
 ) -> SweepReport:
     """Failure-rate trend of the generalized scheme as the extension grows."""
     m_values = list(m_values)
-    return _sweep("sweep_generalized_tightness", locals(), m_values)
+    return _sweep("sweep_generalized_tightness", locals())

@@ -21,11 +21,12 @@ simulate subcommands come from analysis.CLAIMS, the one claim table:
 its rows give each claim's help line, default trial count and
 parameters, which are its flags, and name the campaign, looked up in
 analysis when the command runs and called with the parameters by
-keyword.  A claim's parameters are checked before its first trial: a
-sweep refuses values that do not increase, and a witness shape that
-cannot be drawn, such as u = 0 at q = 2 and m = n = 2, is refused with
-its reason.  main() parses with one parser, built on its first call
-and kept for the life of the process.
+keyword.  Each claim's plan checks its parameters before the first
+trial: a sweep refuses values that do not increase, a witness shape
+that cannot be drawn, such as u = 0 at q = 2 and m = n = 2, is refused
+with its reason, and roundtrip refuses a code shape or twist.  main()
+parses with one parser, built on its first call and kept for the life
+of the process.
 
 Exit codes: 0 success or accept; 1 protocol reject, failed verdict, or
 a broken always-true guarantee; 2 usage, parameter, or input errors.

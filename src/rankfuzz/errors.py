@@ -7,7 +7,6 @@ whole family at once; most also derive from the matching builtin
 (ValueError, ZeroDivisionError) so generic handling keeps working.
 """
 
-import gc
 import json
 
 
@@ -132,22 +131,12 @@ def save_json(obj, path) -> None:
 
 def load_json(path):
     """Read a JSON file; records are pure ASCII, so other bytes are an error.
-    Nesting too deep for the parser is a MalformedRecord naming the path.
-
-    The cyclic collector is paused while the parser allocates, since a
-    vault file that load_vault cannot read as rows (any layout but the
-    canonical one) parses to tens of thousands of small lists, which
-    would set it off repeatedly; it is left as it was found."""
-    enabled = gc.isenabled()
-    gc.disable()
+    Nesting too deep for the parser is a MalformedRecord naming the path."""
     try:
         with open(path, encoding="ascii") as fh:
             return json.load(fh)
     except RecursionError:
         raise MalformedRecord(f"{path}: JSON nested too deeply") from None
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class DecodingFailure(RankfuzzError):

@@ -41,13 +41,19 @@ from .linpoly import (
 _MAX_TRIES = 10**4  # draws per _grow call, subsets per analysis.sample_feature_set
 
 
+def _check_code_shape(m: int, n: int, k: int, s: int) -> None:
+    """Refuse an [n, k] code with twist s over F_{q^m} that cannot exist,
+    without building the field."""
+    if {type(n), type(k)} != {int} or not 1 <= k <= n <= m:
+        raise BadDimensions(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={m}")
+    _check_twist(m, s)
+
+
 class GabidulinCode:
     """[n, k] evaluation code over F_{q^m} with twist s."""
 
     def __init__(self, field: ExtField, n: int, k: int, s: int, points):
-        if {type(n), type(k)} != {int} or not 1 <= k <= n <= field.m:
-            raise BadDimensions(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={field.m}")
-        _check_twist(field, s)
+        _check_code_shape(field.m, n, k, s)
         pts = field.check_sized(points, n, "evaluation points")
         if not is_independent(field, pts):
             raise DependentPoints("evaluation points are dependent over F_q")

@@ -48,8 +48,7 @@ from .fields import ExtField, _trim, element_rank, linear_images
 _EVAL_ALL_LIMIT = 1 << 20
 
 
-def _check_twist(field: ExtField, s: int) -> int:
-    m = field.m
+def _check_twist(m: int, s: int) -> int:
     if m == 1:
         if type(s) is not int or s != 1:
             raise BadTwist(f"m = 1 requires s = 1, got {s!r}")
@@ -139,7 +138,7 @@ class LinearizedPoly:
 
     def __init__(self, field: ExtField, s: int, coeffs=()):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "s", _check_twist(field, s))
+        object.__setattr__(self, "s", _check_twist(field.m, s))
         object.__setattr__(self, "coeffs", tuple(_trim([field.check(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
@@ -280,7 +279,7 @@ def interpolate(field: ExtField, s: int, xs, ys) -> LinearizedPoly:
     """Unique linearized polynomial of degree < len(xs) through the given
     (x, y) pairs, by Newton interpolation; requires the x's to be
     independent over F_q."""
-    _check_twist(field, s)
+    _check_twist(field.m, s)
     xs = list(field.check_vector(xs))
     ys = list(field.check_sized(ys, len(xs), "values"))
     if not xs:

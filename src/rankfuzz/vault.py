@@ -60,7 +60,7 @@ from .errors import (
     check_record,
     load_json,
 )
-from .fields import _LANE, ExtField, _lanes, ext_field, image_lanes, is_independent
+from .fields import _LANE, ExtField, _lanes, ext_field, field_order, image_lanes, is_independent
 from .gabidulin import GabidulinCode
 from .linpoly import _check_twist, _eval_raw
 
@@ -78,14 +78,14 @@ class VaultParams:
     s: int = 1
 
     def __post_init__(self):
-        fld = ext_field(self.q, self.m)  # validates q, m
-        _check_twist(fld, self.s)
+        order = field_order(self.q, self.m)
+        _check_twist(self.m, self.s)
         if {type(self.n), type(self.ell)} != {int} or not 1 <= self.ell < self.n <= self.m:
             raise BadDimensions(
                 f"need 1 <= ell < n <= m, got ell={self.ell}, n={self.n}, m={self.m}"
             )
-        if fld.order > _TABLE_GUARD:
-            raise TooLarge(f"total table needs q^m <= {_TABLE_GUARD}, got {fld.order}")
+        if order > _TABLE_GUARD:
+            raise TooLarge(f"total table needs q^m <= {_TABLE_GUARD}, got {order}")
 
     @property
     def field(self) -> ExtField:

@@ -57,6 +57,7 @@ from rankfuzz.errors import (
     MismatchedField,
     NonPrimeQ,
     ParamMismatch,
+    TooLarge,
     TwistMismatch,
 )
 from rankfuzz.fields import ExtField, element_rank, ext_field, find_normal_element
@@ -366,20 +367,47 @@ def test_subspace_tightness_probability_values():
         subspace_tightness_probability(2, 4, 5, 1, 2)  # n > m
 
 
+# one genuine parameter set per claim
+PLANNED = {
+    "lemma2": dict(q=2, m=4, n=3),
+    "prop2": dict(q=2, n=4, u=2, ell=1, s=1),
+    "prop4": dict(q=2, m=6, n=3, u=1, v=2, ell=1, s=1),
+    "thm3": dict(n=3, ell=1, s=1, q_values=[2, 3], distribution="uniform_u"),
+    "thm5": dict(q=2, n=3, ell=1, s=1, m_values=[3, 4], distribution="uniform_w"),
+    "roundtrip": dict(q=3, m=4, n=4, k=2, s=3),
+}
+
+
 def test_rates_and_report_checks_build_no_field(tmp_path):
     record = mc_overlap_tightness(q=2, n=4, u=2, ell=1, trials=3, seed=1).to_dict()
-    record["params"].update(q=241, n=61, u=60)
     before = ext_field.cache_info()
-    # first at cached shapes, so a rate that asks for the field fails here
-    # rather than stall on (241, 61), which takes minutes to build
+    # first at small shapes, so a rate or plan that asks for the field
+    # fails here rather than stall on (241, 61), which takes minutes to
+    # build; cache_info counts hits too
     independence_probability(2, 4, 3)
     subspace_tightness_probability(2, 4, 3, 1, 2)
+    for claim, params in PLANNED.items():
+        assert params.keys() == set(CLAIMS[claim].params), claim
+        CLAIMS[claim].plan(**params)
     assert ext_field.cache_info() == before
     assert independence_probability(241, 61, 62) == 0
     assert independence_probability(241, 61, 3) > 0
     assert subspace_tightness_probability(241, 61, 5, 1, 3) > 0
+    assert CLAIMS["lemma2"].plan(q=241, m=61, n=3) == independence_probability(241, 61, 3)
+    assert CLAIMS["roundtrip"].plan(q=241, m=61, n=4, k=2, s=1) == 1
+    for claim, params in {
+        "prop2": dict(q=241, n=61, u=60, ell=1, s=1),
+        "prop4": dict(q=241, m=61, n=3, u=1, v=2, ell=1, s=1),
+        "thm3": dict(n=61, ell=1, s=1, q_values=[2, 241], distribution="uniform_u"),
+        "thm5": dict(q=241, n=2, ell=1, s=1, m_values=[2, 61], distribution="uniform_w"),
+    }.items():
+        with pytest.raises(TooLarge):
+            CLAIMS[claim].plan(**params)
+    # a prop2 report at (31, 4), under the table guard, loads only with
+    # its rate; at (241, 61) the guard refuses it
     path = tmp_path / "r.json"
-    rate = overlap_tightness_probability(241, 61, 60)
+    record["params"].update(q=31)
+    rate = overlap_tightness_probability(31, 4, 2)
     for formula in (Fraction(1, 2), rate):
         record["formula"] = {"numerator": formula.numerator, "denominator": formula.denominator}
         path.write_text(json.dumps(record), encoding="ascii")
@@ -388,7 +416,51 @@ def test_rates_and_report_checks_build_no_field(tmp_path):
         else:
             with pytest.raises(MalformedRecord, match="is not prop2's rate"):
                 load_report(path)
+    record["params"].update(q=241, n=61, u=60)
+    path.write_text(json.dumps(record), encoding="ascii")
+    with pytest.raises(MalformedRecord, match=f"have no rate: total table needs q.m <= {1 << 20}"):
+        load_report(path)
     assert ext_field.cache_info() == before
+
+
+# params each campaign refuses, one fault each unless noted
+REFUSED = [
+    ("lemma2", dict(q=2, m=4, n=5)),
+    ("lemma2", dict(q=4, m=4, n=5)),  # q is checked first
+    ("prop2", dict(q=2, n=4, u=2, ell=-5, s=0)),  # s is checked first
+    ("prop2", dict(q=2, n=4, u=5, ell=1, s=1)),
+    ("prop2", dict(q=2, n=2, u=0, ell=1, s=1)),
+    ("prop4", dict(q=2, m=4, n=3, u=0, v=1, ell=1, s=1)),
+    ("prop4", dict(q=2, m=6, n=3, u=2, v=1, ell=1, s=1)),
+    ("thm3", dict(n=3, ell=1, s=1, q_values=[4, 6], distribution="bogus")),
+    ("thm3", dict(n=2, ell=1, s=1, q_values=[2, 3], distribution="uniform_u")),
+    ("thm3", dict(n=3, ell=1, s=1, q_values=[3, 2], distribution="uniform_u")),
+    ("thm3", dict(n=3, ell=1, s=1, q_values=[3], distribution="uniform_u")),
+    ("thm5", dict(q=2, n=3, ell=1, s=1, m_values=[2, 3], distribution="uniform_w")),
+    ("roundtrip", dict(q=4, m=4, n=4, k=9, s=1)),
+    ("roundtrip", dict(q=2, m=4, n=5, k=2, s=1)),
+    ("roundtrip", dict(q=2, m=4, n=4, k=2, s=2)),
+]
+
+
+@pytest.mark.parametrize("claim, params", REFUSED)
+def test_load_report_refuses_what_the_campaign_refuses(tmp_path, monkeypatch, claim, params):
+    row = CLAIMS[claim]
+    campaign = getattr(analysis, row.campaign)
+    record = campaign(**PLANNED[claim], trials=2, seed=1).to_dict()
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(dict(record, params=params)), encoding="ascii")
+
+    def no_trial(seed, i):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(analysis, "trial_rng", no_trial)
+    with pytest.raises(analysis.RankfuzzError) as refused:
+        campaign(**params, trials=2, seed=1)
+    with pytest.raises(MalformedRecord) as info:
+        load_report(path)
+    has = "points" if row.scheme else "rate"
+    assert str(info.value) == f"report: {claim} params have no {has}: {refused.value}"
 
 
 def test_rates_check_q_and_m_as_the_field_does():
@@ -412,7 +484,8 @@ def test_claim_rows_name_their_campaigns_parameters():
         signature = inspect.signature(getattr(analysis, row.campaign)).parameters
         assert set(row.params) == signature.keys() - {"trials", "seed", "start"}, claim
         assert row.trials == signature["trials"].default, claim
-        assert (row.rate is None) == (row.scheme is not None) == (row.shapes is not None), claim
+        # a sweep's plan gives its points' params, a trial claim's its rate
+        assert (row.scheme is None) == row.campaign.startswith("mc_"), claim
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,11 @@ def _prop2():
 
 
 @functools.cache
+def _decodes():
+    return mc_decode_roundtrip(q=2, m=4, n=4, k=2, trials=5, seed=6).to_dict()
+
+
+@functools.cache
 def _thm3():
     return sweep_basic_tightness(q_values=[2, 3], n=3, ell=1, trials=5, seed=6).to_dict()
 
@@ -177,6 +182,16 @@ def _thm3_point(i, **edits):
     points = [dict(p) for p in _thm3()["points"]]
     points[i].update(edits)
     return _load_edited(_thm3(), points=points)
+
+
+def _thm3_at(q_values, **edits):
+    """The thm3 report at the given q values, each point at its own, with
+    the edits made to the params and to every point's params."""
+    params = dict(_thm3()["params"], q_values=q_values, **edits)
+    points = [
+        dict(p, params=dict(p["params"], q=q, **edits)) for p, q in zip(_thm3()["points"], q_values)
+    ]
+    return _load_edited(_thm3(), params=params, points=points)
 
 
 # Each other refusal at a library boundary, as SIZED.
@@ -209,12 +224,49 @@ REFUSALS = {
         ParamMismatch, "sweep points must be TrialReports",
     ),
     # load_report refuses a report its claim's campaign would not write
+    "report-q-31": (
+        lambda: _load_edited(
+            _prop2(), params=dict(_prop2()["params"], q=31),
+            formula={"numerator": _prop2()["successes"], "denominator": _prop2()["trials"]},
+        ),
+        MalformedRecord, "report: formula 1 is not prop2's rate 30783/30784",
+    ),
+    # 97^4 is past the vault's table guard, so no campaign writes this
     "report-q-97": (
         lambda: _load_edited(
             _prop2(), params=dict(_prop2()["params"], q=97),
             formula={"numerator": _prop2()["successes"], "denominator": _prop2()["trials"]},
         ),
-        MalformedRecord, "report: formula 1 is not prop2's rate 922179/922180",
+        MalformedRecord,
+        "report: prop2 params have no rate: total table needs q^m <= 1048576, got 88529281",
+    ),
+    # each param the campaign checks, not only those its rate reads
+    "report-ell-s": (
+        lambda: _prop2_params(ell=-5, s=0),
+        MalformedRecord,
+        "report: prop2 params have no rate: s must satisfy 1 <= s < 4 and gcd(s, m) = 1, got 0",
+    ),
+    "report-ell": (
+        lambda: _prop2_params(ell=-5),
+        MalformedRecord,
+        "report: prop2 params have no rate: need 1 <= ell < n <= m, got ell=-5, n=4, m=4",
+    ),
+    "report-roundtrip-q-k": (
+        lambda: _load_edited(_decodes(), params=dict(_decodes()["params"], q=4, k=9)),
+        MalformedRecord, "report: roundtrip params have no rate: q must be a prime <= 251, got 4",
+    ),
+    "report-roundtrip-k": (
+        lambda: _load_edited(_decodes(), params=dict(_decodes()["params"], k=9)),
+        MalformedRecord,
+        "report: roundtrip params have no rate: need 1 <= k <= n <= m, got k=9, n=4, m=4",
+    ),
+    "report-sweep-q-distribution": (
+        lambda: _thm3_at([4, 6], distribution="bogus"),
+        MalformedRecord, "report: thm3 params have no points: unknown distribution 'bogus'",
+    ),
+    "report-sweep-q": (
+        lambda: _thm3_at([2, 4]),
+        MalformedRecord, "report: thm3 params have no points: q must be a prime <= 251, got 4",
     ),
     "report-bogus-claim": (
         lambda: _load_edited(_prop2(), claim="bogus", params={"zzz": 1}),
@@ -338,8 +390,8 @@ _REPORT = TrialReport("c", {}, 2, 1)
 BOOLS = {
     "field-q": (lambda: ext_field(True, 4), NonPrimeQ),
     "field-m": (lambda: ext_field(2, True), DegreeOutOfRange),
-    "twist": (lambda: _check_twist(F16, True), BadTwist),
-    "twist-m1": (lambda: _check_twist(ext_field(2, 1), True), BadTwist),
+    "twist": (lambda: _check_twist(16, True), BadTwist),
+    "twist-m1": (lambda: _check_twist(1, True), BadTwist),
     "code-n": (lambda: GabidulinCode(F16, True, 1, 1, BASIS[:1]), BadDimensions),
     "code-k": (lambda: GabidulinCode(F16, 4, True, 1, BASIS), BadDimensions),
     "code-s": (lambda: GabidulinCode(F16, 4, 2, True, BASIS), BadTwist),

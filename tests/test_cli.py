@@ -370,6 +370,28 @@ def test_vault_lock_and_unlock_at_benchmark_shape(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"key recovered to {out}"
 
 
+@pytest.mark.parametrize("command", ["lock", "unlock"])
+def test_vault_refuses_a_large_table_before_building_its_field(tmp_path, command):
+    """(241, 61) is a valid field whose modulus search alone takes far
+    longer than the timeout, so the table guard must refuse it first:
+    from the flags, and from the header of a vault file with no points."""
+    vault = tmp_path / "v.json"
+    header = {"q": 241, "m": 61, "n": 2, "ell": 1, "s": 1, "key_digest": "00" * 32, "points": []}
+    vault.write_text(json.dumps(header), encoding="ascii")
+    argv = {
+        "lock": ["--q", "241", "--m", "61", "--n", "2", "--ell", "1", "--features", "f.hex",
+                 "--key", "k.hex", "--out", str(tmp_path / "out.json")],
+        "unlock": ["--vault", str(vault), "--witness", "w.hex", "--key-out", "k.hex"],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(rankfuzz.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankfuzz", "vault", command, *argv],
+        capture_output=True, text=True, env=env, timeout=20, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: total table needs q^m <= {1 << 20}, got {241**61}\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate.
 

@@ -178,7 +178,8 @@ def test_file_roundtrip_is_byte_stable(tmp_path):
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
 def test_load_json_restores_collector_state(tmp_path, enabled):
-    # load_json pauses the cyclic collector while it parses
+    # load_json leaves the cyclic collector as it found it, on success
+    # and on each error
     good, bad, wide = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "wide.json"
     good.write_text('{"a": [1, 2]}\n')
     bad.write_text('{"a": [1,\n')

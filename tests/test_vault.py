@@ -67,6 +67,22 @@ def test_params_validation():
     assert P256.t == 3
 
 
+def test_params_validation_builds_no_field():
+    # (241, 61) is a valid field whose build takes minutes; the guard
+    # refuses it first, and no check asks ext_field for a field, which
+    # a cached shape shows at once, as cache_info counts hits
+    before = ext_field.cache_info()
+    VaultParams(q=2, m=8, n=4, ell=2)
+    assert ext_field.cache_info() == before
+    with pytest.raises(TooLarge) as info:
+        VaultParams(q=241, m=61, n=2, ell=1)
+    assert str(info.value) == f"total table needs q^m <= {_TABLE_GUARD}, got {241**61}"
+    with pytest.raises(BadTwist):
+        VaultParams(q=241, m=61, n=2, ell=1, s=61)
+    assert ext_field.cache_info() == before
+    assert P256.field is F256
+
+
 def test_feature_set_validation():
     with pytest.raises(DuplicateFeatures):
         FeatureSet(F256, (1, 1, 2))

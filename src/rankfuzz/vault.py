@@ -18,13 +18,15 @@ any loop over elements (SIMD within a register), and Vault.table is a
 read-only view of the lanes.  Rejected tries are marked with a
 0xFFFFFFFF sentinel lane and dropped by one bytes.replace, exact as
 accepted tries stay below _TABLE_GUARD <= 2^24 (see _randbelow_many).
-The JSON file names every element once, by doubling over the base-q
-digits, and writes the points array in canonical order, _ROWS rows per
-join.  load_vault reads a file with exactly those bytes as fixed-width
-rows, _ROWS at a time, with no JSON object per entry: a few translate
-passes check the row template and give the digit bytes, the x column
-must be the canonical one, and the y names are parsed into 32-bit lanes
-by Horner's rule over their digit columns, a few bytes and big-integer
+The JSON file writes the points array in canonical order, _ROWS rows
+per join, with no name or row position made per element: every name is
+a name of the low m // 2 digits followed by one of the rest, and list
+repetition spreads those two small name tables over the rows.
+load_vault reads a file with exactly those bytes as fixed-width rows,
+_ROWS at a time, with no JSON object per entry: a few translate passes
+check the row template and give the digit bytes, the x column must be
+the canonical one, and the y names are parsed into 32-bit lanes by
+Horner's rule over their digit columns, a few bytes and big-integer
 passes per digit.  Any other file goes through load_json and
 vault_from_dict, which give the same vault or the same refusal.
 
@@ -44,6 +46,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .commitment import codeword_digest, digest_from_hex
@@ -254,15 +257,22 @@ def unlock(vault: Vault, witness) -> UnlockResult:
 # JSON form
 
 
-def _names(fld: ExtField) -> list[str]:
-    """The name of every element, indexed by element: names[x] ==
-    fld.to_hex(x), the hex of the base-q digits lowest first, made by
-    doubling over the digits."""
-    digits = [f"{d:02x}" for d in range(fld.q)]
+def _names(q: int, k: int) -> list[str]:
+    """The name of every k-digit base-q number, indexed by number: the
+    hex of its digits lowest first, as fld.to_hex names an element when
+    k = m, made by doubling over the digits.  The names sort as their
+    digits do, lowest first, so sorted(names)[r] has r's digits highest
+    first."""
+    digits = [f"{d:02x}" for d in range(q)]
     names = [""]
-    for _ in range(fld.m):
+    for _ in range(k):
         names = [h + d for d in digits for h in names]
     return names
+
+
+def _spread(items: list, count: int) -> list:
+    """Each item repeated count times in turn, as one list."""
+    return list(chain.from_iterable(map(repeat, items, repeat(count))))
 
 
 def _reversal(q: int, k: int) -> list[int]:
@@ -270,8 +280,10 @@ def _reversal(q: int, k: int) -> list[int]:
     in the opposite order.  It is its own inverse.
 
     The fixed-width names sort as their digits do, lowest digit first, so
-    _reversal(q, m) lists the elements in the byte order of their names:
-    row r of a vault file holds element _reversal(q, m)[r]."""
+    row r of a vault file holds the element whose m digits are those of r
+    reversed.  That reversal is only ever applied by _table_from_rows,
+    which builds it at half width: it puts the rows of a file in element
+    order, and, being its own inverse, a table in row order."""
     out = [0]
     for _ in range(k):
         out = [d + q * x for d in range(q) for x in out]
@@ -379,26 +391,43 @@ def save_vault(vault: Vault, path):
     """Write the canonical JSON of the vault's record: its parameters,
     one [x, y] row of element names per table entry, sorted by x name,
     and its key digest.  The points array is written _ROWS rows at a
-    time rather than built as objects.  A chunk's x and y names are
-    gathered by itemgetter and slotted between the fixed separators of
-    a row template, and the chunk goes out as one join."""
+    time rather than built as objects.
+
+    With m split as a + b digits, A = q^a and B = q^b, row r = r1 * A + r2
+    names as x the element whose digits, lowest first, are r's highest
+    first: the b-digit name of r1, then the a-digit name of r2, both
+    highest first.  Element y = lo + A * hi is named by the a-digit name
+    of lo, then the b-digit name of hi, both lowest first.  Each of these
+    four pieces of a row comes from a list of pointers to A or B strings,
+    built by list repetition, so no name is made per element.  The y
+    values are put in row order by _table_from_rows, as the digit
+    reversal is its own inverse.  A chunk's pieces go into a row template
+    by four slice assignments, the y pieces by itemgetter, and the chunk
+    goes out as one join."""
     fld = vault.params.field
-    names, order, table = _names(fld), _reversal(fld.q, fld.m), vault.table
+    q, m, order = fld.q, fld.m, fld.order
+    a = m // 2
+    A, B = q**a, q ** (m - a)
     head, tail = canonical_json(_record(vault, [])).split('"points": []')
-    # row i of a chunk is rows[4i : 4i + 4]: the text before its x name,
-    # the x name, the text between the names and the y name
-    rows = [_BETWEEN, "", _MID, ""] * _ROWS
-    rows[0] = head + _OPEN
+    # row r is rows[4r : 4r + 4]: the text before the y name in two
+    # pieces, then the y name in two; row 0, x = 0, opens the file
+    low, high = _names(q, a), _names(q, m - a)
+    befores = _spread([_BETWEEN + h for h in sorted(high)], A)
+    befores[0] = head + _OPEN + high[0]
+    mids = [h + _MID for h in sorted(low)] * B
+    lows, highs = low * B, _spread(high, A)
+    ys = _table_from_rows(fld, array(_LANE, vault.table.tobytes()))
+    rows = [""] * 4 * _ROWS
     with open(path, "w", encoding="ascii") as fh:
-        for i in range(0, len(order), _ROWS):
+        for i in range(0, order, _ROWS):
             # itemgetter of one index returns the item, not a tuple, but no
             # table leaves a chunk of one row (test_no_table_leaves_a_one_row_chunk)
-            xs = order[i : i + _ROWS]
-            del rows[4 * len(xs) :]
-            rows[1::4] = itemgetter(*xs)(names)
-            rows[3::4] = itemgetter(*itemgetter(*xs)(table))(names)
+            chunk = ys[i : i + _ROWS]
+            named = itemgetter(*chunk)
+            del rows[4 * len(chunk) :]
+            rows[0::4], rows[1::4] = befores[i : i + _ROWS], mids[i : i + _ROWS]
+            rows[2::4], rows[3::4] = named(lows), named(highs)
             fh.write("".join(rows))
-            rows[0] = _BETWEEN
         fh.write(_CLOSE + tail + "\n")
 
 

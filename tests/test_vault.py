@@ -6,6 +6,7 @@ import json
 import math
 import random
 import struct
+import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,8 @@ from rankfuzz.vault import (
     _ROWS,
     _TABLE_GUARD,
     _column,
+    _reversal,
+    _table_from_rows,
     FeatureSet,
     VaultParams,
     _randbelow_many,
@@ -377,16 +380,20 @@ def _no_json(path):
 # must be those of the canonical JSON dump of the dict form, and
 # load_vault reads them back as rows of bytes, in chunks of _ROWS rows,
 # without the JSON parser.  (3,8) has 6,561 rows, one full chunk and a
-# part; (2,16) has 16 full chunks.
+# part; (2,16) has 16 full chunks.  save_vault names elements by their
+# low m // 2 digits and the rest: at (2,2) both halves are one digit,
+# and at (2,9), (3,7) and (5,3) the two halves differ in length.
 @pytest.mark.parametrize(
     "q, m, n",
-    [(2, 8, 8), (3, 5, 4), (37, 2, 2), (2, 16, 8), (3, 8, 8), (251, 2, 2)],
-    ids=["2-8", "3-5", "37-2", "2-16", "3-8", "251-2"],
+    [(2, 8, 8), (3, 5, 4), (37, 2, 2), (2, 16, 8), (3, 8, 8), (251, 2, 2),
+     (2, 2, 2), (2, 9, 4), (3, 7, 4), (5, 3, 3)],
+    ids=["2-8", "3-5", "37-2", "2-16", "3-8", "251-2", "2-2", "2-9", "3-7", "5-3"],
 )
 def test_save_vault_bytes_match_json_dump(tmp_path, monkeypatch, q, m, n):
     fld = ext_field(q, m)
     rng = random.Random(q * m)
-    v = lock(VaultParams(q=q, m=m, n=n, ell=1), sample_feature_set(fld, n, rng), [7], rng)
+    key = [7 % fld.order]
+    v = lock(VaultParams(q=q, m=m, n=n, ell=1), sample_feature_set(fld, n, rng), key, rng)
     path = tmp_path / "v.json"
     save_vault(v, path)
     expected = json.dumps(vault_to_dict(v), indent=2, sort_keys=True) + "\n"
@@ -459,6 +466,33 @@ def test_load_vault_matches_json_reference_on_edited_files(tmp_path, monkeypatch
     assert bool(parsed) == (path.read_bytes() != text and edit != "short_digest")
     assert (expected == v) == (edit in ("none", "rows_swapped", "upper_case", "head_spaced",
                                         "crlf", "compact", "space_dropped"))
+
+
+def test_save_vault_allocates_no_name_per_element(tmp_path):
+    # a list of one string, or one row index, per element would take
+    # about 9.4 MiB at (2,16); the half-width pieces take about 3.5 MiB
+    fld = ext_field(2, 16)
+    rng = random.Random(16)
+    v = lock(VaultParams(q=2, m=16, n=16, ell=4), sample_feature_set(fld, 16, rng),
+             fld.random_vector(4, rng), rng)
+    tracemalloc.start()
+    try:
+        save_vault(v, tmp_path / "v.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak
+
+
+@pytest.mark.parametrize("q, m", [(2, 16), (2, 9), (3, 7), (37, 2)])
+def test_table_from_rows_is_its_own_inverse(q, m):
+    # save_vault puts the table in row order with the map load_vault uses
+    # to put rows in element order
+    fld = ext_field(q, m)
+    rows = array(_LANE, random.Random(q + m).sample(range(fld.order), fld.order))
+    once = _table_from_rows(fld, rows)
+    assert once.tolist() == [rows[r] for r in _reversal(q, m)]
+    assert _table_from_rows(fld, once) == rows
 
 
 def test_no_table_leaves_a_one_row_chunk():
